@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,13 @@ from .hamiltonian import (
     Quartic,
     hamiltonian,
 )
-from .integrators import NewtonDiverged, SchemeConfig, integrate
-from .verification import measure_convergence_order, measure_period, quartic_period
+from .integrators import SchemeConfig
+from .verification import (
+    _window_steps,
+    measure_convergence_order,
+    measure_period,
+    quartic_period,
+)
 
 TRACE_COLUMNS = "step,time,{q},{p},H,scaledH,newton_iters,newton_residual"
 
@@ -286,10 +291,7 @@ def read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    known = {
-        "potential", "omega", "k_file", "m_file", "scheme", "tau", "q0", "p0",
-        "periods", "t_final", "window", "newton_tol", "newton_max_iter", "out",
-    }
+    known = {f.name for f in fields(ExperimentConfig)} | {"out"}
     values = {}
     for lineno, raw in enumerate(p.read_text().split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -315,10 +317,7 @@ def merge_config(args, file_values: dict) -> tuple:
         flag = getattr(args, key, None)
         return flag if flag is not None else file_values.get(key)
 
-    raw = {key: pick(key) for key in (
-        "potential", "omega", "k_file", "m_file", "scheme", "tau", "q0", "p0",
-        "periods", "t_final", "window", "newton_tol", "newton_max_iter",
-    )}
+    raw = {f.name: pick(f.name) for f in fields(ExperimentConfig)}
     for key in _FLOAT_KEYS:
         if isinstance(raw[key], str):
             try:
@@ -335,17 +334,13 @@ def merge_config(args, file_values: dict) -> tuple:
             raw[key] = _parse_vector(raw[key])
     if isinstance(raw["window"], str):
         raw["window"] = _parse_window(raw["window"])
-    defaults = {"potential": "quartic", "scheme": "corrected_kmk:8", "tau": 0.05,
-                "newton_tol": 1e-13, "newton_max_iter": 25}
-    for key, value in defaults.items():
-        if raw[key] is None:
-            raw[key] = value
     if raw["periods"] is None and raw["t_final"] is None:
         raw["periods"] = 16.0
     out = getattr(args, "out", None)
     if out is None:
         out = file_values.get("out")
-    return ExperimentConfig(**raw), out
+    # unset keys take the dataclass defaults
+    return ExperimentConfig(**{k: v for k, v in raw.items() if v is not None}), out
 
 
 def default_out_dir() -> Path:
@@ -366,31 +361,14 @@ def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
     if first == 0:
         rows.append((0, 0.0, x0.q, x0.p, h0, 0.0, 0, 0.0))
     lo = max(first, 1)
-    if fastpath.eligible(cfg, potential, mass, x0.dim):
-        run = fastpath.fast_run(x0, cfg, potential, mass, n_steps,
-                                rec_range=(lo, last + 1))
-        for k in range(len(run.rec_h)):
-            step_no = lo + k
-            scaled = (run.rec_h[k] - h0) / tau**m
-            rows.append((step_no, step_no * tau, np.array([run.rec_q[k]]),
-                         np.array([run.rec_p[k]]), run.rec_h[k], scaled,
-                         int(run.rec_iters[k]), float(run.rec_res[k])))
-        failure = None
-        if run.failed_step is not None:
-            failure = (run.failed_step, run.residual)
-        return rows, failure
-
-    def observer(i, t, x, report):
-        if lo <= i <= last:
-            h = hamiltonian(x, potential, mass)
-            rows.append((i, t, x.q, x.p, h, (h - h0) / tau**m,
-                         report.newton_iterations, report.newton_residual))
-
-    try:
-        integrate(x0, cfg, potential, mass, n_steps, observer=observer)
-    except NewtonDiverged as err:
-        return rows, (err.step_index, err.residual)
-    return rows, None
+    run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
+                            rec_range=(lo, last + 1))
+    qs, ps = (a.reshape(-1, x0.dim) for a in (run.rec_q, run.rec_p))
+    for k, h in enumerate(run.rec_h):
+        step_no = lo + k
+        rows.append((step_no, step_no * tau, qs[k], ps[k], h, (h - h0) / tau**m,
+                     int(run.rec_iters[k]), float(run.rec_res[k])))
+    return rows, None if run.ok else (run.failed_step, run.residual)
 
 
 def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
@@ -421,10 +399,7 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
     if exp.window is None:
         first, last = 0, n_steps
     else:
-        lo, hi = exp.window
-        eps = 1e-9 * cfg.tau
-        first = max(0, math.ceil((lo - eps) / cfg.tau))
-        last = min(n_steps, math.floor((hi + eps) / cfg.tau))
+        first, last = _window_steps(exp.window, cfg.tau, n_steps)
     try:
         rows, failure = _trace_rows(x0, cfg, potential, mass, n_steps, first, last)
     except ValueError as err:

@@ -12,6 +12,10 @@ milliseconds, while agreeing with the generic engine to roundoff because
 both paths evaluate the same expansions.
 
 The fall-back when numba is unavailable is the same loop in plain Python.
+
+``simulate`` is the single point that decides which backend runs: the
+kernel through ``fast_run`` when ``eligible`` allows it, the generic
+``integrate`` otherwise, both reported in one ``FastRun`` result.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonian import MassMatrix, PhasePoint, Potential
-from .integrators import NewtonDiverged, SchemeConfig
+from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
+from .integrators import POLISH_FLOOR, NewtonDiverged, SchemeConfig, integrate
 from .operators import (
     GENERATING_TERMS,
     POTENTIAL_GENERATORS,
@@ -49,7 +53,9 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
         return wrap
 
 
-__all__ = ["eligible", "FastRun", "fast_run", "FastTables", "tables_for"]
+__all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for"]
+
+_KERNEL_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +169,6 @@ class FastTables:
         """Fold tau powers into float coefficient arrays for the kernel."""
         vg = self.vgrad_base.copy()
         for n, coeffs in self.vgrad_n.items():
-            k = min(vg.size, coeffs.size)
             if coeffs.size > vg.size:
                 vg = np.concatenate([vg, np.zeros(coeffs.size - vg.size)])
             vg[: coeffs.size] += tau**n * coeffs
@@ -183,7 +188,8 @@ _TABLE_CACHE: dict = {}
 def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> FastTables:
     coeffs = potential.poly1d_coefficients()
     if coeffs is None or mass.dim != 1:
-        raise ValueError("fast tables need a 1-D polynomial potential")
+        raise ValueError("not eligible for the fast kernel: it needs a 1-D "
+                         "polynomial potential and a 1-D mass")
     key = (tuple(float(c) for c in coeffs), float(mass.mat[0, 0]), scheme_order)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
@@ -252,6 +258,7 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
     status = 0
     fail_step = 0
     fail_res = 0.0
+    fail_iters = 0
     half = 0.5 * tau
     for i in range(1, n_steps + 1):
         p -= half * _polyval(vg, q)
@@ -288,6 +295,7 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
                 status = 1
                 fail_step = i
                 fail_res = res
+                fail_iters = iters
                 break
             # converged; one polish update unless already at roundoff,
             # matching the slow path's refinement rule (f still holds the
@@ -295,7 +303,7 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
             pscale = abs(p)
             if pscale < 1.0:
                 pscale = 1.0
-            if res > 3.552713678800501e-15 * pscale:
+            if res > POLISH_FLOOR * pscale:
                 fp = 0.0
                 for j in range(nj - 1, 0, -1):
                     fp = fp * mom + j * local[j]
@@ -332,12 +340,12 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
                 out_h[k] = h
                 out_iters[k] = iters
                 out_res[k] = res
-    return q, p, status, fail_step, fail_res, max_a, max_b
+    return q, p, status, fail_step, fail_res, fail_iters, max_a, max_b
 
 
 @dataclass
 class FastRun:
-    """Outcome of a fast 1-D run, including any partial trace on failure."""
+    """Outcome of a run on either backend, including any partial trace on failure."""
 
     final: PhasePoint
     completed_steps: int
@@ -351,14 +359,17 @@ class FastRun:
     max_b: float
     failed_step: int | None = None
     residual: float = 0.0
+    iterations: int = 0
 
     @property
     def ok(self) -> bool:
         return self.failed_step is None
 
-    def raise_if_failed(self):
+    def raise_if_failed(self) -> "FastRun":
         if self.failed_step is not None:
-            raise NewtonDiverged(self.residual, 0, step_index=self.failed_step)
+            raise NewtonDiverged(self.residual, self.iterations,
+                                 step_index=self.failed_step)
+        return self
 
 
 def eligible(cfg: SchemeConfig, potential: Potential, mass: MassMatrix,
@@ -367,7 +378,7 @@ def eligible(cfg: SchemeConfig, potential: Potential, mass: MassMatrix,
     return (
         dim == 1
         and mass.dim == 1
-        and cfg.variant in ("baseline_kmk", "corrected_kmk")
+        and cfg.variant in _KERNEL_VARIANTS
         and potential.poly1d_coefficients() is not None
     )
 
@@ -383,7 +394,8 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     without storing anything, which is how multi-million-step stability
     windows stay cheap.
     """
-    if not eligible(cfg, potential, mass, x0.dim):
+    # tables_for rejects the potentials and masses the kernel cannot take
+    if x0.dim != 1 or cfg.variant not in _KERNEL_VARIANTS:
         raise ValueError("configuration not eligible for the fast kernel")
     order = cfg.scheme_order
     tables = tables_for(potential, mass, order)
@@ -398,8 +410,8 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     out_res = np.zeros(n_rec)
     a0, a1 = range_a if range_a is not None else (0, 0)
     b0, b1 = range_b if range_b is not None else (0, 0)
-    h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval_py(tables.vpot, x0.q[0])
-    q, p, status, fail_step, fail_res, max_a, max_b = _kernel(
+    h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval(tables.vpot, float(x0.q[0]))
+    q, p, status, fail_step, fail_res, fail_iters, max_a, max_b = _kernel(
         float(x0.q[0]), float(x0.p[0]), tables.mval, cfg.tau, int(n_steps),
         order == 2, vg, cq, cp, tables.vpot, cfg.newton_tol,
         int(cfg.newton_max_iter), int(rec_start), int(rec_stop),
@@ -413,7 +425,7 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
             PhasePoint([q], [p]), completed, rec_start,
             out_q[:n_kept], out_p[:n_kept], out_h[:n_kept],
             out_iters[:n_kept], out_res[:n_kept], max_a, max_b,
-            failed_step=fail_step, residual=fail_res,
+            failed_step=fail_step, residual=fail_res, iterations=fail_iters,
         )
     return FastRun(
         PhasePoint([q], [p]), n_steps, rec_start,
@@ -421,11 +433,53 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     )
 
 
-def _polyval_py(c, x):
-    acc = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * x + c[k]
-    return acc
+def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
+             mass: MassMatrix, n_steps: int, rec_range=None,
+             range_a=None, range_b=None) -> FastRun:
+    """``fast_run`` when the config is ``eligible``, else the generic engine.
+
+    Arguments and result are those of ``fast_run`` on both backends; the
+    generic one records q and p as (steps, dim) arrays when dim > 1.  A
+    diverged implicit solve is reported in ``failed_step``, ``residual``
+    and ``iterations``, never raised; ``final`` then holds no trajectory
+    state.
+    """
+    if eligible(cfg, potential, mass, x0.dim):
+        return fast_run(x0, cfg, potential, mass, n_steps, rec_range, range_a, range_b)
+    (r0, r1), (a0, a1), (b0, b1) = (r or (0, 0) for r in (rec_range, range_a, range_b))
+    r0 = max(r0, 1)
+    h0 = hamiltonian(x0, potential, mass)
+    rec, peak = [], [0.0, 0.0]
+
+    def observer(i, t, x, report):
+        if r0 <= i < r1 or a0 <= i < a1 or b0 <= i < b1:
+            h = hamiltonian(x, potential, mass)
+            if a0 <= i < a1:
+                peak[0] = max(peak[0], abs(h - h0))
+            if b0 <= i < b1:
+                peak[1] = max(peak[1], abs(h - h0))
+            if r0 <= i < r1:
+                rec.append((x.q, x.p, h, report.newton_iterations,
+                            report.newton_residual))
+
+    # without anything to record, integrate fuses adjacent half kicks
+    watch = rec_range or range_a or range_b
+    completed, failure = n_steps, {}
+    try:
+        final = integrate(x0, cfg, potential, mass, n_steps,
+                          observer=observer if watch else None)
+    except NewtonDiverged as err:
+        final, completed = x0, err.step_index - 1
+        failure = dict(failed_step=err.step_index, residual=err.residual,
+                       iterations=err.iterations)
+    qs, ps, hs, iters, res = zip(*rec) if rec else ((),) * 5
+    shape = (-1,) if x0.dim == 1 else (-1, x0.dim)
+    return FastRun(
+        final, completed, r0,
+        np.reshape(qs, shape), np.reshape(ps, shape), np.array(hs, dtype=float),
+        np.array(iters, dtype=np.int64), np.array(res, dtype=float),
+        peak[0], peak[1], **failure,
+    )
 
 
 def warmup() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fastpath
 from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
-from .integrators import SchemeConfig, integrate, step
+from .integrators import SchemeConfig, step
 
 __all__ = [
     "EnergyTrace",
@@ -70,14 +70,6 @@ def quartic_period() -> float:
     return 2.0 ** 0.25 * math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75)
 
 
-def _final_state(x0, cfg, potential, mass, n_steps):
-    if fastpath.eligible(cfg, potential, mass, x0.dim):
-        run = fastpath.fast_run(x0, cfg, potential, mass, n_steps)
-        run.raise_if_failed()
-        return run.final
-    return integrate(x0, cfg, potential, mass, n_steps)
-
-
 def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
                        t_final: float, tol: float = 1e-13,
                        tau_start: float = 0.05, order: int = 8) -> PhasePoint:
@@ -95,7 +87,7 @@ def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
 
     def run(n):
         cfg = SchemeConfig("corrected_kmk", t_final / n, order=order)
-        return _final_state(x0, cfg, potential, mass, n)
+        return fastpath.simulate(x0, cfg, potential, mass, n).raise_if_failed().final
 
     n = max(1, math.ceil(t_final / tau_start))
     prev = run(n)
@@ -137,28 +129,14 @@ def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         m = cfg.scheme_order
     h0 = hamiltonian(x0, potential, mass)
     i0, i1 = _window_steps(window, tau)
-    n_steps = i1
-    times = []
-    energies = []
-    if i0 == 0:
-        times.append(0.0)
-        energies.append(h0)
     first = max(i0, 1)
-    if fastpath.eligible(cfg, potential, mass, x0.dim):
-        run = fastpath.fast_run(x0, cfg, potential, mass, n_steps,
-                                rec_range=(first, i1 + 1))
-        run.raise_if_failed()
-        times.extend((first + k) * tau for k in range(len(run.rec_h)))
-        energies.extend(run.rec_h)
-    else:
-        def observer(i, t, x, report):
-            if i >= first:
-                times.append(t)
-                energies.append(hamiltonian(x, potential, mass))
-
-        integrate(x0, cfg, potential, mass, n_steps, observer=observer)
-    times = np.asarray(times)
-    energies = np.asarray(energies)
+    run = fastpath.simulate(x0, cfg, potential, mass, i1,
+                            rec_range=(first, i1 + 1)).raise_if_failed()
+    times = (first + np.arange(len(run.rec_h))) * tau
+    energies = run.rec_h
+    if i0 == 0:
+        times = np.concatenate([[0.0], times])
+        energies = np.concatenate([[h0], energies])
     scaled = (energies - h0) / tau**m
     return EnergyTrace(times, energies, scaled, h0, tau, m)
 
@@ -167,23 +145,9 @@ def energy_deviation_maxima(x0: PhasePoint, cfg: SchemeConfig,
                             potential: Potential, mass: MassMatrix,
                             n_steps: int, range_a, range_b):
     """Max |H - H0| over two step-index ranges [a0, a1), [b0, b1)."""
-    if fastpath.eligible(cfg, potential, mass, x0.dim):
-        run = fastpath.fast_run(x0, cfg, potential, mass, n_steps,
-                                range_a=range_a, range_b=range_b)
-        run.raise_if_failed()
-        return run.max_a, run.max_b
-    h0 = hamiltonian(x0, potential, mass)
-    box = [0.0, 0.0]
-
-    def observer(i, t, x, report):
-        dev = abs(hamiltonian(x, potential, mass) - h0)
-        if range_a[0] <= i < range_a[1]:
-            box[0] = max(box[0], dev)
-        if range_b[0] <= i < range_b[1]:
-            box[1] = max(box[1], dev)
-
-    integrate(x0, cfg, potential, mass, n_steps, observer=observer)
-    return box[0], box[1]
+    run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
+                            range_a=range_a, range_b=range_b).raise_if_failed()
+    return run.max_a, run.max_b
 
 
 _MEASUREMENT_FLOOR = 100 * np.finfo(float).eps
@@ -215,7 +179,7 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
         tau = t_final / n
         cfg = SchemeConfig(variant, tau, order=order if variant == "corrected_kmk" else 2)
         if metric == "state":
-            x = _final_state(x0, cfg, potential, mass, n)
+            x = fastpath.simulate(x0, cfg, potential, mass, n).raise_if_failed().final
             err = float(np.abs(x.as_array() - ref.as_array()).max())
         else:
             dev_a, _ = energy_deviation_maxima(x0, cfg, potential, mass, n,
@@ -299,21 +263,7 @@ def measure_period(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
                    mass: MassMatrix, t_span: float) -> float:
     """Period of the scheme's own trajectory from x0, sampled every step."""
     n_steps = math.ceil(t_span / cfg.tau)
-    if fastpath.eligible(cfg, potential, mass, x0.dim):
-        run = fastpath.fast_run(x0, cfg, potential, mass, n_steps,
-                                rec_range=(1, n_steps + 1))
-        run.raise_if_failed()
-        times = np.concatenate([[0.0], (1 + np.arange(len(run.rec_q))) * cfg.tau])
-        qs = np.concatenate([[x0.q[0]], run.rec_q])
-    else:
-        times = [0.0]
-        qs = [x0.q[0]]
-
-        def observer(i, t, x, report):
-            times.append(t)
-            qs.append(x.q[0])
-
-        integrate(x0, cfg, potential, mass, n_steps, observer=observer)
-        times = np.asarray(times)
-        qs = np.asarray(qs)
-    return period_estimate(times, qs)
+    run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
+                            rec_range=(1, n_steps + 1)).raise_if_failed()
+    qs = np.concatenate([[x0.q[0]], run.rec_q.reshape(-1, x0.dim)[:, 0]])
+    return period_estimate(np.arange(qs.size) * cfg.tau, qs)

@@ -21,6 +21,17 @@ def quartic():
 
 
 @pytest.fixture
+def opaque_quartic():
+    """The quartic hiding its coefficients, which forces the generic engine."""
+
+    class Opaque(Quartic):
+        def poly1d_coefficients(self):
+            return None
+
+    return Opaque()
+
+
+@pytest.fixture
 def mass1():
     return MassMatrix.identity(1)
 

@@ -8,11 +8,13 @@ import pytest
 from symsplit.cli import (
     ConfigError,
     ExperimentConfig,
+    _trace_rows,
     main,
     parse_scheme,
     read_config_file,
     scheme_label,
 )
+from symsplit.integrators import SchemeConfig
 
 
 def _lines(path):
@@ -151,6 +153,27 @@ def test_run_divergence_keeps_partial_trace(tmp_path, capsys):
     lines = _lines(out)
     assert lines[-1].startswith("# truncated: implicit solve diverged at step")
     assert len(_data_rows(out)) >= 1
+
+
+@pytest.mark.parametrize("order, tau, n_steps, first, last, failed_step", [
+    (4, 0.1, 30, 5, 20, None),
+    (8, 3.0, 10, 0, 10, 3),
+])
+def test_trace_rows_paths_agree(order, tau, n_steps, first, last, failed_step,
+                                quartic, opaque_quartic, mass1, x_unit):
+    cfg = SchemeConfig("corrected_kmk", tau, order=order)
+    fast, fast_fail = _trace_rows(x_unit, cfg, quartic, mass1, n_steps,
+                                  first, last)
+    slow, slow_fail = _trace_rows(x_unit, cfg, opaque_quartic, mass1, n_steps,
+                                  first, last)
+    steps = [fail[0] if fail else None for fail in (fast_fail, slow_fail)]
+    assert steps == [failed_step, failed_step]
+    assert len(fast) == len(slow) > 0
+    # q, p, H to roundoff; scaledH is H's deviation over tau^m
+    for a, b in zip(fast, slow):
+        assert (a[0], a[1], a[6]) == (b[0], b[1], b[6])
+        np.testing.assert_allclose(np.hstack(a[2:5]), np.hstack(b[2:5]),
+                                   rtol=1e-12, atol=1e-13)
 
 
 def test_run_config_file_flags_win(tmp_path):

@@ -14,7 +14,6 @@ from symsplit.hamiltonian import (
     MassMatrix,
     PhasePoint,
     Polynomial1D,
-    Quartic,
     hamiltonian,
 )
 from symsplit.integrators import NewtonDiverged, SchemeConfig, integrate
@@ -26,7 +25,7 @@ def _cfg(variant, tau, order=2):
     return SchemeConfig(variant, tau)
 
 
-def test_eligibility(quartic, mass1):
+def test_eligibility(quartic, mass1, opaque_quartic):
     assert fastpath.eligible(_cfg("baseline_kmk", 0.1), quartic, mass1, 1)
     assert fastpath.eligible(_cfg("corrected_kmk", 0.1, 8), quartic, mass1, 1)
     # the mkm baseline and the exact scheme take the general path
@@ -36,12 +35,8 @@ def test_eligibility(quartic, mass1):
     harm2 = Harmonic()
     assert not fastpath.eligible(_cfg("baseline_kmk", 0.1), harm2,
                                  MassMatrix.identity(2), 2)
-
-    class Opaque(Quartic):
-        def poly1d_coefficients(self):
-            return None
-
-    assert not fastpath.eligible(_cfg("baseline_kmk", 0.1), Opaque(), mass1, 1)
+    assert not fastpath.eligible(_cfg("baseline_kmk", 0.1), opaque_quartic,
+                                 mass1, 1)
     with pytest.raises(ValueError, match="not eligible"):
         fastpath.fast_run(PhasePoint([0.0, 0.0], [1.0, 0.0]),
                           _cfg("baseline_kmk", 0.1), harm2,
@@ -133,6 +128,7 @@ def test_failure_keeps_partial_trace(quartic, mass1, x_unit):
     with pytest.raises(NewtonDiverged) as slow_info:
         integrate(x_unit, cfg, quartic, mass1, 10)
     assert slow_info.value.step_index == run.failed_step
+    assert info.value.iterations == slow_info.value.iterations
 
 
 def test_newton_diagnostics_recorded(quartic, mass1, x_unit):

@@ -137,31 +137,24 @@ def test_energy_trace_baseline_magnitude_collapses(quartic, mass1, x_unit):
     assert abs(peaks[0] - peaks[1]) < 0.15 * peaks[1], peaks
 
 
-def test_energy_trace_observer_path_matches_fast_path(mass1, x_unit):
+def test_energy_trace_observer_path_matches_fast_path(mass1, x_unit,
+                                                     opaque_quartic):
     """The harmonic potential is not fast-path eligible in 2-D, so compare
     1-D fast output against a generic-path run forced through the observer
     by an opaque potential wrapper."""
-
-    class Opaque(Quartic):
-        def poly1d_coefficients(self):
-            return None
-
     cfg = SchemeConfig("corrected_kmk", 0.1, order=6)
     fast = energy_error_trace(x_unit, cfg, Quartic(), mass1, (1.0, 3.0))
-    slow = energy_error_trace(x_unit, cfg, Opaque(), mass1, (1.0, 3.0))
+    slow = energy_error_trace(x_unit, cfg, opaque_quartic, mass1, (1.0, 3.0))
     np.testing.assert_allclose(fast.times, slow.times, atol=1e-12)
     np.testing.assert_allclose(fast.energies, slow.energies, atol=2e-14)
 
 
-def test_energy_deviation_maxima_paths_agree(quartic, mass1, x_unit):
-    class Opaque(Quartic):
-        def poly1d_coefficients(self):
-            return None
-
+def test_energy_deviation_maxima_paths_agree(quartic, mass1, x_unit,
+                                             opaque_quartic):
     cfg = SchemeConfig("corrected_kmk", 0.1, order=4)
     fast = energy_deviation_maxima(x_unit, cfg, quartic, mass1, 200,
                                    (1, 101), (101, 201))
-    slow = energy_deviation_maxima(x_unit, cfg, Opaque(), mass1, 200,
+    slow = energy_deviation_maxima(x_unit, cfg, opaque_quartic, mass1, 200,
                                    (1, 101), (101, 201))
     assert fast[0] == pytest.approx(slow[0], rel=1e-10)
     assert fast[1] == pytest.approx(slow[1], rel=1e-10)
@@ -278,6 +271,15 @@ def test_measure_period_harmonic_two_dee():
     x0 = PhasePoint([1.0, 0.3], [0.0, 0.2])
     period = measure_period(x0, cfg, harm, mass, 40.0)
     assert period == pytest.approx(2 * math.pi, abs=1e-8)
+
+
+def test_measure_period_paths_agree(quartic, mass1, x_unit, opaque_quartic):
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=6)
+    span = 2.5 * quartic_period()
+    fast = measure_period(x_unit, cfg, quartic, mass1, span)
+    slow = measure_period(x_unit, cfg, opaque_quartic, mass1, span)
+    assert fast == pytest.approx(quartic_period(), abs=1e-4)
+    assert abs(fast - slow) < 1e-10
 
 
 def test_measure_period_baseline_converges_quadratically(quartic, mass1,
