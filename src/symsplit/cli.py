@@ -328,7 +328,8 @@ def merge_config(args, file_values: dict) -> tuple:
         try:
             raw["newton_max_iter"] = int(raw["newton_max_iter"])
         except ValueError:
-            raise ConfigError(f"newton_max_iter must be an integer")
+            raise ConfigError(f"newton_max_iter must be an integer, "
+                              f"got {raw['newton_max_iter']!r}")
     for key in ("q0", "p0"):
         if isinstance(raw[key], str):
             raw[key] = _parse_vector(raw[key])
@@ -535,7 +536,9 @@ def cmd_sweep(args) -> int:
     ]
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(out) if out else default_out_dir()
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     entries = []
     for label in labels:
         variant, order = parse_scheme(label)  # validate before spawning
@@ -543,6 +546,8 @@ def cmd_sweep(args) -> int:
             exp = replace(base, scheme=label, tau=tau)
             name = f"sweep_{scheme_label(variant, order)}_tau{tau:g}.csv"
             entries.append((exp, str(out_dir / name)))
+    # the pool starts all its workers at once; never more than there is work
+    jobs = min(jobs, len(entries))
     if jobs == 1:
         results = [_sweep_entry(entry) for entry in entries]
     else:
@@ -560,9 +565,13 @@ def cmd_sweep(args) -> int:
 
 def _tau_list(text: str):
     try:
-        return [float(part) for part in text.split(",")]
+        taus = [float(part) for part in text.split(",")]
     except ValueError:
-        raise ConfigError(f"cannot parse tau list {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse tau list {text!r}")
+    if not all(math.isfinite(tau) and tau > 0 for tau in taus):
+        raise argparse.ArgumentTypeError(
+            f"tau values must be positive and finite, got {text!r}")
+    return taus
 
 
 def build_parser() -> _Parser:
@@ -616,7 +625,9 @@ def build_parser() -> _Parser:
     add_physics(sweep_p)
     sweep_p.add_argument("--schemes", help="comma-separated scheme labels")
     sweep_p.add_argument("--tau-list", type=_tau_list, help="comma-separated")
-    sweep_p.add_argument("--jobs", type=int, help="parallel workers")
+    sweep_p.add_argument("--jobs", type=int,
+                         help="parallel workers (default: CPU count, "
+                              "capped at the grid size)")
     sweep_p.set_defaults(handler=cmd_sweep)
     return parser
 

@@ -32,7 +32,7 @@ from .operators import (
     POTENTIAL_GENERATORS,
     _E,
     _P,
-    _expand_word,
+    _table_expansion,
     correction_orders,
     generating_orders,
 )
@@ -146,10 +146,8 @@ class _SymbolicContext:
 
     def table_poly(self, entries):
         total = {}
-        for coeff, word in entries:
-            for children, mult in _expand_word(word).items():
-                term = self.term_poly(children)
-                total = _poly_add(total, term, coeff * mult)
+        for children, coeff in _table_expansion(entries).items():
+            total = _poly_add(total, self.term_poly(children), coeff)
         return total
 
 
@@ -345,9 +343,12 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
 
 @dataclass
 class FastRun:
-    """Outcome of a run on either backend, including any partial trace on failure."""
+    """Outcome of a run on either backend, including any partial trace on failure.
 
-    final: PhasePoint
+    ``final`` is the state after the last step, or None when the run failed.
+    """
+
+    final: PhasePoint | None
     completed_steps: int
     rec_start: int
     rec_q: np.ndarray
@@ -422,7 +423,7 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         completed = fail_step - 1
         n_kept = max(0, min(completed - rec_start + 1, n_rec))
         return FastRun(
-            PhasePoint([q], [p]), completed, rec_start,
+            None, completed, rec_start,
             out_q[:n_kept], out_p[:n_kept], out_h[:n_kept],
             out_iters[:n_kept], out_res[:n_kept], max_a, max_b,
             failed_step=fail_step, residual=fail_res, iterations=fail_iters,
@@ -441,8 +442,7 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     Arguments and result are those of ``fast_run`` on both backends; the
     generic one records q and p as (steps, dim) arrays when dim > 1.  A
     diverged implicit solve is reported in ``failed_step``, ``residual``
-    and ``iterations``, never raised; ``final`` then holds no trajectory
-    state.
+    and ``iterations``, never raised; ``final`` is then None.
     """
     if eligible(cfg, potential, mass, x0.dim):
         return fast_run(x0, cfg, potential, mass, n_steps, rec_range, range_a, range_b)
@@ -469,7 +469,7 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         final = integrate(x0, cfg, potential, mass, n_steps,
                           observer=observer if watch else None)
     except NewtonDiverged as err:
-        final, completed = x0, err.step_index - 1
+        final, completed = None, err.step_index - 1
         failure = dict(failed_step=err.step_index, residual=err.residual,
                        iterations=err.iterations)
     qs, ps, hs, iters, res = zip(*rec) if rec else ((),) * 5

@@ -310,6 +310,16 @@ def _stiffness_for(potential: Potential, dim: int) -> np.ndarray:
     return k
 
 
+def _move(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
+          mass: MassMatrix):
+    """Kick-move-kick move: the explicit drift at order 2, which keeps the
+    corrected order-2 scheme bit-identical to the baseline, else the
+    implicit generating-function move."""
+    if cfg.scheme_order == 2:
+        return move_explicit(x, cfg.tau, mass), StepReport()
+    return move_generating(x, cfg, potential, mass)
+
+
 def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
          mass: MassMatrix):
     """Advance one step; returns (new state, StepReport)."""
@@ -321,14 +331,8 @@ def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         x = move_explicit(x, 0.5 * tau, mass)
         x = kick(x, tau, potential, mass, tau, 2)
         return move_explicit(x, 0.5 * tau, mass), StepReport()
-    # kick-move-kick family; order 2 keeps the explicit drift so the
-    # corrected scheme at order 2 is bit-identical to the baseline
     x = kick(x, 0.5 * tau, potential, mass, tau, order)
-    if order == 2:
-        x = move_explicit(x, tau, mass)
-        report = StepReport()
-    else:
-        x, report = move_generating(x, cfg, potential, mass)
+    x, report = _move(x, cfg, potential, mass)
     return kick(x, 0.5 * tau, potential, mass, tau, order), report
 
 
@@ -344,34 +348,22 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    if n_steps == 0:
-        return x0
+    tau, order = cfg.tau, cfg.scheme_order
     fuse = observer is None and cfg.variant in ("baseline_kmk", "corrected_kmk")
-    if fuse:
-        return _integrate_fused(x0, cfg, potential, mass, n_steps)
     x = x0
     for i in range(1, n_steps + 1):
         try:
-            x, report = step(x, cfg, potential, mass)
+            # a fused step ends after its move; the next step's full kick
+            # (or the closing half kick) completes it
+            if fuse:
+                x = kick(x, tau if i > 1 else 0.5 * tau, potential, mass, tau, order)
+                x, report = _move(x, cfg, potential, mass)
+            else:
+                x, report = step(x, cfg, potential, mass)
         except NewtonDiverged as err:
             raise NewtonDiverged(err.residual, err.iterations, step_index=i) from None
         if observer is not None:
-            observer(i, i * cfg.tau, x, report)
-    return x
-
-
-def _integrate_fused(x0, cfg, potential, mass, n_steps):
-    tau = cfg.tau
-    order = cfg.scheme_order
-    x = kick(x0, 0.5 * tau, potential, mass, tau, order)
-    for i in range(1, n_steps + 1):
-        if order == 2:
-            x = move_explicit(x, tau, mass)
-        else:
-            try:
-                x, _ = move_generating(x, cfg, potential, mass)
-            except NewtonDiverged as err:
-                raise NewtonDiverged(err.residual, err.iterations, step_index=i) from None
-        h = tau if i < n_steps else 0.5 * tau
-        x = kick(x, h, potential, mass, tau, order)
+            observer(i, i * tau, x, report)
+    if fuse and n_steps:
+        x = kick(x, 0.5 * tau, potential, mass, tau, order)
     return x

@@ -13,10 +13,11 @@ A word such as ``"mgm"`` means: apply the rightmost letter to V first, then
 work leftward.  Because the force direction depends on q, expanding a word
 by the product rule yields a sum of fully contracted derivative tensors of
 V whose direction vectors are either ``M p`` or nested contractions like
-``M d2V (M dV)``.  Each word is expanded symbolically exactly once, at
-module import; evaluation then only ever calls the potential's exact
-``dir_deriv`` contraction, so values and gradients carry no truncation
-error beyond floating-point roundoff.
+``M d2V (M dV)``.  Each table entry (one order of a correction table, or
+a single word) is expanded symbolically and its words merged into one
+exact term list once, on first use; evaluation then only ever calls the
+potential's exact ``dir_deriv`` contraction, so values and gradients carry
+no truncation error beyond floating-point roundoff.
 
 Coefficient tables are stored as ``fractions.Fraction`` and converted to
 float once, so rational identities (for instance the harmonic reduction of
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -108,8 +110,8 @@ def _w(letters: str) -> OperatorWord:
     return OperatorWord.from_letters(letters)
 
 
-def _scaled(denominator: int, entries) -> list:
-    return [(Fraction(num, denominator), word) for num, word in entries]
+def _scaled(denominator: int, entries) -> tuple:
+    return tuple((Fraction(num, denominator), word) for num, word in entries)
 
 
 # Kinetic correction generators T_n; the full correction is the listed
@@ -295,29 +297,26 @@ def _freeze(terms: dict) -> tuple:
     return tuple((float(c), children) for children, c in sorted(terms.items()) if c)
 
 
-_VALUE_TERMS: dict = {}
-_GRADQ_TERMS: dict = {}
-_GRADMOM_TERMS: dict = {}
+@cache
+def _table_expansion(entries) -> dict:
+    """Exact merged expansion of a table entry: sum of coeff * word expansion.
+
+    ``entries`` is a tuple of (coeff, word) pairs.  The result maps term
+    children to their Fraction coefficient; callers must not mutate it.
+    """
+    total = {}
+    for coeff, word in entries:
+        for children, mult in _expand_word(word).items():
+            total[children] = total.get(children, Fraction(0)) + coeff * mult
+    return total
 
 
-def _word_terms(word: OperatorWord):
-    cached = _VALUE_TERMS.get(word)
-    if cached is None:
-        expansion = _expand_word(word)
-        cached = _VALUE_TERMS[word] = _freeze(expansion)
-        _GRADQ_TERMS[word] = _freeze(_grad_q_expansion(expansion))
-        _GRADMOM_TERMS[word] = _freeze(_grad_mom_expansion(expansion))
-    return cached
-
-
-def _word_gradq_terms(word):
-    _word_terms(word)
-    return _GRADQ_TERMS[word]
-
-
-def _word_gradmom_terms(word):
-    _word_terms(word)
-    return _GRADMOM_TERMS[word]
+@cache
+def _table_terms(entries) -> tuple:
+    """Frozen (value, grad-q, grad-mom) term lists of one table entry."""
+    expansion = _table_expansion(entries)
+    return (_freeze(expansion), _freeze(_grad_q_expansion(expansion)),
+            _freeze(_grad_mom_expansion(expansion)))
 
 
 # Whether a node's value involves the momentum / the free basis slot.
@@ -424,35 +423,31 @@ def _workspace(potential, mass, q, mom, workspace=None):
     return ws
 
 
+def _value(entries, ws) -> float:
+    return ws.eval_terms(_table_terms(entries)[0])
+
+
+def _grad_q(entries, ws) -> np.ndarray:
+    return ws.eval_terms_grad(_table_terms(entries)[1])
+
+
+def _grad_mom(entries, ws) -> np.ndarray:
+    return ws.mass @ ws.eval_terms_grad(_table_terms(entries)[2])
+
+
 def apply_word(word, potential, mass, q, mom=None, workspace=None) -> float:
     """Evaluate a derivative word applied to V at position q, momentum mom."""
-    ws = _workspace(potential, mass, q, mom, workspace)
-    return ws.eval_terms(_word_terms(word))
+    return _value(((1, word),), _workspace(potential, mass, q, mom, workspace))
 
 
 def grad_word_q(word, potential, mass, q, mom=None, workspace=None) -> np.ndarray:
     """Exact gradient of ``apply_word`` with respect to q."""
-    ws = _workspace(potential, mass, q, mom, workspace)
-    return ws.eval_terms_grad(_word_gradq_terms(word))
+    return _grad_q(((1, word),), _workspace(potential, mass, q, mom, workspace))
 
 
 def grad_word_mom(word, potential, mass, q, mom=None, workspace=None) -> np.ndarray:
     """Exact gradient of ``apply_word`` with respect to mom."""
-    ws = _workspace(potential, mass, q, mom, workspace)
-    return ws.mass @ ws.eval_terms_grad(_word_gradmom_terms(word))
-
-
-def _table_value(table, n, ws, tau):
-    tau_n = tau**n
-    return tau_n * sum(float(c) * ws.eval_terms(_word_terms(w)) for c, w in table[n])
-
-
-def _table_grad_q(table, n, ws, tau):
-    tau_n = tau**n
-    out = np.zeros(ws.dim)
-    for c, w in table[n]:
-        out += float(c) * ws.eval_terms_grad(_word_gradq_terms(w))
-    return tau_n * out
+    return _grad_mom(((1, word),), _workspace(potential, mass, q, mom, workspace))
 
 
 def _check_generator_order(table, n):
@@ -464,35 +459,32 @@ def kinetic_correction(n, potential, mass, q, mom, tau, workspace=None) -> float
     """Kinetic correction generator of order n (times tau^n)."""
     _check_generator_order(KINETIC_GENERATORS, n)
     ws = _workspace(potential, mass, q, mom, workspace)
-    return _table_value(KINETIC_GENERATORS, n, ws, tau)
+    return tau**n * _value(KINETIC_GENERATORS[n], ws)
 
 
 def kinetic_correction_grad_q(n, potential, mass, q, mom, tau, workspace=None):
     _check_generator_order(KINETIC_GENERATORS, n)
     ws = _workspace(potential, mass, q, mom, workspace)
-    return _table_grad_q(KINETIC_GENERATORS, n, ws, tau)
+    return tau**n * _grad_q(KINETIC_GENERATORS[n], ws)
 
 
 def kinetic_correction_grad_mom(n, potential, mass, q, mom, tau, workspace=None):
     _check_generator_order(KINETIC_GENERATORS, n)
     ws = _workspace(potential, mass, q, mom, workspace)
-    out = np.zeros(ws.dim)
-    for c, w in KINETIC_GENERATORS[n]:
-        out += float(c) * ws.eval_terms_grad(_word_gradmom_terms(w))
-    return tau**n * (ws.mass @ out)
+    return tau**n * _grad_mom(KINETIC_GENERATORS[n], ws)
 
 
 def potential_correction(n, potential, mass, q, tau, workspace=None) -> float:
     """Potential correction generator of order n (times tau^n); q-only."""
     _check_generator_order(POTENTIAL_GENERATORS, n)
     ws = _workspace(potential, mass, q, None, workspace)
-    return _table_value(POTENTIAL_GENERATORS, n, ws, tau)
+    return tau**n * _value(POTENTIAL_GENERATORS[n], ws)
 
 
 def potential_correction_grad(n, potential, mass, q, tau, workspace=None) -> np.ndarray:
     _check_generator_order(POTENTIAL_GENERATORS, n)
     ws = _workspace(potential, mass, q, None, workspace)
-    return _table_grad_q(POTENTIAL_GENERATORS, n, ws, tau)
+    return tau**n * _grad_q(POTENTIAL_GENERATORS[n], ws)
 
 
 def v_eff(potential, mass, q, tau, scheme_order, workspace=None) -> float:
@@ -504,7 +496,7 @@ def v_eff(potential, mass, q, tau, scheme_order, workspace=None) -> float:
     ws = _workspace(potential, mass, q, None, workspace)
     total = potential.value(ws.q)
     for n in correction_orders(scheme_order):
-        total += _table_value(POTENTIAL_GENERATORS, n, ws, tau)
+        total += tau**n * _value(POTENTIAL_GENERATORS[n], ws)
     return total
 
 
@@ -512,7 +504,7 @@ def v_eff_grad(potential, mass, q, tau, scheme_order, workspace=None) -> np.ndar
     ws = _workspace(potential, mass, q, None, workspace)
     total = potential.gradient(ws.q).astype(float, copy=True)
     for n in correction_orders(scheme_order):
-        total += _table_grad_q(POTENTIAL_GENERATORS, n, ws, tau)
+        total += tau**n * _grad_q(POTENTIAL_GENERATORS[n], ws)
     return total
 
 
@@ -526,7 +518,7 @@ def generating_function(potential, mass, q, mom, tau, scheme_order, workspace=No
     mom = np.asarray(mom, dtype=float)
     total = float(ws.q @ mom) + 0.5 * tau * float(mom @ ws.p_vec)
     for n in generating_orders(scheme_order):
-        total += _table_value(GENERATING_TERMS, n, ws, tau)
+        total += tau**n * _value(GENERATING_TERMS[n], ws)
     return total
 
 
@@ -536,7 +528,7 @@ def generating_function_grad_q(potential, mass, q, mom, tau, scheme_order,
     ws = _workspace(potential, mass, q, mom, workspace)
     total = np.asarray(mom, dtype=float).copy()
     for n in generating_orders(scheme_order):
-        total += _table_grad_q(GENERATING_TERMS, n, ws, tau)
+        total += tau**n * _grad_q(GENERATING_TERMS[n], ws)
     return total
 
 
@@ -546,9 +538,5 @@ def generating_function_grad_p(potential, mass, q, mom, tau, scheme_order,
     ws = _workspace(potential, mass, q, mom, workspace)
     total = ws.q + tau * ws.p_vec
     for n in generating_orders(scheme_order):
-        tau_n = tau**n
-        acc = np.zeros(ws.dim)
-        for c, w in GENERATING_TERMS[n]:
-            acc += float(c) * ws.eval_terms_grad(_word_gradmom_terms(w))
-        total += tau_n * (ws.mass @ acc)
+        total += tau**n * _grad_mom(GENERATING_TERMS[n], ws)
     return total

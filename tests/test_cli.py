@@ -144,6 +144,19 @@ def test_run_config_errors(tmp_path, capsys):
         assert "error" in capsys.readouterr().err.lower(), argv
 
 
+def test_bad_values_name_themselves(tmp_path, capsys):
+    cfg = tmp_path / "iters.cfg"
+    cfg.write_text("newton_max_iter = lots\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "newton_max_iter must be an integer, got 'lots'" in capsys.readouterr().err
+    for tau_list in ("-0.1", "0.1,0", "nan", "0.1,inf"):
+        argv = ["figure", "3", "--tau-list", tau_list, "--out", str(tmp_path)]
+        assert main(argv) == 1, tau_list
+        err = capsys.readouterr().err
+        assert "tau values must be positive and finite" in err, tau_list
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_divergence_keeps_partial_trace(tmp_path, capsys):
     out = tmp_path / "d.csv"
     rc = main(["run", "--scheme", "corrected_kmk:8", "--tau", "3.0",
@@ -323,6 +336,44 @@ def test_sweep_reports_divergence(tmp_path, capsys):
     assert rc == 2
     out = capsys.readouterr().out
     assert "exit 2" in out and "ok:" in out
+
+
+def test_sweep_rejects_bad_jobs(tmp_path, capsys):
+    for jobs in ("0", "-1"):
+        rc = main(["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.1",
+                   "--periods", "1", "--jobs", jobs, "--out", str(tmp_path)])
+        assert rc == 1, jobs
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("jobs", [["--jobs", "64"], []])
+def test_sweep_pool_never_exceeds_grid(jobs, tmp_path, monkeypatch, capsys):
+    """The pool is sized to the grid; the fake pool starts no process."""
+    import symsplit.cli as cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    rc = main(["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.2,0.1",
+               "--periods", "1", "--out", str(tmp_path)] + jobs)
+    assert rc == 0
+    assert sizes == [2]
+    assert capsys.readouterr().out.count("ok:") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_range_maxima_match_recorded_trace(quartic, mass1, x_unit):
     assert run.max_b == pytest.approx(dev[50:].max(), rel=1e-15)
 
 
-def test_failure_keeps_partial_trace(quartic, mass1, x_unit):
+def test_failure_keeps_partial_trace(quartic, opaque_quartic, mass1, x_unit):
     cfg = _cfg("corrected_kmk", 3.0, 8)
     run = fastpath.fast_run(x_unit, cfg, quartic, mass1, 10,
                             rec_range=(1, 11))
@@ -129,6 +129,12 @@ def test_failure_keeps_partial_trace(quartic, mass1, x_unit):
         integrate(x_unit, cfg, quartic, mass1, 10)
     assert slow_info.value.step_index == run.failed_step
     assert info.value.iterations == slow_info.value.iterations
+
+    # a failed run has no final state, whichever backend ran it
+    for pot in (quartic, opaque_quartic):
+        failed = fastpath.simulate(x_unit, cfg, pot, mass1, 10)
+        assert failed.failed_step == run.failed_step
+        assert failed.final is None
 
 
 def test_newton_diagnostics_recorded(quartic, mass1, x_unit):
