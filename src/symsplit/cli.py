@@ -102,7 +102,9 @@ def _parse_window(text: str):
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
-        raise ConfigError(f"window bounds must be numbers, got {text!r}")
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window bounds must be finite numbers, got {text!r}")
     if hi < lo:
         raise ConfigError("window end before start")
     return lo, hi
@@ -307,7 +309,29 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_FLOAT_KEYS = ("omega", "tau", "periods", "t_final", "newton_tol")
+def _scalar(kind, key):
+    noun = "an integer" if kind is int else "a finite number"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be {noun}, got {text!r}")
+        return value
+
+    return parse
+
+
+_PARSERS = {
+    **{key: _scalar(float, key)
+       for key in ("omega", "tau", "periods", "t_final", "newton_tol")},
+    "newton_max_iter": _scalar(int, "newton_max_iter"),
+    "q0": _parse_vector,
+    "p0": _parse_vector,
+    "window": _parse_window,
+}
 
 
 def merge_config(args, file_values: dict) -> tuple:
@@ -318,23 +342,9 @@ def merge_config(args, file_values: dict) -> tuple:
         return flag if flag is not None else file_values.get(key)
 
     raw = {f.name: pick(f.name) for f in fields(ExperimentConfig)}
-    for key in _FLOAT_KEYS:
-        if isinstance(raw[key], str):
-            try:
-                raw[key] = float(raw[key])
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
-    if isinstance(raw["newton_max_iter"], str):
-        try:
-            raw["newton_max_iter"] = int(raw["newton_max_iter"])
-        except ValueError:
-            raise ConfigError(f"newton_max_iter must be an integer, "
-                              f"got {raw['newton_max_iter']!r}")
-    for key in ("q0", "p0"):
-        if isinstance(raw[key], str):
-            raw[key] = _parse_vector(raw[key])
-    if isinstance(raw["window"], str):
-        raw["window"] = _parse_window(raw["window"])
+    for key, parse in _PARSERS.items():
+        if raw[key] is not None:
+            raw[key] = parse(raw[key])
     if raw["periods"] is None and raw["t_final"] is None:
         raw["periods"] = 16.0
     out = getattr(args, "out", None)
@@ -401,6 +411,10 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
         first, last = 0, n_steps
     else:
         first, last = _window_steps(exp.window, cfg.tau, n_steps)
+        if first > last:
+            lo, hi = exp.window
+            raise ConfigError(f"window {_fmt(lo)}:{_fmt(hi)} holds no step of the "
+                              f"run, which spans t = 0 to {_fmt(n_steps * cfg.tau)}")
     try:
         rows, failure = _trace_rows(x0, cfg, potential, mass, n_steps, first, last)
     except ValueError as err:
@@ -583,22 +597,22 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_physics(p):
-        p.add_argument("--potential", choices=("quartic", "harmonic", "quadratic"))
-        p.add_argument("--omega", type=float, help="harmonic frequency")
+        # values stay text here; merge_config converts flags and file values alike
+        p.add_argument("--potential", help="quartic, harmonic or quadratic")
+        p.add_argument("--omega", help="harmonic frequency")
         p.add_argument("--k-file", help="stiffness matrix file (N header + rows)")
         p.add_argument("--m-file", help="mass matrix file (same format)")
         p.add_argument("--scheme", help=SCHEME_USAGE)
         p.add_argument("--order", type=int,
                        help="shorthand: --scheme corrected_kmk --order N")
-        p.add_argument("--tau", type=float, help="timestep")
-        p.add_argument("--q0", type=_parse_vector, help="comma-separated")
-        p.add_argument("--p0", type=_parse_vector, help="comma-separated")
-        p.add_argument("--periods", type=float, help="duration in periods")
-        p.add_argument("--t-final", type=float, help="duration in time units")
-        p.add_argument("--window", type=_parse_window,
-                       help="record only times in START:END")
-        p.add_argument("--newton-tol", type=float)
-        p.add_argument("--newton-max-iter", type=int)
+        p.add_argument("--tau", help="timestep")
+        p.add_argument("--q0", help="comma-separated")
+        p.add_argument("--p0", help="comma-separated")
+        p.add_argument("--periods", help="duration in periods")
+        p.add_argument("--t-final", help="duration in time units")
+        p.add_argument("--window", help="record only times in START:END")
+        p.add_argument("--newton-tol")
+        p.add_argument("--newton-max-iter")
         p.add_argument("--config", help="key = value file; flags win")
         p.add_argument("--out", help="output file (run) or directory")
 

@@ -130,16 +130,12 @@ class _SymbolicContext:
             raise ValueError("free slots have no place in value expansions")
         cached = self._memo.get(node)
         if cached is None:
-            children = node[1]
-            poly = {(0, 0): self.mval}
-            poly = _poly_mul(poly, self.vderiv[len(children) + 1])
-            for sub in children:
-                poly = _poly_mul(poly, self.node_poly(sub))
-            cached = self._memo[node] = poly
+            poly = self.term_poly(node[1], open_slots=1)
+            cached = self._memo[node] = {k: self.mval * c for k, c in poly.items()}
         return cached
 
-    def term_poly(self, children):
-        poly = self.vderiv[len(children)]
+    def term_poly(self, children, open_slots=0):
+        poly = self.vderiv[len(children) + open_slots]
         for sub in children:
             poly = _poly_mul(poly, self.node_poly(sub))
         return poly
@@ -153,31 +149,29 @@ class _SymbolicContext:
 
 @dataclass
 class FastTables:
-    """tau-independent exact tables for one (potential, mass, order)."""
+    """tau-independent exact tables for one (potential, mass, order).
 
-    order: int
+    ``kick``, ``gq`` and ``gp`` each map a tau power n to a float
+    coefficient matrix indexed [P power, q power]; the kernel's table is
+    the sum over n of tau^n times the matrix:
+
+    * ``kick``: dV_eff/dq; V' at n = 0, the gradient of the potential
+      correction V_n at n = 2, 4, 6.  It has one row (no P).
+    * ``gq``: dG/dq; P at n = 0, dG_n/dq at n >= 3 (zero at n = 1).
+    * ``gp``: dG/dP; q at n = 0, M P at n = 1, dG_n/dP at n >= 3.
+    """
+
     mval: float
-    vpot: np.ndarray        # V coefficients, ascending
-    vgrad_base: np.ndarray  # dV/dq coefficients
-    vgrad_n: dict           # n -> correction gradient coefficients (exact, no tau)
-    gq_n: dict              # n -> dG_n/dq matrix [P power, q power]
-    gp_n: dict              # n -> dG_n/dP matrix
+    vpot: np.ndarray  # V coefficients, ascending
+    kick: dict
+    gq: dict
+    gp: dict
 
     def fold(self, tau: float):
         """Fold tau powers into float coefficient arrays for the kernel."""
-        vg = self.vgrad_base.copy()
-        for n, coeffs in self.vgrad_n.items():
-            if coeffs.size > vg.size:
-                vg = np.concatenate([vg, np.zeros(coeffs.size - vg.size)])
-            vg[: coeffs.size] += tau**n * coeffs
-        cq = [np.array([[0.0], [1.0]])]          # dG0/dq = P
-        cp = [np.array([[0.0, 1.0], [tau * self.mval, 0.0]])]  # q + tau M P
-        for n in generating_orders(self.order):
-            cq.append(tau**n * self.gq_n[n])
-            cp.append(tau**n * self.gp_n[n])
-        cq_mat = _pad_stack(cq).sum(axis=0)
-        cp_mat = _pad_stack(cp).sum(axis=0)
-        return vg, cq_mat, cp_mat
+        vg, cq, cp = (_pad_stack([tau**n * mat for n, mat in table.items()]).sum(axis=0)
+                      for table in (self.kick, self.gq, self.gp))
+        return vg[0], cq, cp
 
 
 _TABLE_CACHE: dict = {}
@@ -194,40 +188,23 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
         return cached
 
     vfrac = [Fraction(float(c)) for c in coeffs]
-    ctx = _SymbolicContext(vfrac, Fraction(float(mass.mat[0, 0])))
-
-    def univar_grad(poly):
-        dq = _poly_dq(poly)
-        if any(ip for (_, ip) in dq):
-            raise ValueError("potential correction unexpectedly momentum dependent")
-        size = max((iq for (iq, _) in dq), default=0) + 1
-        out = np.zeros(size)
-        for (iq, _), c in dq.items():
-            out[iq] = float(c)
-        return out
-
-    vgrad_n = {}
+    mval = Fraction(float(mass.mat[0, 0]))
+    ctx = _SymbolicContext(vfrac, mval)
+    kick = {0: np.array([[float(c * i) for i, c in enumerate(vfrac) if i] or [0.0]])}
     for n in correction_orders(scheme_order):
-        vgrad_n[n] = univar_grad(ctx.table_poly(POTENTIAL_GENERATORS[n]))
-
-    gq_n = {}
-    gp_n = {}
+        kick[n] = _poly_matrix(_poly_dq(ctx.table_poly(POTENTIAL_GENERATORS[n])))
+        if kick[n].shape[0] != 1:
+            raise ValueError("potential correction unexpectedly momentum dependent")
+    # G = q.P + (tau/2) M P^2 + sum_n tau^n G_n
+    gen = {0: {(1, 1): Fraction(1)}, 1: {(0, 2): mval / 2}}
     for n in generating_orders(scheme_order):
-        gpoly = ctx.table_poly(GENERATING_TERMS[n])
-        gq_n[n] = _poly_matrix(_poly_dq(gpoly))
-        gp_n[n] = _poly_matrix(_poly_dp(gpoly))
-
-    vgrad_base = np.array(
-        [float(vfrac[i] * i) for i in range(1, len(vfrac))] or [0.0]
-    )
+        gen[n] = ctx.table_poly(GENERATING_TERMS[n])
     tables = FastTables(
-        order=scheme_order,
-        mval=float(mass.mat[0, 0]),
+        mval=float(mval),
         vpot=np.asarray(coeffs, dtype=float),
-        vgrad_base=vgrad_base,
-        vgrad_n=vgrad_n,
-        gq_n=gq_n,
-        gp_n=gp_n,
+        kick=kick,
+        gq={n: _poly_matrix(_poly_dq(g)) for n, g in gen.items()},
+        gp={n: _poly_matrix(_poly_dp(g)) for n, g in gen.items()},
     )
     _TABLE_CACHE[key] = tables
     return tables

@@ -205,41 +205,46 @@ def generating_orders(scheme_order: int) -> range:
 #   ("p",)          the raised momentum M p, constant in q
 #   ("e",)          a basis slot bound at evaluation time (gradients)
 #   ("v", children) the vector M . D^{k+1}V(q)[children], k = len(children)
-# The empty tuple of children at the top level denotes V(q) itself.
+# The empty tuple of children at the top level denotes V(q) itself.  A
+# term's children tuple has the same shape as the inside of a "v" node, so
+# one recursive walk rewrites both: the product rule's insertions
+# (``_insert``) and the momentum gradient's slot replacements
+# (``_replace_p``).
 
 _P = ("p",)
 _E = ("e",)
 _W = ("v", ())
 
 
-def _vnode(children) -> tuple:
-    return ("v", tuple(sorted(children)))
+def _with(children, i, node) -> tuple:
+    """children with entry i replaced by node, re-sorted."""
+    return tuple(sorted(children[:i] + (node,) + children[i + 1 :]))
 
 
-def _insert_node(node, d):
-    """All single-site insertions of direction d inside one node."""
-    if node[0] != "v":
-        return
-    ch = node[1]
-    yield _vnode(ch + (d,))
-    for i, sub in enumerate(ch):
-        for variant in _insert_node(sub, d):
-            yield _vnode(ch[:i] + (variant,) + ch[i + 1 :])
-
-
-def _insert_term(children, d):
-    """All single-site insertions of direction d into a whole term."""
+def _insert(children, d):
+    """All single-site insertions of direction d, at this level or in a v node."""
     yield tuple(sorted(children + (d,)))
     for i, node in enumerate(children):
-        for variant in _insert_node(node, d):
-            yield tuple(sorted(children[:i] + (variant,) + children[i + 1 :]))
+        if node[0] == "v":
+            for inner in _insert(node[1], d):
+                yield _with(children, i, ("v", inner))
 
 
-def _apply_atom(terms: dict, atom: str) -> dict:
-    d = _P if atom == "mom" else _W
+def _replace_p(children):
+    """Each momentum slot, at any depth, in turn replaced by the free slot."""
+    for i, node in enumerate(children):
+        if node == _P:
+            yield _with(children, i, _E)
+        elif node[0] == "v":
+            for inner in _replace_p(node[1]):
+                yield _with(children, i, ("v", inner))
+
+
+def _rewrite(terms: dict, walk, *args) -> dict:
+    """Sum of every variant ``walk(children, *args)`` yields, with its coeff."""
     out = {}
     for children, coeff in terms.items():
-        for variant in _insert_term(children, d):
+        for variant in walk(children, *args):
             out[variant] = out.get(variant, Fraction(0)) + coeff
     return out
 
@@ -249,29 +254,13 @@ def _expand_word(word: OperatorWord) -> dict:
         return {(_W, _W, _W): Fraction(1)}
     terms = {(): Fraction(1)}
     for atom in reversed(word.atoms):
-        terms = _apply_atom(terms, atom)
+        terms = _rewrite(terms, _insert, _P if atom == "mom" else _W)
     return terms
 
 
 def _grad_q_expansion(terms: dict) -> dict:
     """Derivative in q: one extra bare slot (bound to a basis vector)."""
-    out = {}
-    for children, coeff in terms.items():
-        for variant in _insert_term(children, _E):
-            out[variant] = out.get(variant, Fraction(0)) + coeff
-    return out
-
-
-def _replace_p_node(node):
-    if node[0] != "v":
-        return
-    ch = node[1]
-    for i, sub in enumerate(ch):
-        if sub == _P:
-            yield _vnode(ch[:i] + (_E,) + ch[i + 1 :])
-        else:
-            for variant in _replace_p_node(sub):
-                yield _vnode(ch[:i] + (variant,) + ch[i + 1 :])
+    return _rewrite(terms, _insert, _E)
 
 
 def _grad_mom_expansion(terms: dict) -> dict:
@@ -280,17 +269,7 @@ def _grad_mom_expansion(terms: dict) -> dict:
     The raised momentum is M mom, so evaluations of these terms still need
     one final contraction with M; the evaluator does that.
     """
-    out = {}
-    for children, coeff in terms.items():
-        for i, node in enumerate(children):
-            if node == _P:
-                variant = tuple(sorted(children[:i] + (_E,) + children[i + 1 :]))
-                out[variant] = out.get(variant, Fraction(0)) + coeff
-            else:
-                for vnode in _replace_p_node(node):
-                    variant = tuple(sorted(children[:i] + (vnode,) + children[i + 1 :]))
-                    out[variant] = out.get(variant, Fraction(0)) + coeff
-    return out
+    return _rewrite(terms, _replace_p)
 
 
 def _freeze(terms: dict) -> tuple:
@@ -338,10 +317,11 @@ def _flags(node):
 class Workspace:
     """Evaluation workspace bound to one (potential, mass, q).
 
-    Caches every direction vector and contracted scalar that does not
-    depend on the momentum, so implicit solves that re-evaluate at fixed q
-    pay only for momentum-dependent work.  ``set_mom`` installs a momentum
-    and clears the momentum-dependent caches.
+    Caches every direction vector that does not depend on the momentum,
+    so implicit solves that re-evaluate at fixed q pay only for
+    momentum-dependent work.  ``set_mom`` installs a momentum and clears
+    the momentum-dependent caches.  Term scalars are not cached: for one
+    momentum and marker a step never asks for the same term twice.
     """
 
     def __init__(self, potential: Potential, mass: MassMatrix, q: np.ndarray):
@@ -397,13 +377,8 @@ class Workspace:
     def term_value(self, children) -> float:
         if not children:
             return self.potential.value(self.q)
-        key = ("root", children)
-        cache = self._cache_for(("v", children))
-        val = cache.get(key)
-        if val is None:
-            dirs = [self._direction(sub) for sub in children]
-            val = cache[key] = float(self.potential._contract(self.q, dirs))
-        return val
+        dirs = [self._direction(sub) for sub in children]
+        return float(self.potential._contract(self.q, dirs))
 
     def eval_terms(self, terms) -> float:
         return sum(coeff * self.term_value(children) for coeff, children in terms)

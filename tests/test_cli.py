@@ -138,10 +138,21 @@ def test_run_config_errors(tmp_path, capsys):
         ["run", "--tau", "0.1", "--periods", "1", "--scheme", "baseline_kmk",
          "--order", "4"],
         ["run", "--no-such-flag"],
+        # non-finite values are rejected, not carried into a traceback
+        ["run", "--t-final", "nan"],
+        ["run", "--periods", "inf"],
+        ["run", "--window", "0:inf"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
         assert "error" in capsys.readouterr().err.lower(), argv
+    # a window that holds no step of the run writes nothing
+    for window in ("100:200", "-5:-1"):
+        out = tmp_path / "empty.csv"
+        assert main(["run", "--periods", "1", f"--window={window}",
+                     "--out", str(out)]) == 1, window
+        assert f"window {window} holds no step" in capsys.readouterr().err
+        assert not out.exists(), window
 
 
 def test_bad_values_name_themselves(tmp_path, capsys):
@@ -149,6 +160,18 @@ def test_bad_values_name_themselves(tmp_path, capsys):
     cfg.write_text("newton_max_iter = lots\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "newton_max_iter must be an integer, got 'lots'" in capsys.readouterr().err
+    # a flag and a config-file line with the same text fail the same way
+    for key, text, message in (
+        ("window", "5:1", "window end before start"),
+        ("q0", "abc", "cannot parse vector 'abc'"),
+    ):
+        cfg.write_text(f"{key} = {text}\n")
+        errors = []
+        for argv in (["run", f"--{key}", text], ["run", "--config", str(cfg)]):
+            assert main(argv) == 1, argv
+            errors.append(capsys.readouterr().err)
+        assert message in errors[0]
+        assert errors[0] == errors[1]
     for tau_list in ("-0.1", "0.1,0", "nan", "0.1,inf"):
         argv = ["figure", "3", "--tau-list", tau_list, "--out", str(tmp_path)]
         assert main(argv) == 1, tau_list

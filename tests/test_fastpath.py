@@ -7,6 +7,8 @@ instead of re-evaluating word contractions, and it never fuses half kicks.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsplit import fastpath
 from symsplit.hamiltonian import (
@@ -151,3 +153,31 @@ def test_tables_are_cached(quartic, mass1):
     assert t1 is t2
     t3 = fastpath.tables_for(quartic, mass1, 4)
     assert t3 is not t1
+
+
+class _OpaquePolynomial(Polynomial1D):
+    """The same polynomial hiding its coefficients, forcing the generic engine."""
+
+    def poly1d_coefficients(self):
+        return None
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(coeffs=st.lists(_unit, min_size=1, max_size=7), m=st.floats(0.25, 4.0),
+       tau=st.floats(0.005, 0.05), q=_unit, p=_unit)
+def test_fast_equals_generic_on_random_polynomials(order, coeffs, m, tau, q, p):
+    # constant, linear and odd-degree potentials, non-unit masses
+    cfg = _cfg("corrected_kmk", tau, order)
+    mass = MassMatrix(m)
+    x0 = PhasePoint([q], [p])
+    fast = fastpath.simulate(x0, cfg, Polynomial1D(coeffs), mass, 8)
+    slow = fastpath.simulate(x0, cfg, _OpaquePolynomial(coeffs), mass, 8)
+    assert fast.failed_step == slow.failed_step
+    if fast.ok:
+        np.testing.assert_allclose(
+            np.hstack([fast.final.q, fast.final.p]),
+            np.hstack([slow.final.q, slow.final.p]), rtol=1e-12)
