@@ -7,8 +7,9 @@ Subcommands
     sweep   run a scheme x tau grid concurrently, one trace per entry
 
 Exit codes: 0 success, 1 configuration error, 2 implicit solve divergence
-(the partial trace is kept, with a ``# truncated`` footer), 3 measured
-order outside tolerance (``order`` command only).
+or a state that became non-finite (the partial trace is kept, with a
+``# truncated`` footer), 3 measured order outside tolerance (``order``
+command only).
 
 All CSVs start with a ``#`` metadata block (scheme, tau, potential, code
 version, config hash) and use 17-significant-digit floats, so identical
@@ -37,7 +38,7 @@ from .hamiltonian import (
     Quartic,
     hamiltonian,
 )
-from .integrators import SchemeConfig
+from .integrators import NewtonDiverged, NonFiniteState, SchemeConfig
 from .verification import (
     _window_steps,
     measure_convergence_order,
@@ -361,9 +362,9 @@ def default_out_dir() -> Path:
 def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
     """Rows (step, t, q, p, H, scaled, iters, res) for first <= step <= last.
 
-    Returns (rows, failure); failure is None or (failed_step, residual) when
-    the implicit solve diverged, in which case rows hold the surviving
-    prefix of the requested window.
+    Returns (rows, failure); failure is None or (failed_step, reason) when
+    the implicit solve diverged or the state became non-finite, in which
+    case rows hold the surviving prefix of the requested window.
     """
     tau = cfg.tau
     m = cfg.scheme_order
@@ -379,7 +380,12 @@ def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
         step_no = lo + k
         rows.append((step_no, step_no * tau, qs[k], ps[k], h, (h - h0) / tau**m,
                      int(run.rec_iters[k]), float(run.rec_res[k])))
-    return rows, None if run.ok else (run.failed_step, run.residual)
+    if run.ok:
+        return rows, None
+    reason = (f"state became non-finite at step {run.failed_step}" if run.non_finite
+              else f"implicit solve diverged at step {run.failed_step}, "
+                   f"residual {run.residual:.3e}")
+    return rows, (run.failed_step, reason)
 
 
 def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
@@ -396,9 +402,7 @@ def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
         fields.extend((_fmt(h), _fmt(scaled), str(iters), _fmt(res)))
         lines.append(",".join(fields))
     if truncated is not None:
-        step_no, residual = truncated
-        lines.append(f"# truncated: implicit solve diverged at step {step_no}, "
-                     f"residual {residual:.3e}")
+        lines.append(f"# truncated: {truncated[1]}")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
@@ -422,11 +426,7 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
     meta = list(extra_meta) + exp.describe() + [("steps", str(n_steps))]
     write_trace(out_path, meta, x0.dim, rows, truncated=failure)
     if failure is not None:
-        step_no, residual = failure
-        sys.stderr.write(
-            f"implicit solve diverged at step {step_no} (residual {residual:.3e}); "
-            f"partial trace kept in {out_path}\n"
-        )
+        sys.stderr.write(f"{failure[1]}; partial trace kept in {out_path}\n")
         return 2
     return 0
 
@@ -460,8 +460,14 @@ def cmd_figure(args) -> int:
                 continue
             cfg = SchemeConfig(variant, tau, order=order)
             x0 = PhasePoint([0.0], [1.0])
-            period = measure_period(x0, cfg, Quartic(), MassMatrix.identity(1),
-                                    8.0 * quartic_period())
+            try:
+                period = measure_period(x0, cfg, Quartic(), MassMatrix.identity(1),
+                                        8.0 * quartic_period())
+            except (NewtonDiverged, NonFiniteState) as err:
+                sys.stderr.write(f"{scheme_label(variant, order)} tau={tau:g}: "
+                                 f"period measurement failed: {err}\n")
+                worst = 2
+                continue
             exp = ExperimentConfig(scheme=label, tau=tau, t_final=hi * period,
                                    window=(lo * period, hi * period))
             name = f"fig{n}_{scheme_label(variant, order)}_tau{tau:g}.csv"
@@ -477,7 +483,7 @@ def cmd_order(args) -> int:
         "baseline_kmk", "corrected_kmk:4", "corrected_kmk:6", "corrected_kmk:8",
     ]
     tau_pair = _parse_pair(args.tau_pair) if args.tau_pair else (0.2, 0.1)
-    t_final = args.t_final if args.t_final is not None else 5.0
+    t_final = 5.0 if args.t_final is None else _scalar(float, "t_final")(args.t_final)
     out_dir = Path(args.out) if args.out else default_out_dir()
     x0 = PhasePoint([0.0], [1.0])
     potential = Quartic()
@@ -493,6 +499,9 @@ def cmd_order(args) -> int:
                 x0, potential, mass, variant, order, tau_pair, t_final)
         except ValueError as err:
             raise ConfigError(str(err))
+        except (NewtonDiverged, NonFiniteState) as err:
+            sys.stderr.write(f"{scheme_label(variant, order)}: {err}\n")
+            return 2
         nominal = order if variant == "corrected_kmk" else 2
         ok = abs(report.measured_order - nominal) <= 0.8
         all_good = all_good and ok
@@ -527,7 +536,9 @@ def _parse_pair(text: str):
     try:
         coarse, fine = float(parts[0]), float(parts[1])
     except ValueError:
-        raise ConfigError(f"tau pair bounds must be numbers, got {text!r}")
+        coarse = fine = math.nan
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        raise ConfigError(f"tau pair bounds must be finite numbers, got {text!r}")
     if not coarse > fine > 0:
         raise ConfigError("tau pair must be COARSE:FINE with coarse > fine > 0")
     return coarse, fine
@@ -631,7 +642,7 @@ def build_parser() -> _Parser:
     ord_p = sub.add_parser("order", help="measure convergence orders")
     ord_p.add_argument("--schemes", help="comma-separated scheme labels")
     ord_p.add_argument("--tau-pair", help="COARSE:FINE, default 0.2:0.1")
-    ord_p.add_argument("--t-final", type=float, help="default 5.0")
+    ord_p.add_argument("--t-final", help="default 5.0")
     ord_p.add_argument("--out", help="output directory")
     ord_p.set_defaults(handler=cmd_order)
 

@@ -20,17 +20,18 @@ kernel through ``fast_run`` when ``eligible`` allows it, the generic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
-from .integrators import POLISH_FLOOR, NewtonDiverged, SchemeConfig, integrate
+from .integrators import (POLISH_FLOOR, NewtonDiverged, NonFiniteState,
+                          SchemeConfig, integrate)
 from .operators import (
     GENERATING_TERMS,
     POTENTIAL_GENERATORS,
-    _E,
     _P,
     _table_expansion,
     correction_orders,
@@ -126,8 +127,6 @@ class _SymbolicContext:
     def node_poly(self, node):
         if node == _P:
             return {(0, 1): self.mval}
-        if node == _E:
-            raise ValueError("free slots have no place in value expansions")
         cached = self._memo.get(node)
         if cached is None:
             poly = self.term_poly(node[1], open_slots=1)
@@ -235,8 +234,12 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
     fail_res = 0.0
     fail_iters = 0
     half = 0.5 * tau
+    # status 1: the Newton solve failed; 2: the state became non-finite
     for i in range(1, n_steps + 1):
         p -= half * _polyval(vg, q)
+        if not math.isfinite(p):
+            status, fail_step = 2, i
+            break
         iters = 0
         res = 0.0
         if explicit_move:
@@ -298,6 +301,9 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
             q = qn
             p = mom
         p -= half * _polyval(vg, q)
+        if not (math.isfinite(q) and math.isfinite(p)):
+            status, fail_step = 2, i
+            break
         in_a = (a0 <= i) and (i < a1)
         in_b = (b0 <= i) and (i < b1)
         in_rec = (rec_start <= i) and (i < rec_stop)
@@ -322,7 +328,9 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
 class FastRun:
     """Outcome of a run on either backend, including any partial trace on failure.
 
-    ``final`` is the state after the last step, or None when the run failed.
+    ``final`` is the state after the last step, or None when the run failed
+    at ``failed_step``: the implicit solve diverged there (``residual`` and
+    ``iterations`` say how far it got) or, with ``non_finite``, the state.
     """
 
     final: PhasePoint | None
@@ -338,12 +346,15 @@ class FastRun:
     failed_step: int | None = None
     residual: float = 0.0
     iterations: int = 0
+    non_finite: bool = False
 
     @property
     def ok(self) -> bool:
         return self.failed_step is None
 
     def raise_if_failed(self) -> "FastRun":
+        if self.non_finite:
+            raise NonFiniteState(self.failed_step)
         if self.failed_step is not None:
             raise NewtonDiverged(self.residual, self.iterations,
                                  step_index=self.failed_step)
@@ -396,21 +407,19 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         out_q, out_p, out_h, out_iters, out_res, h0,
         int(a0), int(a1), int(b0), int(b1),
     )
-    if status == 1:
-        completed = fail_step - 1
-        n_kept = max(0, min(completed - rec_start + 1, n_rec))
-        return FastRun(
-            None, completed, rec_start,
-            out_q[:n_kept], out_p[:n_kept], out_h[:n_kept],
-            out_iters[:n_kept], out_res[:n_kept], max_a, max_b,
-            failed_step=fail_step, residual=fail_res, iterations=fail_iters,
-        )
+    completed = fail_step - 1 if status else n_steps
+    n_kept = max(0, min(completed - rec_start + 1, n_rec))
     return FastRun(
-        PhasePoint([q], [p]), n_steps, rec_start,
-        out_q, out_p, out_h, out_iters, out_res, max_a, max_b,
+        None if status else PhasePoint([q], [p]), completed, rec_start,
+        out_q[:n_kept], out_p[:n_kept], out_h[:n_kept],
+        out_iters[:n_kept], out_res[:n_kept], max_a, max_b,
+        failed_step=fail_step if status else None, residual=fail_res,
+        iterations=fail_iters, non_finite=status == 2,
     )
 
 
+# an overflow is reported as a non-finite state, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
              mass: MassMatrix, n_steps: int, rec_range=None,
              range_a=None, range_b=None) -> FastRun:
@@ -418,8 +427,8 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
 
     Arguments and result are those of ``fast_run`` on both backends; the
     generic one records q and p as (steps, dim) arrays when dim > 1.  A
-    diverged implicit solve is reported in ``failed_step``, ``residual``
-    and ``iterations``, never raised; ``final`` is then None.
+    failed run is reported in ``failed_step`` and the fields beside it,
+    never raised; ``final`` is then None.
     """
     if eligible(cfg, potential, mass, x0.dim):
         return fast_run(x0, cfg, potential, mass, n_steps, rec_range, range_a, range_b)
@@ -449,6 +458,9 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         final, completed = None, err.step_index - 1
         failure = dict(failed_step=err.step_index, residual=err.residual,
                        iterations=err.iterations)
+    except NonFiniteState as err:
+        final, completed = None, err.step_index - 1
+        failure = dict(failed_step=err.step_index, non_finite=True)
     qs, ps, hs, iters, res = zip(*rec) if rec else ((),) * 5
     shape = (-1,) if x0.dim == 1 else (-1, x0.dim)
     return FastRun(

@@ -16,6 +16,7 @@ normal mode and is exact up to roundoff.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "SchemeConfig",
     "StepReport",
     "NewtonDiverged",
+    "NonFiniteState",
     "ResonantStep",
     "DegenerateMass",
     "kick",
@@ -63,6 +65,15 @@ class NewtonDiverged(RuntimeError):
             f"implicit move solve stalled{at}: residual {residual:.3e} "
             f"after {iterations} iterations"
         )
+
+
+class NonFiniteState(ArithmeticError):
+    """A step produced a non-finite position or momentum: the scheme blew up."""
+
+    def __init__(self, step_index=None):
+        self.step_index = step_index
+        at = f" at step {step_index}" if step_index is not None else ""
+        super().__init__(f"state became non-finite{at}")
 
 
 class ResonantStep(ValueError):
@@ -109,6 +120,13 @@ class StepReport:
     newton_residual: float = 0.0
 
 
+def _state(q, p) -> PhasePoint:
+    """PhasePoint(q, p); NonFiniteState if the step left the finite doubles."""
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise NonFiniteState()
+    return PhasePoint(q, p)
+
+
 def kick(x: PhasePoint, h: float, potential: Potential, mass: MassMatrix,
          tau_full: float, scheme_order: int = 2) -> PhasePoint:
     """Momentum update over time h from the effective potential.
@@ -117,12 +135,12 @@ def kick(x: PhasePoint, h: float, potential: Potential, mass: MassMatrix,
     ``tau_full`` even when h is a half step.
     """
     g = v_eff_grad(potential, mass, x.q, tau_full, scheme_order)
-    return PhasePoint(x.q, x.p - h * g)
+    return _state(x.q, x.p - h * g)
 
 
 def move_explicit(x: PhasePoint, h: float, mass: MassMatrix) -> PhasePoint:
     """Free drift q += h M p."""
-    return PhasePoint(x.q + h * (mass.mat @ x.p), x.p)
+    return _state(x.q + h * (mass.mat @ x.p), x.p)
 
 
 def _fd_jacobian(ws, potential, mass, q, mom, tau, order):
@@ -192,7 +210,7 @@ def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
                 iterations += 1
     q_new = generating_function_grad_p(potential, mass, x.q, mom, tau, order,
                                        workspace=ws)
-    return PhasePoint(q_new, mom), StepReport(iterations, residual)
+    return _state(q_new, mom), StepReport(iterations, residual)
 
 
 def _tan_half_ratio(x: float) -> float:
@@ -298,7 +316,7 @@ def exact_quadratic_step(x: PhasePoint, tau: float, mass: MassMatrix,
         y[j] += tau * mj * z[j]
         z[j] -= 0.5 * tau * kj * y[j]
 
-    return PhasePoint(s @ (u @ y), s_inv @ (u @ z))
+    return _state(s @ (u @ y), s_inv @ (u @ z))
 
 
 def _stiffness_for(potential: Potential, dim: int) -> np.ndarray:
@@ -336,6 +354,17 @@ def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     return kick(x, 0.5 * tau, potential, mass, tau, order), report
 
 
+@contextmanager
+def _failing_at(step_index):
+    """Attach the step index to a failure raised inside the block."""
+    try:
+        yield
+    except NewtonDiverged as err:
+        raise NewtonDiverged(err.residual, err.iterations, step_index=step_index) from None
+    except NonFiniteState:
+        raise NonFiniteState(step_index) from None
+
+
 def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
               mass: MassMatrix, n_steps: int, observer=None) -> PhasePoint:
     """Run n_steps of the scheme from x0; returns the final state.
@@ -344,7 +373,9 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     the 1-based step index and t = i * tau.  Without an observer the
     kick-move-kick variants fuse adjacent half kicks into full kicks, which
     halves the number of force evaluations without changing the map beyond
-    roundoff.
+    roundoff.  A fused full kick finishes the step before it, so a state
+    that turns non-finite there is reported at that earlier step, as it is
+    without fusing.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
@@ -352,18 +383,19 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     fuse = observer is None and cfg.variant in ("baseline_kmk", "corrected_kmk")
     x = x0
     for i in range(1, n_steps + 1):
-        try:
-            # a fused step ends after its move; the next step's full kick
-            # (or the closing half kick) completes it
-            if fuse:
+        # a fused step ends after its move; the next step's full kick (or
+        # the closing half kick) completes it
+        if fuse:
+            with _failing_at(max(i - 1, 1)):
                 x = kick(x, tau if i > 1 else 0.5 * tau, potential, mass, tau, order)
+            with _failing_at(i):
                 x, report = _move(x, cfg, potential, mass)
-            else:
+        else:
+            with _failing_at(i):
                 x, report = step(x, cfg, potential, mass)
-        except NewtonDiverged as err:
-            raise NewtonDiverged(err.residual, err.iterations, step_index=i) from None
         if observer is not None:
             observer(i, i * tau, x, report)
     if fuse and n_steps:
-        x = kick(x, 0.5 * tau, potential, mass, tau, order)
+        with _failing_at(n_steps):
+            x = kick(x, 0.5 * tau, potential, mass, tau, order)
     return x

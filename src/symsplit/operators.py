@@ -203,16 +203,16 @@ def generating_orders(scheme_order: int) -> range:
 # A term is a fully contracted derivative tensor of V, encoded as a tuple of
 # direction nodes (sorted, since the tensor is symmetric):
 #   ("p",)          the raised momentum M p, constant in q
-#   ("e",)          a basis slot bound at evaluation time (gradients)
 #   ("v", children) the vector M . D^{k+1}V(q)[children], k = len(children)
 # The empty tuple of children at the top level denotes V(q) itself.  A
 # term's children tuple has the same shape as the inside of a "v" node, so
-# one recursive walk rewrites both: the product rule's insertions
-# (``_insert``) and the momentum gradient's slot replacements
-# (``_replace_p``).
+# one walk (``_insert``) makes the product rule's insertions in both.
+# Gradients are lists of v nodes: D^kV and M are symmetric, so
+#   D^kV[rest, M . D^mV[inner, .]] = D^mV[inner, M . D^kV[rest, .]]
+# moves the slot a derivative opens inside a term to the root, where it is
+# the vector D^{k+1}V[children, .] of one v node (M times it for mom).
 
 _P = ("p",)
-_E = ("e",)
 _W = ("v", ())
 
 
@@ -230,14 +230,26 @@ def _insert(children, d):
                 yield _with(children, i, ("v", inner))
 
 
-def _replace_p(children):
-    """Each momentum slot, at any depth, in turn replaced by the free slot."""
+def _rest(children, i, up) -> tuple:
+    """The v node of everything but entry i: the term seen from that entry."""
+    return ("v", tuple(sorted(children[:i] + children[i + 1 :] + up)))
+
+
+def _grad_q_nodes(children, up=()):
+    """Derivative in q: the root's open slot, then each v child's in turn."""
+    yield ("v", tuple(sorted(children + up)))
+    for i, node in enumerate(children):
+        if node[0] == "v":
+            yield from _grad_q_nodes(node[1], (_rest(children, i, up),))
+
+
+def _grad_mom_nodes(children, up=()):
+    """Derivative in mom: each momentum slot, at any depth, in turn."""
     for i, node in enumerate(children):
         if node == _P:
-            yield _with(children, i, _E)
+            yield _rest(children, i, up)
         elif node[0] == "v":
-            for inner in _replace_p(node[1]):
-                yield _with(children, i, ("v", inner))
+            yield from _grad_mom_nodes(node[1], (_rest(children, i, up),))
 
 
 def _rewrite(terms: dict, walk, *args) -> dict:
@@ -256,20 +268,6 @@ def _expand_word(word: OperatorWord) -> dict:
     for atom in reversed(word.atoms):
         terms = _rewrite(terms, _insert, _P if atom == "mom" else _W)
     return terms
-
-
-def _grad_q_expansion(terms: dict) -> dict:
-    """Derivative in q: one extra bare slot (bound to a basis vector)."""
-    return _rewrite(terms, _insert, _E)
-
-
-def _grad_mom_expansion(terms: dict) -> dict:
-    """Derivative in mom: each momentum slot in turn becomes the free slot.
-
-    The raised momentum is M mom, so evaluations of these terms still need
-    one final contraction with M; the evaluator does that.
-    """
-    return _rewrite(terms, _replace_p)
 
 
 def _freeze(terms: dict) -> tuple:
@@ -292,36 +290,32 @@ def _table_expansion(entries) -> dict:
 
 @cache
 def _table_terms(entries) -> tuple:
-    """Frozen (value, grad-q, grad-mom) term lists of one table entry."""
+    """Frozen value terms, grad-q v nodes and grad-mom v nodes of one entry."""
     expansion = _table_expansion(entries)
-    return (_freeze(expansion), _freeze(_grad_q_expansion(expansion)),
-            _freeze(_grad_mom_expansion(expansion)))
+    return (_freeze(expansion), _freeze(_rewrite(expansion, _grad_q_nodes)),
+            _freeze(_rewrite(expansion, _grad_mom_nodes)))
 
 
-# Whether a node's value involves the momentum / the free basis slot.
-_NODE_FLAGS: dict = {_P: (True, False), _E: (False, True)}
+# Whether a node's value involves the momentum.
+_HAS_P: dict = {_P: True}
 
 
-def _flags(node):
-    cached = _NODE_FLAGS.get(node)
+def _has_p(node) -> bool:
+    cached = _HAS_P.get(node)
     if cached is None:
-        has_p = has_e = False
-        for sub in node[1]:
-            p, e = _flags(sub)
-            has_p |= p
-            has_e |= e
-        cached = _NODE_FLAGS[node] = (has_p, has_e)
+        cached = _HAS_P[node] = any(_has_p(sub) for sub in node[1])
     return cached
 
 
 class Workspace:
     """Evaluation workspace bound to one (potential, mass, q).
 
-    Caches every direction vector that does not depend on the momentum,
-    so implicit solves that re-evaluate at fixed q pay only for
-    momentum-dependent work.  ``set_mom`` installs a momentum and clears
-    the momentum-dependent caches.  Term scalars are not cached: for one
-    momentum and marker a step never asks for the same term twice.
+    Keeps two caches mapping a v node to its pair (D^{k+1}V[children, .],
+    M times it): one for nodes free of the momentum, kept for the
+    workspace's life, so implicit solves that re-evaluate at fixed q pay
+    only for momentum-dependent work; one for the other nodes, cleared by
+    ``set_mom``.  Term scalars are not cached: for one momentum a step
+    never asks for the same term twice.
     """
 
     def __init__(self, potential: Potential, mass: MassMatrix, q: np.ndarray):
@@ -331,36 +325,17 @@ class Workspace:
         self.dim = self.q.size
         self.basis = np.eye(self.dim)
         self.p_vec = None
-        self.marker = None
         self._q_vals = {}
         self._p_vals = {}
-        self._e_vals = {}
 
     def set_mom(self, mom) -> None:
         self.p_vec = self.mass @ np.asarray(mom, dtype=float)
         self._p_vals.clear()
-        self._e_vals.clear()
 
-    def set_marker(self, vec) -> None:
-        self.marker = vec
-        self._e_vals.clear()
-
-    def _cache_for(self, node):
-        has_p, has_e = _flags(node)
-        if has_e:
-            return self._e_vals
-        return self._p_vals if has_p else self._q_vals
-
-    def _direction(self, node):
-        if node == _P:
-            if self.p_vec is None:
-                raise ValueError("word has momentum atoms but no momentum was given")
-            return self.p_vec
-        if node == _E:
-            return self.marker
-        cache = self._cache_for(node)
-        val = cache.get(node)
-        if val is None:
+    def _pair(self, node):
+        cache = self._p_vals if _has_p(node) else self._q_vals
+        pair = cache.get(node)
+        if pair is None:
             children = [self._direction(sub) for sub in node[1]]
             if children:
                 # contract all but one slot; the bypass of dir_deriv's
@@ -371,8 +346,15 @@ class Workspace:
                     vec[a] = contract(self.q, [self.basis[a]] + children)
             else:
                 vec = self.potential.gradient(self.q)
-            val = cache[node] = self.mass @ vec
-        return val
+            pair = cache[node] = (vec, self.mass @ vec)
+        return pair
+
+    def _direction(self, node):
+        if node == _P:
+            if self.p_vec is None:
+                raise ValueError("word has momentum atoms but no momentum was given")
+            return self.p_vec
+        return self._pair(node)[1]
 
     def term_value(self, children) -> float:
         if not children:
@@ -383,11 +365,11 @@ class Workspace:
     def eval_terms(self, terms) -> float:
         return sum(coeff * self.term_value(children) for coeff, children in terms)
 
-    def eval_terms_grad(self, terms) -> np.ndarray:
+    def eval_nodes(self, nodes) -> np.ndarray:
+        """Sum of coeff times each v node's vector D^{k+1}V[children, .]."""
         out = np.zeros(self.dim)
-        for a in range(self.dim):
-            self.set_marker(self.basis[a])
-            out[a] = self.eval_terms(terms)
+        for coeff, node in nodes:
+            out += coeff * self._pair(node)[0]
         return out
 
 
@@ -403,11 +385,11 @@ def _value(entries, ws) -> float:
 
 
 def _grad_q(entries, ws) -> np.ndarray:
-    return ws.eval_terms_grad(_table_terms(entries)[1])
+    return ws.eval_nodes(_table_terms(entries)[1])
 
 
 def _grad_mom(entries, ws) -> np.ndarray:
-    return ws.mass @ ws.eval_terms_grad(_table_terms(entries)[2])
+    return ws.mass @ ws.eval_nodes(_table_terms(entries)[2])
 
 
 def apply_word(word, potential, mass, q, mom=None, workspace=None) -> float:

@@ -169,13 +169,18 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
     tau_c, tau_f = tau_pair
     if not tau_c > tau_f > 0:
         raise ValueError("tau_pair must be (coarse, fine) with coarse > fine > 0")
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got {t_final:g}")
     ref = reference_solution(x0, potential, mass, t_final)
     h0 = hamiltonian(x0, potential, mass)
 
     taus = []
     errors = []
-    for tau_nominal in (tau_c, tau_f):
-        n = max(1, round(t_final / tau_nominal))
+    counts = [max(1, round(t_final / tau_nominal)) for tau_nominal in (tau_c, tau_f)]
+    if counts[0] == counts[1]:
+        raise ValueError(f"tau pair {tau_c:g}:{tau_f:g} rounds to one step size "
+                         f"over t_final = {t_final:g}; use a wider pair")
+    for n in counts:
         tau = t_final / n
         cfg = SchemeConfig(variant, tau, order=order if variant == "corrected_kmk" else 2)
         if metric == "state":

@@ -142,6 +142,14 @@ def test_run_config_errors(tmp_path, capsys):
         ["run", "--t-final", "nan"],
         ["run", "--periods", "inf"],
         ["run", "--window", "0:inf"],
+        ["run", "--q0", "nan", "--p0", "1"],
+        ["order", "--t-final", "inf", "--out", str(tmp_path)],
+        ["order", "--t-final", "nan", "--out", str(tmp_path)],
+        ["order", "--t-final", "0", "--out", str(tmp_path)],
+        ["order", "--tau-pair", "inf:0.1", "--out", str(tmp_path)],
+        ["order", "--tau-pair", "0.1:nan", "--out", str(tmp_path)],
+        # both taus round to two steps over the default t_final = 5
+        ["order", "--tau-pair", "3:2.5", "--out", str(tmp_path)],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -189,6 +197,20 @@ def test_run_divergence_keeps_partial_trace(tmp_path, capsys):
     lines = _lines(out)
     assert lines[-1].startswith("# truncated: implicit solve diverged at step")
     assert len(_data_rows(out)) >= 1
+
+
+@pytest.mark.parametrize("scheme", ["baseline_kmk", "baseline_mkm", "corrected_kmk:2"])
+def test_run_blowup_keeps_partial_trace(scheme, tmp_path, capsys):
+    # an explicit scheme at tau = 3 overflows at step 6 (q ~ 3e76 at step 5)
+    out = tmp_path / "b.csv"
+    rc = main(["run", "--scheme", scheme, "--tau", "3", "--periods", "40",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "state became non-finite at step 6; partial trace kept" in err
+    assert "diverged" not in err
+    assert _lines(out)[-1] == "# truncated: state became non-finite at step 6"
+    assert [int(row[0]) for row in _data_rows(out)] == list(range(6))
 
 
 @pytest.mark.parametrize("order, tau, n_steps, first, last, failed_step", [
@@ -331,6 +353,23 @@ def test_order_rejects_exact_scheme(tmp_path, capsys):
     with pytest.raises(ConfigError):
         from symsplit.cli import _parse_pair
         _parse_pair("0.1:0.2")
+
+
+def test_order_and_figure_report_divergence(tmp_path, capsys):
+    rc = main(["order", "--schemes", "corrected_kmk:4", "--tau-pair", "2.5:1.25",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "corrected_kmk4: implicit move solve stalled" in capsys.readouterr().err
+    assert not (tmp_path / "orders.csv").exists()
+    rc = main(["order", "--schemes", "baseline_kmk", "--tau-pair", "3:1.5",
+               "--t-final", "30", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "baseline_kmk: state became non-finite" in capsys.readouterr().err
+    # a failed period measurement skips its series; the others are written
+    rc = main(["figure", "3", "--tau-list", "3,0.2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "corrected_kmk4 tau=3: period measurement failed" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.glob("*.csv")] == ["fig3_corrected_kmk4_tau0.2.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from symsplit.hamiltonian import (
     Polynomial1D,
     hamiltonian,
 )
-from symsplit.integrators import NewtonDiverged, SchemeConfig, integrate
+from symsplit.integrators import NewtonDiverged, NonFiniteState, SchemeConfig, integrate
 
 
 def _cfg(variant, tau, order=2):
@@ -137,6 +137,37 @@ def test_failure_keeps_partial_trace(quartic, opaque_quartic, mass1, x_unit):
         failed = fastpath.simulate(x_unit, cfg, pot, mass1, 10)
         assert failed.failed_step == run.failed_step
         assert failed.final is None
+        assert not failed.non_finite
+
+    # an explicit move at tau = 3 overflows: a non-finite state is a failure
+    # at its step on both backends, fused or recording
+    for blowup in (_cfg("baseline_kmk", 3.0), _cfg("corrected_kmk", 3.0, 2)):
+        for rec_range in (None, (1, 11)):
+            runs = [fastpath.simulate(x_unit, blowup, pot, mass1, 10, rec_range)
+                    for pot in (quartic, opaque_quartic)]
+            for failed in runs:
+                assert (failed.failed_step, failed.non_finite) == (6, True)
+                assert failed.final is None and failed.completed_steps == 5
+                assert failed.rec_q.size == (5 if rec_range else 0)
+                assert np.isfinite(failed.rec_q).all()
+                with pytest.raises(NonFiniteState) as blown:
+                    failed.raise_if_failed()
+                assert blown.value.step_index == 6
+            np.testing.assert_allclose(runs[0].rec_q, runs[1].rec_q, rtol=1e-12)
+    with pytest.raises(NonFiniteState) as blown:
+        integrate(x_unit, _cfg("baseline_mkm", 3.0), opaque_quartic, mass1, 10)
+    assert blown.value.step_index == 6
+
+
+def test_recording_past_the_run_returns_completed_steps(quartic, opaque_quartic,
+                                                        mass1, x_unit):
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+    for pot in (quartic, opaque_quartic):
+        run = fastpath.simulate(x_unit, cfg, pot, mass1, 5, rec_range=(1, 9))
+        assert run.ok
+        for rec in (run.rec_q, run.rec_p, run.rec_h, run.rec_iters, run.rec_res):
+            assert len(rec) == 5
+        assert run.rec_h == pytest.approx(0.5, abs=1e-6)
 
 
 def test_newton_diagnostics_recorded(quartic, mass1, x_unit):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from symsplit.hamiltonian import Harmonic, MassMatrix, Potential, Quartic
+from symsplit.hamiltonian import Harmonic, MassMatrix, PhasePoint, Potential, Quartic
+from symsplit.integrators import SchemeConfig, integrate
 from symsplit.operators import (
     GENERATING_TERMS,
     KINETIC_GENERATORS,
@@ -126,6 +127,28 @@ def test_workspace_reuse_matches_fresh_calls(quartic, mass1):
     fresh = [apply_word(w, quartic, mass1, q, p) for w in words]
     shared = [apply_word(w, quartic, mass1, q, p, workspace=ws) for w in words]
     assert fresh == shared
+
+
+def test_step_contractions_grow_linearly_in_dimension():
+    # each gradient term is one v node, d contractions, whatever its depth
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=8)
+    calls = {}
+    for d in (1, 2, 4, 8):
+        pot = Harmonic(1.3)
+        count = [0]
+        inner = pot._contract
+
+        def contract(q, dirs, count=count, inner=inner):
+            count[0] += 1
+            return inner(q, dirs)
+
+        pot._contract = contract
+        x0 = PhasePoint(np.linspace(0.2, 0.9, d), np.linspace(0.5, -0.3, d))
+        integrate(x0, cfg, pot, MassMatrix.identity(d), 5,
+                  observer=lambda *args: None)
+        calls[d] = count[0]
+    for d in (2, 4, 8):
+        assert calls[d] <= d * calls[1] * 1.05, calls
 
 
 # ---------------------------------------------------------------------------
