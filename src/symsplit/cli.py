@@ -56,8 +56,11 @@ FIGURE_WINDOWS = {
     4: (4103.5, 4104.0),
     5: (262717.5, 262718.0),
 }
+# the schemes of figure 1, and of order and sweep without --schemes
+DEFAULT_SCHEMES = ("baseline_kmk", "corrected_kmk:4", "corrected_kmk:6",
+                   "corrected_kmk:8")
 FIGURE_SCHEMES = {
-    1: ["baseline_kmk", "corrected_kmk:4", "corrected_kmk:6", "corrected_kmk:8"],
+    1: DEFAULT_SCHEMES,
     2: ["baseline_kmk"],
     3: ["corrected_kmk:4"],
     4: ["corrected_kmk:6"],
@@ -96,19 +99,32 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse vector {text!r}; expected comma-separated floats")
 
 
-def _parse_window(text: str):
+def _parse_bounds(text: str, what: str, shape: str):
+    """Two finite numbers from A:B; the messages name ``what`` and ``shape``."""
     parts = text.split(":")
     if len(parts) != 2:
-        raise ConfigError(f"window must look like START:END, got {text!r}")
+        raise ConfigError(f"{what} must look like {shape}, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"window bounds must be finite numbers, got {text!r}")
+        raise ConfigError(f"{what} bounds must be finite numbers, got {text!r}")
+    return lo, hi
+
+
+def _parse_window(text: str):
+    lo, hi = _parse_bounds(text, "window", "START:END")
     if hi < lo:
         raise ConfigError("window end before start")
     return lo, hi
+
+
+def _parse_pair(text: str):
+    coarse, fine = _parse_bounds(text, "tau pair", "COARSE:FINE")
+    if not coarse > fine > 0:
+        raise ConfigError("tau pair must be COARSE:FINE with coarse > fine > 0")
+    return coarse, fine
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -362,49 +378,43 @@ def default_out_dir() -> Path:
 def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
     """Rows (step, t, q, p, H, scaled, iters, res) for first <= step <= last.
 
-    Returns (rows, failure); failure is None or (failed_step, reason) when
-    the implicit solve diverged or the state became non-finite, in which
-    case rows hold the surviving prefix of the requested window.
+    Returns (rows, failure): one array with a row per recorded step, and the
+    run's ``NewtonDiverged`` / ``NonFiniteState`` or None.  After a failure
+    the rows hold the surviving prefix of the requested window.
     """
-    tau = cfg.tau
-    m = cfg.scheme_order
-    h0 = hamiltonian(x0, potential, mass)
-    rows = []
-    if first == 0:
-        rows.append((0, 0.0, x0.q, x0.p, h0, 0.0, 0, 0.0))
-    lo = max(first, 1)
     run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
-                            rec_range=(lo, last + 1))
-    qs, ps = (a.reshape(-1, x0.dim) for a in (run.rec_q, run.rec_p))
-    for k, h in enumerate(run.rec_h):
-        step_no = lo + k
-        rows.append((step_no, step_no * tau, qs[k], ps[k], h, (h - h0) / tau**m,
-                     int(run.rec_iters[k]), float(run.rec_res[k])))
-    if run.ok:
-        return rows, None
-    reason = (f"state became non-finite at step {run.failed_step}" if run.non_finite
-              else f"implicit solve diverged at step {run.failed_step}, "
-                   f"residual {run.residual:.3e}")
-    return rows, (run.failed_step, reason)
+                            rec_range=(first, last + 1))
+    steps = first + np.arange(len(run.rec_h))
+    scaled = (run.rec_h - hamiltonian(x0, potential, mass)) / cfg.tau**cfg.scheme_order
+    rows = np.column_stack((steps, steps * cfg.tau, run.rec_q, run.rec_p, run.rec_h,
+                            scaled, run.rec_iters, run.rec_res))
+    return rows, run.failure
+
+
+def _write_csv(path: Path, meta, header: str, lines) -> None:
+    """The ``#`` metadata block with its config hash, the header, the lines."""
+    block = [f"# symsplit {__version__}", *(f"# {key}: {value}" for key, value in meta),
+             f"# config_hash: {config_hash(meta)}", header, *lines]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(block) + "\n")
 
 
 def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
+    """Trace CSV of ``_trace_rows`` rows; ``truncated`` is the footer's reason."""
     qcols = ",".join(f"q{i}" for i in range(dim))
     pcols = ",".join(f"p{i}" for i in range(dim))
-    lines = [f"# symsplit {__version__}"]
-    lines.extend(f"# {key}: {value}" for key, value in meta)
-    lines.append(f"# config_hash: {config_hash(meta)}")
-    lines.append(TRACE_COLUMNS.format(q=qcols, p=pcols))
-    for step_no, t, q, p, h, scaled, iters, res in rows:
-        fields = [str(step_no), _fmt(t)]
-        fields.extend(_fmt(v) for v in q)
-        fields.extend(_fmt(v) for v in p)
-        fields.extend((_fmt(h), _fmt(scaled), str(iters), _fmt(res)))
-        lines.append(",".join(fields))
+    row = ",".join(["%d"] + ["%.17g"] * (2 * dim + 3) + ["%d", "%.17g"])
+    lines = [row % tuple(values) for values in rows.tolist()]
     if truncated is not None:
-        lines.append(f"# truncated: {truncated[1]}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(f"# truncated: {truncated}")
+    _write_csv(path, meta, TRACE_COLUMNS.format(q=qcols, p=pcols), lines)
+
+
+def _failure_reason(failure) -> str:
+    if isinstance(failure, NonFiniteState):
+        return f"state became non-finite at step {failure.step_index}"
+    return (f"implicit solve diverged at step {failure.step_index}, "
+            f"residual {failure.residual:.3e}")
 
 
 def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
@@ -424,9 +434,10 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
     except ValueError as err:
         raise ConfigError(str(err))
     meta = list(extra_meta) + exp.describe() + [("steps", str(n_steps))]
-    write_trace(out_path, meta, x0.dim, rows, truncated=failure)
-    if failure is not None:
-        sys.stderr.write(f"{failure[1]}; partial trace kept in {out_path}\n")
+    reason = None if failure is None else _failure_reason(failure)
+    write_trace(out_path, meta, x0.dim, rows, truncated=reason)
+    if reason is not None:
+        sys.stderr.write(f"{reason}; partial trace kept in {out_path}\n")
         return 2
     return 0
 
@@ -479,9 +490,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_order(args) -> int:
-    labels = args.schemes.split(",") if args.schemes else [
-        "baseline_kmk", "corrected_kmk:4", "corrected_kmk:6", "corrected_kmk:8",
-    ]
+    labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     tau_pair = _parse_pair(args.tau_pair) if args.tau_pair else (0.2, 0.1)
     t_final = 5.0 if args.t_final is None else _scalar(float, "t_final")(args.t_final)
     out_dir = Path(args.out) if args.out else default_out_dir()
@@ -515,33 +524,12 @@ def cmd_order(args) -> int:
         ("potential", "quartic"),
         ("t_final", _fmt(t_final)),
     ]
-    lines = [f"# symsplit {__version__}"]
-    lines.extend(f"# {key}: {value}" for key, value in meta)
-    lines.append(f"# config_hash: {config_hash(meta)}")
-    lines.append("scheme,tau_coarse,tau_fine,error_norm,measured_order")
-    for label, report in rows:
-        lines.append(",".join((
-            label, _fmt(report.tau_coarse), _fmt(report.tau_fine),
-            _fmt(report.error_fine), _fmt(report.measured_order),
-        )))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "orders.csv").write_text("\n".join(lines) + "\n")
+    lines = [",".join((label, _fmt(report.tau_coarse), _fmt(report.tau_fine),
+                       _fmt(report.error_fine), _fmt(report.measured_order)))
+             for label, report in rows]
+    _write_csv(out_dir / "orders.csv", meta,
+               "scheme,tau_coarse,tau_fine,error_norm,measured_order", lines)
     return 0 if all_good else 3
-
-
-def _parse_pair(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"tau pair must look like COARSE:FINE, got {text!r}")
-    try:
-        coarse, fine = float(parts[0]), float(parts[1])
-    except ValueError:
-        coarse = fine = math.nan
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        raise ConfigError(f"tau pair bounds must be finite numbers, got {text!r}")
-    if not coarse > fine > 0:
-        raise ConfigError("tau pair must be COARSE:FINE with coarse > fine > 0")
-    return coarse, fine
 
 
 def _sweep_entry(payload):
@@ -556,9 +544,7 @@ def _sweep_entry(payload):
 def cmd_sweep(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
     base, out = merge_config(args, file_values)
-    labels = args.schemes.split(",") if args.schemes else [
-        "baseline_kmk", "corrected_kmk:4", "corrected_kmk:6", "corrected_kmk:8",
-    ]
+    labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(out) if out else default_out_dir()
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)

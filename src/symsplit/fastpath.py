@@ -15,7 +15,7 @@ The fall-back when numba is unavailable is the same loop in plain Python.
 
 ``simulate`` is the single point that decides which backend runs: the
 kernel through ``fast_run`` when ``eligible`` allows it, the generic
-``integrate`` otherwise, both reported in one ``FastRun`` result.
+``integrate`` otherwise, both reported in one ``FastRun`` record.
 """
 
 from __future__ import annotations
@@ -326,11 +326,13 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
 
 @dataclass
 class FastRun:
-    """Outcome of a run on either backend, including any partial trace on failure.
+    """The record of a run on either backend.
 
-    ``final`` is the state after the last step, or None when the run failed
-    at ``failed_step``: the implicit solve diverged there (``residual`` and
-    ``iterations`` say how far it got) or, with ``non_finite``, the state.
+    Row k of the ``rec_*`` arrays is step ``rec_start + k``; step 0 is x0
+    with H(x0), no Newton iterations and residual 0.  ``rec_q`` and
+    ``rec_p`` are (rows, dim).  ``failure`` is None, or the
+    ``NewtonDiverged`` / ``NonFiniteState`` that ended the run after
+    ``completed_steps`` steps; the rows then stop there and ``final`` is None.
     """
 
     final: PhasePoint | None
@@ -343,21 +345,15 @@ class FastRun:
     rec_res: np.ndarray
     max_a: float
     max_b: float
-    failed_step: int | None = None
-    residual: float = 0.0
-    iterations: int = 0
-    non_finite: bool = False
+    failure: NewtonDiverged | NonFiniteState | None = None
 
     @property
     def ok(self) -> bool:
-        return self.failed_step is None
+        return self.failure is None
 
     def raise_if_failed(self) -> "FastRun":
-        if self.non_finite:
-            raise NonFiniteState(self.failed_step)
-        if self.failed_step is not None:
-            raise NewtonDiverged(self.residual, self.iterations,
-                                 step_index=self.failed_step)
+        if self.failure is not None:
+            raise self.failure
         return self
 
 
@@ -372,16 +368,17 @@ def eligible(cfg: SchemeConfig, potential: Potential, mass: MassMatrix,
     )
 
 
+# an overflow is reported as a non-finite state, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
              mass: MassMatrix, n_steps: int, rec_range=None,
              range_a=None, range_b=None) -> FastRun:
     """Run n_steps with the compiled kernel.
 
     ``rec_range = (i0, i1)`` records state, energy and solve diagnostics for
-    steps i0 <= i < i1 (1-based step count; the caller owns step 0).
-    ``range_a`` / ``range_b`` accumulate max |H - H(x0)| over step ranges
-    without storing anything, which is how multi-million-step stability
-    windows stay cheap.
+    steps i0 <= i < i1, counting x0 as step 0.  ``range_a`` / ``range_b``
+    accumulate max |H - H(x0)| over step ranges without storing anything,
+    which is how multi-million-step stability windows stay cheap.
     """
     # tables_for rejects the potentials and masses the kernel cannot take
     if x0.dim != 1 or cfg.variant not in _KERNEL_VARIANTS:
@@ -390,13 +387,15 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     tables = tables_for(potential, mass, order)
     vg, cq, cp = tables.fold(cfg.tau)
     rec_start, rec_stop = rec_range if rec_range is not None else (0, 0)
-    rec_start = max(rec_start, 1)
     n_rec = max(rec_stop - rec_start, 0)
     out_q = np.empty(n_rec)
     out_p = np.empty(n_rec)
     out_h = np.empty(n_rec)
     out_iters = np.zeros(n_rec, dtype=np.int64)
     out_res = np.zeros(n_rec)
+    if rec_start == 0 < n_rec:
+        out_q[0], out_p[0] = x0.q[0], x0.p[0]
+        out_h[0] = hamiltonian(x0, potential, mass)
     a0, a1 = range_a if range_a is not None else (0, 0)
     b0, b1 = range_b if range_b is not None else (0, 0)
     h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval(tables.vpot, float(x0.q[0]))
@@ -407,35 +406,31 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         out_q, out_p, out_h, out_iters, out_res, h0,
         int(a0), int(a1), int(b0), int(b1),
     )
+    failure = (None if status == 0 else NonFiniteState(fail_step) if status == 2
+               else NewtonDiverged(fail_res, fail_iters, step_index=fail_step))
     completed = fail_step - 1 if status else n_steps
     n_kept = max(0, min(completed - rec_start + 1, n_rec))
     return FastRun(
         None if status else PhasePoint([q], [p]), completed, rec_start,
-        out_q[:n_kept], out_p[:n_kept], out_h[:n_kept],
-        out_iters[:n_kept], out_res[:n_kept], max_a, max_b,
-        failed_step=fail_step if status else None, residual=fail_res,
-        iterations=fail_iters, non_finite=status == 2,
+        out_q[:n_kept, None], out_p[:n_kept, None], out_h[:n_kept],
+        out_iters[:n_kept], out_res[:n_kept], max_a, max_b, failure,
     )
 
 
-# an overflow is reported as a non-finite state, not warned about
-@np.errstate(over="ignore", invalid="ignore")
 def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
              mass: MassMatrix, n_steps: int, rec_range=None,
              range_a=None, range_b=None) -> FastRun:
     """``fast_run`` when the config is ``eligible``, else the generic engine.
 
-    Arguments and result are those of ``fast_run`` on both backends; the
-    generic one records q and p as (steps, dim) arrays when dim > 1.  A
-    failed run is reported in ``failed_step`` and the fields beside it,
-    never raised; ``final`` is then None.
+    Arguments and result are those of ``fast_run`` on both backends.  A
+    failed run is reported in ``failure``, never raised.
     """
     if eligible(cfg, potential, mass, x0.dim):
         return fast_run(x0, cfg, potential, mass, n_steps, rec_range, range_a, range_b)
     (r0, r1), (a0, a1), (b0, b1) = (r or (0, 0) for r in (rec_range, range_a, range_b))
-    r0 = max(r0, 1)
     h0 = hamiltonian(x0, potential, mass)
-    rec, peak = [], [0.0, 0.0]
+    rec = [(x0.q, x0.p, h0, 0, 0.0)] if r0 == 0 < r1 else []
+    peak = [0.0, 0.0]
 
     def observer(i, t, x, report):
         if r0 <= i < r1 or a0 <= i < a1 or b0 <= i < b1:
@@ -450,24 +445,18 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
 
     # without anything to record, integrate fuses adjacent half kicks
     watch = rec_range or range_a or range_b
-    completed, failure = n_steps, {}
+    final, failure = None, None
     try:
         final = integrate(x0, cfg, potential, mass, n_steps,
                           observer=observer if watch else None)
-    except NewtonDiverged as err:
-        final, completed = None, err.step_index - 1
-        failure = dict(failed_step=err.step_index, residual=err.residual,
-                       iterations=err.iterations)
-    except NonFiniteState as err:
-        final, completed = None, err.step_index - 1
-        failure = dict(failed_step=err.step_index, non_finite=True)
+    except (NewtonDiverged, NonFiniteState) as err:
+        failure = err
     qs, ps, hs, iters, res = zip(*rec) if rec else ((),) * 5
-    shape = (-1,) if x0.dim == 1 else (-1, x0.dim)
     return FastRun(
-        final, completed, r0,
-        np.reshape(qs, shape), np.reshape(ps, shape), np.array(hs, dtype=float),
-        np.array(iters, dtype=np.int64), np.array(res, dtype=float),
-        peak[0], peak[1], **failure,
+        final, n_steps if failure is None else failure.step_index - 1, r0,
+        np.reshape(qs, (-1, x0.dim)), np.reshape(ps, (-1, x0.dim)),
+        np.array(hs, dtype=float), np.array(iters, dtype=np.int64),
+        np.array(res, dtype=float), peak[0], peak[1], failure,
     )
 
 

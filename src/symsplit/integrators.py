@@ -365,6 +365,8 @@ def _failing_at(step_index):
         raise NonFiniteState(step_index) from None
 
 
+# an overflow is reported as a non-finite state, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
               mass: MassMatrix, n_steps: int, observer=None) -> PhasePoint:
     """Run n_steps of the scheme from x0; returns the final state.

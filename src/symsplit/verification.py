@@ -129,16 +129,11 @@ def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         m = cfg.scheme_order
     h0 = hamiltonian(x0, potential, mass)
     i0, i1 = _window_steps(window, tau)
-    first = max(i0, 1)
     run = fastpath.simulate(x0, cfg, potential, mass, i1,
-                            rec_range=(first, i1 + 1)).raise_if_failed()
-    times = (first + np.arange(len(run.rec_h))) * tau
-    energies = run.rec_h
-    if i0 == 0:
-        times = np.concatenate([[0.0], times])
-        energies = np.concatenate([[h0], energies])
-    scaled = (energies - h0) / tau**m
-    return EnergyTrace(times, energies, scaled, h0, tau, m)
+                            rec_range=(i0, i1 + 1)).raise_if_failed()
+    times = (i0 + np.arange(len(run.rec_h))) * tau
+    scaled = (run.rec_h - h0) / tau**m
+    return EnergyTrace(times, run.rec_h, scaled, h0, tau, m)
 
 
 def energy_deviation_maxima(x0: PhasePoint, cfg: SchemeConfig,
@@ -269,6 +264,5 @@ def measure_period(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """Period of the scheme's own trajectory from x0, sampled every step."""
     n_steps = math.ceil(t_span / cfg.tau)
     run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
-                            rec_range=(1, n_steps + 1)).raise_if_failed()
-    qs = np.concatenate([[x0.q[0]], run.rec_q.reshape(-1, x0.dim)[:, 0]])
-    return period_estimate(np.arange(qs.size) * cfg.tau, qs)
+                            rec_range=(0, n_steps + 1)).raise_if_failed()
+    return period_estimate(np.arange(len(run.rec_q)) * cfg.tau, run.rec_q[:, 0])

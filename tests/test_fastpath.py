@@ -5,6 +5,8 @@ same failure behavior.  Agreement with the general path is to accumulated
 roundoff, not bitwise: the kernel folds tau into exact rational tables once
 instead of re-evaluating word contractions, and it never fuses half kicks.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,11 +87,11 @@ def test_recorded_window_matches_observer(quartic, mass1, x_unit):
     integrate(x_unit, cfg, quartic, mass1, 40,
               observer=lambda i, t, x, rep: states.__setitem__(i, x))
     assert run.rec_start == 10
-    assert run.rec_q.size == 11
+    assert run.rec_q.shape == (11, 1)
     for k in range(11):
         x = states[10 + k]
-        assert abs(run.rec_q[k] - x.q[0]) < 1e-13
-        assert abs(run.rec_p[k] - x.p[0]) < 1e-13
+        assert abs(run.rec_q[k, 0] - x.q[0]) < 1e-13
+        assert abs(run.rec_p[k, 0] - x.p[0]) < 1e-13
         h = hamiltonian(x, quartic, mass1)
         assert abs(run.rec_h[k] - h) < 1e-13
 
@@ -98,7 +100,7 @@ def test_recorded_energy_is_consistent(quartic, mass1, x_unit):
     cfg = _cfg("baseline_kmk", 0.2)
     run = fastpath.fast_run(x_unit, cfg, quartic, mass1, 30,
                             rec_range=(1, 31))
-    recomputed = 0.5 * run.rec_p**2 + 0.25 * run.rec_q**4
+    recomputed = 0.5 * run.rec_p[:, 0]**2 + 0.25 * run.rec_q[:, 0]**4
     np.testing.assert_allclose(run.rec_h, recomputed, rtol=1e-14, atol=1e-16)
 
 
@@ -118,26 +120,26 @@ def test_failure_keeps_partial_trace(quartic, opaque_quartic, mass1, x_unit):
     run = fastpath.fast_run(x_unit, cfg, quartic, mass1, 10,
                             rec_range=(1, 11))
     assert not run.ok
-    assert run.failed_step is not None
-    assert run.completed_steps == run.failed_step - 1
-    assert run.rec_q.size == run.completed_steps
-    assert run.residual > 0
+    assert isinstance(run.failure, NewtonDiverged)
+    assert run.completed_steps == run.failure.step_index - 1
+    assert run.rec_q.shape == (run.completed_steps, 1)
+    assert run.failure.residual > 0
     with pytest.raises(NewtonDiverged) as info:
         run.raise_if_failed()
-    assert info.value.step_index == run.failed_step
+    assert info.value is run.failure
 
     # the general path fails at the same step
     with pytest.raises(NewtonDiverged) as slow_info:
         integrate(x_unit, cfg, quartic, mass1, 10)
-    assert slow_info.value.step_index == run.failed_step
+    assert slow_info.value.step_index == run.failure.step_index
     assert info.value.iterations == slow_info.value.iterations
 
     # a failed run has no final state, whichever backend ran it
     for pot in (quartic, opaque_quartic):
         failed = fastpath.simulate(x_unit, cfg, pot, mass1, 10)
-        assert failed.failed_step == run.failed_step
+        assert isinstance(failed.failure, NewtonDiverged)
+        assert failed.failure.step_index == run.failure.step_index
         assert failed.final is None
-        assert not failed.non_finite
 
     # an explicit move at tau = 3 overflows: a non-finite state is a failure
     # at its step on both backends, fused or recording
@@ -146,9 +148,10 @@ def test_failure_keeps_partial_trace(quartic, opaque_quartic, mass1, x_unit):
             runs = [fastpath.simulate(x_unit, blowup, pot, mass1, 10, rec_range)
                     for pot in (quartic, opaque_quartic)]
             for failed in runs:
-                assert (failed.failed_step, failed.non_finite) == (6, True)
+                assert isinstance(failed.failure, NonFiniteState)
+                assert failed.failure.step_index == 6
                 assert failed.final is None and failed.completed_steps == 5
-                assert failed.rec_q.size == (5 if rec_range else 0)
+                assert failed.rec_q.shape == ((5 if rec_range else 0), 1)
                 assert np.isfinite(failed.rec_q).all()
                 with pytest.raises(NonFiniteState) as blown:
                     failed.raise_if_failed()
@@ -157,6 +160,20 @@ def test_failure_keeps_partial_trace(quartic, opaque_quartic, mass1, x_unit):
     with pytest.raises(NonFiniteState) as blown:
         integrate(x_unit, _cfg("baseline_mkm", 3.0), opaque_quartic, mass1, 10)
     assert blown.value.step_index == 6
+
+
+def test_blowup_fails_without_numpy_warnings(quartic, opaque_quartic, mass1, x_unit):
+    # both stepping loops report an overflow as NonFiniteState, not a warning
+    blowup = _cfg("baseline_kmk", 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            integrate(x_unit, _cfg("baseline_mkm", 3.0), opaque_quartic, mass1, 10)
+        runs = [fastpath.fast_run(x_unit, blowup, quartic, mass1, 10),
+                fastpath.simulate(x_unit, blowup, opaque_quartic, mass1, 10)]
+    for run in runs:
+        assert isinstance(run.failure, NonFiniteState)
+        assert run.failure.step_index == 6
 
 
 def test_recording_past_the_run_returns_completed_steps(quartic, opaque_quartic,
@@ -168,6 +185,20 @@ def test_recording_past_the_run_returns_completed_steps(quartic, opaque_quartic,
         for rec in (run.rec_q, run.rec_p, run.rec_h, run.rec_iters, run.rec_res):
             assert len(rec) == 5
         assert run.rec_h == pytest.approx(0.5, abs=1e-6)
+
+
+def test_step_zero_is_row_zero(quartic, opaque_quartic, mass1, x_unit):
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+    x2 = PhasePoint([0.3, -0.1], [0.2, 0.4])
+    cases = [(x_unit, quartic, mass1), (x_unit, opaque_quartic, mass1),
+             (x2, Harmonic(), MassMatrix.identity(2))]
+    for x0, pot, mass in cases:
+        run = fastpath.simulate(x0, cfg, pot, mass, 3, rec_range=(0, 4))
+        assert run.rec_q.shape == run.rec_p.shape == (4, x0.dim)
+        np.testing.assert_array_equal(run.rec_q[0], x0.q)
+        np.testing.assert_array_equal(run.rec_p[0], x0.p)
+        assert run.rec_h[0] == hamiltonian(x0, pot, mass)
+        assert (run.rec_iters[0], run.rec_res[0]) == (0, 0.0)
 
 
 def test_newton_diagnostics_recorded(quartic, mass1, x_unit):
@@ -207,7 +238,9 @@ def test_fast_equals_generic_on_random_polynomials(order, coeffs, m, tau, q, p):
     x0 = PhasePoint([q], [p])
     fast = fastpath.simulate(x0, cfg, Polynomial1D(coeffs), mass, 8)
     slow = fastpath.simulate(x0, cfg, _OpaquePolynomial(coeffs), mass, 8)
-    assert fast.failed_step == slow.failed_step
+    assert type(fast.failure) is type(slow.failure)
+    assert getattr(fast.failure, "step_index", None) == getattr(slow.failure,
+                                                                "step_index", None)
     if fast.ok:
         np.testing.assert_allclose(
             np.hstack([fast.final.q, fast.final.p]),
