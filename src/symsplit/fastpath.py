@@ -6,12 +6,16 @@ new-position map dG/dP) is a bivariate polynomial in (q, P) whose
 coefficients are exact rationals.  This module evaluates the word
 expansions from :mod:`symsplit.operators` over that polynomial ring once
 per (potential, mass, order), folds the step-size powers in, and hands the
-resulting coefficient matrices to a numba loop.  Long runs (hundreds of
-thousands of periods) then cost nanoseconds per step instead of
-milliseconds, while agreeing with the generic engine to roundoff because
+resulting coefficient matrices to a C loop (``_kernel.c``).  Long runs
+(hundreds of thousands of periods) then cost nanoseconds per step instead
+of milliseconds, while agreeing with the generic engine to roundoff because
 both paths evaluate the same expansions.
 
-The fall-back when numba is unavailable is the same loop in plain Python.
+The C source is compiled on first import with ``$CC`` (default ``cc``) into
+``__pycache__`` and loaded with ctypes; later imports load the cached
+library.  When the compiler or the load fails, the same loop runs in plain
+Python (``_python_kernel``), which the C loop matches bit for bit.
+``BACKEND`` names the loop that runs and ``BACKEND_REASON`` says why.
 
 ``simulate`` is the single point that decides which backend runs: the
 kernel through ``fast_run`` when ``eligible`` allows it, the generic
@@ -20,9 +24,13 @@ kernel through ``fast_run`` when ``eligible`` allows it, the generic
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -37,22 +45,6 @@ from .operators import (
     correction_orders,
     generating_orders,
 )
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 __all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for"]
 
@@ -213,7 +205,6 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
 # The stepping loop.
 
 
-@njit(cache=True)
 def _polyval(c, x):
     acc = 0.0
     for k in range(c.shape[0] - 1, -1, -1):
@@ -221,12 +212,15 @@ def _polyval(c, x):
     return acc
 
 
-@njit(cache=True)
-def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
-            tol, max_iter, rec_start, rec_stop, out_q, out_p, out_h,
-            out_iters, out_res, h0, a0, a1, b0, b1):
+def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
+                   tol, max_iter, rec_start, rec_stop, out_q, out_p, out_h,
+                   out_iters, out_res, h0, a0, a1, b0, b1, local):
+    """The stepping loop; ``local`` is the Newton scratch row, len(cq) long.
+
+    It records steps rec_start <= i < rec_stop into the ``out_*`` buffers
+    in place.  ``_kernel.c`` is this loop in C and must stay bit-identical.
+    """
     nj = cq.shape[0]
-    local = np.empty(nj)
     max_a = 0.0
     max_b = 0.0
     status = 0
@@ -324,6 +318,102 @@ def _kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
     return q, p, status, fail_step, fail_res, fail_iters, max_a, max_b
 
 
+_SOURCE = Path(__file__).with_name("_kernel.c")
+# contraction into FMA would round differently from the Python loop
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_F64, _I64, _PTR = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+_C_ARGTYPES = (
+    [_PTR, _F64, _F64, _I64, ctypes.c_int, _PTR, _I64, _PTR, _I64, _I64,
+     _PTR, _I64, _I64, _PTR, _I64, _F64, _I64, _F64, _I64, _I64]
+    + [_PTR] * 5 + [_F64] + [_I64] * 4 + [_PTR, _PTR]
+)
+
+
+def _buffer(arr, dtype, size):
+    """Address of a C-contiguous ``dtype`` array holding at least ``size`` items."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous or arr.size < size:
+        raise ValueError(f"kernel buffer must be C-contiguous {dtype}, size >= {size}")
+    return arr.ctypes.data
+
+
+def _wrap_c(fn):
+    """The C loop behind the signature and return tuple of ``_python_kernel``."""
+    fn.argtypes = _C_ARGTYPES
+    fn.restype = ctypes.c_int
+
+    def kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
+               tol, max_iter, rec_start, rec_stop, out_q, out_p, out_h,
+               out_iters, out_res, h0, a0, a1, b0, b1, local):
+        # the arrays stay referenced here for the whole call
+        vg, cq, cp, vpot = (np.ascontiguousarray(a, dtype=np.float64)
+                            for a in (vg, cq, cp, vpot))
+        n_rec = max(rec_stop - rec_start, 0)
+        state = np.array([q, p, 0.0, 0.0, 0.0])
+        counts = np.zeros(2, dtype=np.int64)
+        status = fn(
+            state.ctypes.data, mval, tau, n_steps, bool(explicit_move),
+            vg.ctypes.data, vg.size, cq.ctypes.data, cq.shape[0], cq.shape[1],
+            cp.ctypes.data, cp.shape[0], cp.shape[1], vpot.ctypes.data, vpot.size,
+            tol, max_iter, POLISH_FLOOR, rec_start, rec_stop,
+            *(_buffer(a, np.float64, n_rec) for a in (out_q, out_p, out_h)),
+            _buffer(out_iters, np.int64, n_rec), _buffer(out_res, np.float64, n_rec),
+            h0, a0, a1, b0, b1, _buffer(local, np.float64, cq.shape[0]),
+            counts.ctypes.data,
+        )
+        q, p, fail_res, max_a, max_b = state.tolist()
+        fail_step, fail_iters = counts.tolist()
+        return q, p, status, fail_step, fail_res, fail_iters, max_a, max_b
+
+    return kernel
+
+
+def _load_c_kernel(cc: str, cache: Path):
+    """(C kernel, reason), or (None, reason) when it cannot be built or loaded.
+
+    The library is built once per (source, compiler, flags) into ``cache``
+    through a temporary file and ``os.replace``, so a concurrent import
+    never loads a half-written library.
+    """
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError as err:
+        return None, f"no kernel source: {err}"
+    key = b"\0".join([source, cc.encode(), *(f.encode() for f in _CFLAGS)])
+    lib = cache / f"_kernel-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    if not lib.is_file():
+        import subprocess  # only a cache miss runs the compiler
+
+        try:
+            cache.mkdir(exist_ok=True)
+        except OSError as err:
+            return None, f"cannot write {cache}: {err}"
+        tmp = cache / f"{lib.stem}.{os.getpid()}.tmp"
+        try:
+            done = subprocess.run([*cc.split(), *_CFLAGS, "-o", str(tmp), str(_SOURCE)],
+                                  capture_output=True, timeout=300)
+            if done.returncode:
+                return None, f"{cc} exited {done.returncode}"
+            os.replace(tmp, lib)
+        except (OSError, subprocess.SubprocessError) as err:
+            return None, f"cannot build with {cc}: {err}"
+        finally:
+            if tmp.exists():
+                tmp.unlink()
+    try:
+        return _wrap_c(ctypes.CDLL(str(lib)).symsplit_kernel), f"{lib.name} built by {cc}"
+    except (OSError, AttributeError) as err:
+        return None, f"cannot load {lib.name}: {err}"
+
+
+_c_kernel, BACKEND_REASON = _load_c_kernel(os.environ.get("CC") or "cc",
+                                           _SOURCE.parent / "__pycache__")
+BACKEND = "c" if _c_kernel is not None else "python-fallback"
+# the one stepping loop fast_run calls
+_kernel = _c_kernel or _python_kernel
+# numba is gone; perfbench/workloads.py still reads this flag for its label
+HAVE_NUMBA = False
+
+
 @dataclass
 class FastRun:
     """The record of a run on either backend.
@@ -333,6 +423,8 @@ class FastRun:
     ``rec_p`` are (rows, dim).  ``failure`` is None, or the
     ``NewtonDiverged`` / ``NonFiniteState`` that ended the run after
     ``completed_steps`` steps; the rows then stop there and ``final`` is None.
+    ``backend`` is the loop that ran it: "c", "python-fallback" (the 1-D
+    kernel in C or in Python) or "generic" (``integrate``).
     """
 
     final: PhasePoint | None
@@ -345,7 +437,8 @@ class FastRun:
     rec_res: np.ndarray
     max_a: float
     max_b: float
-    failure: NewtonDiverged | NonFiniteState | None = None
+    failure: NewtonDiverged | NonFiniteState | None
+    backend: str
 
     @property
     def ok(self) -> bool:
@@ -373,7 +466,7 @@ def eligible(cfg: SchemeConfig, potential: Potential, mass: MassMatrix,
 def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
              mass: MassMatrix, n_steps: int, rec_range=None,
              range_a=None, range_b=None) -> FastRun:
-    """Run n_steps with the compiled kernel.
+    """Run n_steps with the 1-D kernel, in C or in Python (``BACKEND``).
 
     ``rec_range = (i0, i1)`` records state, energy and solve diagnostics for
     steps i0 <= i < i1, counting x0 as step 0.  ``range_a`` / ``range_b``
@@ -399,12 +492,13 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     a0, a1 = range_a if range_a is not None else (0, 0)
     b0, b1 = range_b if range_b is not None else (0, 0)
     h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval(tables.vpot, float(x0.q[0]))
+    local = np.empty(cq.shape[0])
     q, p, status, fail_step, fail_res, fail_iters, max_a, max_b = _kernel(
         float(x0.q[0]), float(x0.p[0]), tables.mval, cfg.tau, int(n_steps),
         order == 2, vg, cq, cp, tables.vpot, cfg.newton_tol,
         int(cfg.newton_max_iter), int(rec_start), int(rec_stop),
         out_q, out_p, out_h, out_iters, out_res, h0,
-        int(a0), int(a1), int(b0), int(b1),
+        int(a0), int(a1), int(b0), int(b1), local,
     )
     failure = (None if status == 0 else NonFiniteState(fail_step) if status == 2
                else NewtonDiverged(fail_res, fail_iters, step_index=fail_step))
@@ -413,7 +507,7 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     return FastRun(
         None if status else PhasePoint([q], [p]), completed, rec_start,
         out_q[:n_kept, None], out_p[:n_kept, None], out_h[:n_kept],
-        out_iters[:n_kept], out_res[:n_kept], max_a, max_b, failure,
+        out_iters[:n_kept], out_res[:n_kept], max_a, max_b, failure, BACKEND,
     )
 
 
@@ -456,17 +550,5 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         final, n_steps if failure is None else failure.step_index - 1, r0,
         np.reshape(qs, (-1, x0.dim)), np.reshape(ps, (-1, x0.dim)),
         np.array(hs, dtype=float), np.array(iters, dtype=np.int64),
-        np.array(res, dtype=float), peak[0], peak[1], failure,
+        np.array(res, dtype=float), peak[0], peak[1], failure, "generic",
     )
-
-
-def warmup() -> None:
-    """Trigger kernel compilation on a tiny run (numba caches the result)."""
-    from .hamiltonian import Quartic
-
-    pot = Quartic()
-    mass = MassMatrix.identity(1)
-    x0 = PhasePoint([0.0], [1.0])
-    for order, variant in ((2, "baseline_kmk"), (8, "corrected_kmk")):
-        cfg = SchemeConfig(variant, 0.1, order=order if variant == "corrected_kmk" else 2)
-        fast_run(x0, cfg, pot, mass, 3, rec_range=(1, 3), range_a=(1, 3))

@@ -1,18 +1,8 @@
-"""Shared fixtures.
-
-The compiled fast path is warmed once per session so that jit compilation
-time never lands inside a wall-clock-limited test.
-"""
+"""Shared fixtures."""
 import numpy as np
 import pytest
 
-from symsplit import fastpath
 from symsplit.hamiltonian import MassMatrix, PhasePoint, Quartic
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_fastpath():
-    fastpath.warmup()
 
 
 @pytest.fixture

@@ -4,8 +4,14 @@ The kernel must be a pure performance device: same map, same diagnostics,
 same failure behavior.  Agreement with the general path is to accumulated
 roundoff, not bitwise: the kernel folds tau into exact rational tables once
 instead of re-evaluating word contractions, and it never fuses half kicks.
+The C loop and the Python loop of the kernel agree bit for bit.
 """
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,15 +24,122 @@ from symsplit.hamiltonian import (
     MassMatrix,
     PhasePoint,
     Polynomial1D,
+    Quartic,
     hamiltonian,
 )
 from symsplit.integrators import NewtonDiverged, NonFiniteState, SchemeConfig, integrate
+
+needs_c = pytest.mark.skipif(fastpath._c_kernel is None,
+                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
 
 
 def _cfg(variant, tau, order=2):
     if variant == "corrected_kmk":
         return SchemeConfig(variant, tau, order=order)
     return SchemeConfig(variant, tau)
+
+
+def _on_both_kernels(*args, **kwargs):
+    """``fast_run`` on the C loop, then on the Python loop."""
+    runs = []
+    for kernel, backend in ((fastpath._c_kernel, "c"),
+                            (fastpath._python_kernel, "python-fallback")):
+        with mock.patch.multiple(fastpath, _kernel=kernel, BACKEND=backend):
+            runs.append(fastpath.fast_run(*args, **kwargs))
+    return runs
+
+
+def _assert_bit_identical(c_run, py_run):
+    assert (c_run.backend, py_run.backend) == ("c", "python-fallback")
+    for name in ("rec_q", "rec_p", "rec_h", "rec_iters", "rec_res"):
+        a, b = getattr(c_run, name), getattr(py_run, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (c_run.completed_steps, c_run.max_a, c_run.max_b) == (
+        py_run.completed_steps, py_run.max_a, py_run.max_b)
+    if py_run.final is None:
+        assert c_run.final is None
+    else:
+        assert (c_run.final.q[0], c_run.final.p[0]) == (py_run.final.q[0],
+                                                        py_run.final.p[0])
+    assert type(c_run.failure) is type(py_run.failure)
+    assert (getattr(c_run.failure, "step_index", None)
+            == getattr(py_run.failure, "step_index", None))
+    if isinstance(py_run.failure, NewtonDiverged):
+        assert c_run.failure.iterations == py_run.failure.iterations
+        assert np.array_equal(c_run.failure.residual, py_run.failure.residual,
+                              equal_nan=True)
+
+
+_X_UNIT = PhasePoint([0.0], [1.0])
+_MASS1 = MassMatrix.identity(1)
+# every fast-path configuration of this file: (cfg, potential, mass, x0,
+# n_steps, recording keywords)
+_KERNEL_CASES = {
+    "order2": (_cfg("baseline_kmk", 0.1), Quartic(), _MASS1, _X_UNIT, 500, {}),
+    **{f"order{n}": (_cfg("corrected_kmk", 0.1, n), Quartic(), _MASS1, _X_UNIT, 50, {})
+       for n in (4, 6, 8)},
+    "heavy_mass": (_cfg("corrected_kmk", 0.05, 6), Polynomial1D([0.0, 0.0, 0.5, 0.0, 0.25]),
+                   MassMatrix(2.5), PhasePoint([0.4], [0.3]), 200, {}),
+    "recorded_window": (_cfg("corrected_kmk", 0.1, 8), Quartic(), _MASS1, _X_UNIT, 40,
+                        {"rec_range": (10, 21)}),
+    "range_maxima": (_cfg("corrected_kmk", 0.1, 4), Quartic(), _MASS1, _X_UNIT, 100,
+                     {"rec_range": (1, 101), "range_a": (1, 51), "range_b": (51, 101)}),
+    "long_windows": (_cfg("corrected_kmk", 0.05, 8), Quartic(), _MASS1, _X_UNIT, 3000,
+                     {"rec_range": (0, 3001), "range_a": (1, 200), "range_b": (2500, 3001)}),
+    "past_the_run": (_cfg("corrected_kmk", 0.1, 8), Quartic(), _MASS1, _X_UNIT, 5,
+                     {"rec_range": (1, 9)}),
+    "newton_stall": (_cfg("corrected_kmk", 3.0, 8), Quartic(), _MASS1, _X_UNIT, 10,
+                     {"rec_range": (1, 11)}),
+    **{f"blowup_{name}": (cfg, Quartic(), _MASS1, _X_UNIT, 10, {"rec_range": (1, 11)})
+       for name, cfg in (("baseline", _cfg("baseline_kmk", 3.0)),
+                         ("order2", _cfg("corrected_kmk", 3.0, 2)))},
+}
+
+
+@needs_c
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_c_kernel_is_bit_identical_to_python_loop(case):
+    cfg, pot, mass, x0, n_steps, rec = _KERNEL_CASES[case]
+    _assert_bit_identical(*_on_both_kernels(x0, cfg, pot, mass, n_steps, **rec))
+
+
+def test_without_a_compiler_the_python_loop_runs(tmp_path):
+    # a child process with CC=false: the build fails, the Python loop runs,
+    # and the failed build leaves nothing behind in __pycache__
+    cache = Path(fastpath.__file__).parent / "__pycache__"
+    before = sorted(cache.glob("_kernel-*"))
+    src = str(Path(fastpath.__file__).parents[1])
+    env = dict(os.environ, CC="false",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", "import symsplit.fastpath as f; "
+         "print(f.BACKEND, f._kernel is f._python_kernel); print(f.BACKEND_REASON)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    backend, reason = child.stdout.splitlines()
+    assert backend == "python-fallback True"
+    assert reason == "false exited 1"
+    assert sorted(cache.glob("_kernel-*")) == before
+
+    # a cache directory that cannot be made, a compiler that is not there
+    (tmp_path / "file").write_text("")
+    kernel, reason = fastpath._load_c_kernel("cc", tmp_path / "file" / "cache")
+    assert kernel is None and reason.startswith("cannot write")
+    kernel, reason = fastpath._load_c_kernel("no-such-compiler", tmp_path)
+    assert kernel is None and "no-such-compiler" in reason
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+@needs_c
+def test_c_kernel_builds_once_into_its_cache(tmp_path):
+    cc = os.environ.get("CC") or "cc"
+    kernel, reason = fastpath._load_c_kernel(cc, tmp_path)
+    assert kernel is not None
+    built = list(tmp_path.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so" and built[0].name in reason
+    mtime = built[0].stat().st_mtime_ns
+    assert fastpath._load_c_kernel(cc, tmp_path)[0] is not None
+    assert list(tmp_path.iterdir()) == built and built[0].stat().st_mtime_ns == mtime
+    assert fastpath._kernel is fastpath._c_kernel and fastpath.BACKEND == "c"
 
 
 def test_eligibility(quartic, mass1, opaque_quartic):
@@ -194,6 +307,7 @@ def test_step_zero_is_row_zero(quartic, opaque_quartic, mass1, x_unit):
              (x2, Harmonic(), MassMatrix.identity(2))]
     for x0, pot, mass in cases:
         run = fastpath.simulate(x0, cfg, pot, mass, 3, rec_range=(0, 4))
+        assert run.backend == (fastpath.BACKEND if pot is quartic else "generic")
         assert run.rec_q.shape == run.rec_p.shape == (4, x0.dim)
         np.testing.assert_array_equal(run.rec_q[0], x0.q)
         np.testing.assert_array_equal(run.rec_p[0], x0.p)
@@ -245,3 +359,7 @@ def test_fast_equals_generic_on_random_polynomials(order, coeffs, m, tau, q, p):
         np.testing.assert_allclose(
             np.hstack([fast.final.q, fast.final.p]),
             np.hstack([slow.final.q, slow.final.p]), rtol=1e-12)
+    if fastpath._c_kernel is not None:
+        _assert_bit_identical(*_on_both_kernels(
+            x0, cfg, Polynomial1D(coeffs), mass, 8, rec_range=(0, 9),
+            range_a=(1, 5), range_b=(4, 9)))
