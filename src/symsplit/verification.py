@@ -231,29 +231,34 @@ def period_estimate(times, q) -> float:
 
     Each crossing time is refined with the cubic through the four samples
     around the sign change, so densely sampled smooth signals give many
-    more digits than the sampling interval.  Needs at least two crossings.
+    more digits than the sampling interval.  The root of the cubic is
+    bisected on floats with ``np.polyval``'s Horner operations in its
+    order, so the result matches a bisection by ``np.polyval`` bit for
+    bit.  ``times`` must be finite and strictly increasing.  Needs at
+    least two crossings.
     """
     times = np.asarray(times, dtype=float)
     q = np.asarray(q, dtype=float)
-    if times.shape != q.shape or times.size < 4:
+    if times.ndim != 1 or times.shape != q.shape or times.size < 4:
         raise ValueError("need matching arrays with at least four samples")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
+        raise ValueError("times must be finite and strictly increasing")
+    t = times.tolist()
     crossings = []
-    n = times.size
-    for i in range(n - 1):
-        if q[i] < 0.0 <= q[i + 1]:
-            lo = max(0, min(i - 1, n - 4))
-            sel = slice(lo, lo + 4)
-            coeffs = np.polyfit(times[sel] - times[i], q[sel], 3)
-            a, b = 0.0, times[i + 1] - times[i]
-            fa = np.polyval(coeffs, a)
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = np.polyval(coeffs, mid)
-                if (fa < 0) == (fm < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            crossings.append(times[i] + 0.5 * (a + b))
+    for i in np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0)).tolist():
+        lo = max(0, min(i - 1, len(t) - 4))
+        c0, c1, c2, c3 = np.polyfit(times[lo:lo + 4] - t[i], q[lo:lo + 4], 3).tolist()
+        a, b = 0.0, t[i + 1] - t[i]
+        # np.polyval's y = y * x + c from y = 0, one float operation at a
+        # time; a only moves to points of f(a)'s sign, so that sign is fixed
+        neg = (((0.0 * a + c0) * a + c1) * a + c2) * a + c3 < 0
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if ((((0.0 * mid + c0) * mid + c1) * mid + c2) * mid + c3 < 0) == neg:
+                a = mid
+            else:
+                b = mid
+        crossings.append(t[i] + 0.5 * (a + b))
     if len(crossings) < 2:
         raise ValueError("trajectory shows fewer than two upward zero crossings")
     return float(np.mean(np.diff(crossings)))

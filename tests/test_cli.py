@@ -512,3 +512,38 @@ def test_csv_bytes_are_pinned(name, tmp_path, capsys):
     rc, digest = _pinned_run(name, tmp_path)
     capsys.readouterr()
     assert (rc, digest) == (_PINNED_RUNS[name][1], _PINNED_SHA256[name])
+
+
+# sha256 of each CSV `figure 1` writes.  Each series' window and
+# measured_period come from verification.period_estimate.
+_FIGURE_ONE_SHA256 = {
+    "fig1_baseline_kmk_tau0.05.csv":
+        "c0a9a1002ae41cf5ef5c1742332c9177f756e54e265604c39bb7cf6a7e0e1d2a",
+    "fig1_baseline_kmk_tau0.1.csv":
+        "16b9c29aeeb351f1ff97f42dd23fd315423850221c108fb334d8d6c6f1313e94",
+    "fig1_corrected_kmk4_tau0.05.csv":
+        "658b827b16c19107f1837309b317b95600f46770a31085638b4a6063af36e064",
+    "fig1_corrected_kmk4_tau0.1.csv":
+        "248b1bbc05b54424fec8979b5bc2b2b558b0cd9f49ff1473d7a42facc1a589d8",
+    "fig1_corrected_kmk4_tau0.2.csv":
+        "2f75f1a8248e302e1deb67505a84f2f772f71dd1d5746a308bf0137cb1c430e9",
+    "fig1_corrected_kmk6_tau0.05.csv":
+        "7099db93fd9c834192129115a671d707ec1169aa44d65b7b73dd5ba78f949d34",
+    "fig1_corrected_kmk6_tau0.1.csv":
+        "cd8d8169c158192a8c372ccec6bd34e3f826e18538b2579094b37b3c68cb3814",
+    "fig1_corrected_kmk6_tau0.2.csv":
+        "c139051e48379182e1685083c045b663bef1340234832d7894b50ead10648eb3",
+    "fig1_corrected_kmk8_tau0.05.csv":
+        "b06ab88d265474092cf2d66b858830209f258f766fbd31f3bbec6826d906b8b2",
+    "fig1_corrected_kmk8_tau0.1.csv":
+        "031101c27e87c57ded85e495346cb9007925a22d519edf2a76146102d9179d32",
+    "fig1_corrected_kmk8_tau0.2.csv":
+        "bc90aa003691935a4afe91a13426beb91cd9376325da69def2b864889dcc480f",
+}
+
+
+def test_figure_one_csv_bytes_are_pinned(tmp_path, capsys):
+    assert main(["figure", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.glob("*.csv")} == _FIGURE_ONE_SHA256

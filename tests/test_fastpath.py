@@ -103,6 +103,28 @@ def test_c_kernel_is_bit_identical_to_python_loop(case):
     _assert_bit_identical(*_on_both_kernels(x0, cfg, pot, mass, n_steps, **rec))
 
 
+@needs_c
+def test_zero_newton_derivative_stops_both_loops(quartic, mass1, x_unit):
+    # with only the P^0 row of dG/dq the Newton residual does not depend on
+    # the momentum, so its derivative is exactly 0 at the first iterate
+    fold = fastpath.FastTables.fold
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+
+    def p0_row_only(self, tau):
+        vg, cq, cp = fold(self, tau)
+        return vg, cq[:1], cp
+
+    with mock.patch.object(fastpath.FastTables, "fold", p0_row_only):
+        c_run, py_run = _on_both_kernels(x_unit, cfg, quartic, mass1, 10,
+                                         rec_range=(0, 11))
+    _assert_bit_identical(c_run, py_run)
+    for run in (c_run, py_run):
+        assert isinstance(run.failure, NewtonDiverged)
+        assert (run.failure.step_index, run.failure.iterations) == (1, 0)
+        assert run.failure.residual > cfg.newton_tol
+        assert (run.completed_steps, len(run.rec_q)) == (0, 1)
+
+
 def test_without_a_compiler_the_python_loop_runs(tmp_path):
     # a child process with CC=false: the build fails, the Python loop runs,
     # and the failed build leaves nothing behind in __pycache__

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsplit.hamiltonian import (
     Harmonic,
@@ -262,6 +264,83 @@ def test_period_estimate_needs_two_crossings():
     t = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError):
         period_estimate(t, np.sin(t))
+
+
+def _bad_time_axis(kind):
+    t = np.arange(0.0, 50.0, 0.01)
+    q = np.sin(t)
+    if kind == "reversed":
+        return t[::-1], np.sin(t[::-1])
+    if kind == "nan":
+        t[700] = np.nan
+    else:  # a flat stretch over the crossing at 2 pi
+        t[627:631] = t[627]
+    return t, q
+
+
+@pytest.mark.parametrize("kind", ["reversed", "nan", "flat"])
+def test_period_estimate_rejects_a_broken_time_axis(kind):
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        period_estimate(*_bad_time_axis(kind))
+
+
+def _period_estimate_polyval(times, q) -> float:
+    """The scalar loop period_estimate replaced, kept as its bit-for-bit oracle."""
+    times = np.asarray(times, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if times.shape != q.shape or times.size < 4:
+        raise ValueError("need matching arrays with at least four samples")
+    crossings = []
+    n = times.size
+    for i in range(n - 1):
+        if q[i] < 0.0 <= q[i + 1]:
+            lo = max(0, min(i - 1, n - 4))
+            sel = slice(lo, lo + 4)
+            coeffs = np.polyfit(times[sel] - times[i], q[sel], 3)
+            a, b = 0.0, times[i + 1] - times[i]
+            fa = np.polyval(coeffs, a)
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = np.polyval(coeffs, mid)
+                if (fa < 0) == (fm < 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            crossings.append(times[i] + 0.5 * (a + b))
+    if len(crossings) < 2:
+        raise ValueError("trajectory shows fewer than two upward zero crossings")
+    return float(np.mean(np.diff(crossings)))
+
+
+def _outcome(estimate, t, q):
+    try:
+        return estimate(t, q)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(n=st.integers(4, 300), dt=st.floats(1e-3, 1.0), t0=st.floats(-10.0, 10.0),
+       omega=st.floats(0.0, 4.0), phase=st.floats(0.0, 2 * math.pi),
+       noise=st.floats(0.0, 1.0), exponent=st.integers(-300, 8),
+       zeros=st.lists(st.tuples(st.integers(0, 299), st.booleans()), max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_period_estimate_matches_polyval_bisection(n, dt, t0, omega, phase, noise,
+                                                   exponent, zeros, seed):
+    # sines with noise from flat to pure noise, amplitudes 1e-300 to 1e8,
+    # +-0.0 samples; omega near 0 gives fewer than two crossings
+    t = t0 + dt * np.arange(n)
+    noisy = np.sin(omega * t + phase) + noise * np.random.default_rng(seed).standard_normal(n)
+    q = 10.0 ** exponent * noisy
+    for i, negative in zeros:
+        q[i % n] = -0.0 if negative else 0.0
+    expected = _outcome(_period_estimate_polyval, t, q)
+    got = _outcome(period_estimate, t, q)
+    assert type(got) is type(expected)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.hex() == expected.hex()
 
 
 def test_measure_period_harmonic_two_dee():
