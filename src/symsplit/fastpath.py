@@ -13,9 +13,12 @@ both paths evaluate the same expansions.
 
 The C source is compiled on first import with ``$CC`` (default ``cc``) into
 ``__pycache__`` and loaded with ctypes; later imports load the cached
-library.  When the compiler or the load fails, the same loop runs in plain
-Python (``_python_kernel``), which the C loop matches bit for bit.
-``BACKEND`` names the loop that runs and ``BACKEND_REASON`` says why.
+library.  The signature of ``symsplit_kernel`` is the one calling
+convention of the loop: its ctypes argtypes refuse an array of the wrong
+dtype or layout, and when the compiler or the load fails,
+``_python_kernel`` takes the same arguments and runs the same loop in
+plain Python, bit for bit.  ``BACKEND`` names the loop that runs and
+``BACKEND_REASON`` says why.
 
 ``simulate`` is the single point that decides which backend runs: the
 kernel through ``fast_run`` when ``eligible`` allows it, the generic
@@ -95,13 +98,14 @@ def _poly_matrix(poly) -> np.ndarray:
     return mat
 
 
-def _pad_stack(mats):
-    rows = max(m.shape[0] for m in mats)
-    cols = max(m.shape[1] for m in mats)
-    out = np.zeros((len(mats), rows, cols))
-    for i, m in enumerate(mats):
-        out[i, : m.shape[0], : m.shape[1]] = m
-    return out
+def _stacked(table):
+    """(tau powers, their matrices zero-padded into one (n, rows, cols) array)."""
+    rows = max(m.shape[0] for m in table.values())
+    cols = max(m.shape[1] for m in table.values())
+    stack = np.zeros((len(table), rows, cols))
+    for i, m in enumerate(table.values()):
+        stack[i, : m.shape[0], : m.shape[1]] = m
+    return tuple(table), stack
 
 
 class _SymbolicContext:
@@ -142,9 +146,10 @@ class _SymbolicContext:
 class FastTables:
     """tau-independent exact tables for one (potential, mass, order).
 
-    ``kick``, ``gq`` and ``gp`` each map a tau power n to a float
-    coefficient matrix indexed [P power, q power]; the kernel's table is
-    the sum over n of tau^n times the matrix:
+    ``kick``, ``gq`` and ``gp`` are each a pair (tau powers, stack): row k
+    of the stack is the float coefficient matrix, indexed [P power,
+    q power], of tau^powers[k], zero-padded to one shape.  The kernel's
+    table is the sum over k of tau^powers[k] times stack[k]:
 
     * ``kick``: dV_eff/dq; V' at n = 0, the gradient of the potential
       correction V_n at n = 2, 4, 6.  It has one row (no P).
@@ -154,14 +159,14 @@ class FastTables:
 
     mval: float
     vpot: np.ndarray  # V coefficients, ascending
-    kick: dict
-    gq: dict
-    gp: dict
+    kick: tuple
+    gq: tuple
+    gp: tuple
 
     def fold(self, tau: float):
         """Fold tau powers into float coefficient arrays for the kernel."""
-        vg, cq, cp = (_pad_stack([tau**n * mat for n, mat in table.items()]).sum(axis=0)
-                      for table in (self.kick, self.gq, self.gp))
+        vg, cq, cp = ((np.array([tau**n for n in powers])[:, None, None] * stack).sum(axis=0)
+                      for powers, stack in (self.kick, self.gq, self.gp))
         return vg[0], cq, cp
 
 
@@ -192,10 +197,10 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
         gen[n] = ctx.table_poly(GENERATING_TERMS[n])
     tables = FastTables(
         mval=float(mval),
-        vpot=np.asarray(coeffs, dtype=float),
-        kick=kick,
-        gq={n: _poly_matrix(_poly_dq(g)) for n, g in gen.items()},
-        gp={n: _poly_matrix(_poly_dp(g)) for n, g in gen.items()},
+        vpot=np.array(coeffs, dtype=float),
+        kick=_stacked(kick),
+        gq=_stacked({n: _poly_matrix(_poly_dq(g)) for n, g in gen.items()}),
+        gp=_stacked({n: _poly_matrix(_poly_dp(g)) for n, g in gen.items()}),
     )
     _TABLE_CACHE[key] = tables
     return tables
@@ -205,22 +210,27 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
 # The stepping loop.
 
 
-def _polyval(c, x):
+def _polyval(c, n, x):
     acc = 0.0
-    for k in range(c.shape[0] - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         acc = acc * x + c[k]
     return acc
 
 
-def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
-                   tol, max_iter, rec_start, rec_stop, out_q, out_p, out_h,
-                   out_iters, out_res, h0, a0, a1, b0, b1, local):
-    """The stepping loop; ``local`` is the Newton scratch row, len(cq) long.
+def _python_kernel(state, mval, tau, n_steps, explicit_move, vg, nvg, cq, nj, ncq,
+                   cp, ncpj, ncp, vpot, nvpot, tol, max_iter, polish_floor,
+                   rec_start, rec_stop, out_q, out_p, out_h, out_iters, out_res,
+                   h0, a0, a1, b0, b1, local, counts):
+    """``symsplit_kernel`` of ``_kernel.c`` in Python, argument for argument.
 
-    It records steps rec_start <= i < rec_stop into the ``out_*`` buffers
-    in place.  ``_kernel.c`` is this loop in C and must stay bit-identical.
+    ``state`` holds q, p on entry and q, p, fail_res, max_a, max_b on
+    return; ``counts`` receives fail_step, fail_iters.  Steps rec_start <=
+    i < rec_stop are recorded into the ``out_*`` buffers in place, and
+    ``local`` is the Newton scratch row, nj long.  Returns the status: 0,
+    1 (the Newton solve failed) or 2 (the state became non-finite).  The C
+    loop is this loop transliterated and must stay bit-identical.
     """
-    nj = cq.shape[0]
+    q, p = float(state[0]), float(state[1])
     max_a = 0.0
     max_b = 0.0
     status = 0
@@ -228,9 +238,8 @@ def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
     fail_res = 0.0
     fail_iters = 0
     half = 0.5 * tau
-    # status 1: the Newton solve failed; 2: the state became non-finite
     for i in range(1, n_steps + 1):
-        p -= half * _polyval(vg, q)
+        p -= half * _polyval(vg, nvg, q)
         if not math.isfinite(p):
             status, fail_step = 2, i
             break
@@ -240,7 +249,7 @@ def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
             q += tau * mval * p
         else:
             for j in range(nj):
-                local[j] = _polyval(cq[j], q)
+                local[j] = _polyval(cq[j], ncq, q)
             mom = p
             ok = False
             while True:
@@ -275,7 +284,7 @@ def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
             pscale = abs(p)
             if pscale < 1.0:
                 pscale = 1.0
-            if res > POLISH_FLOOR * pscale:
+            if res > polish_floor * pscale:
                 fp = 0.0
                 for j in range(nj - 1, 0, -1):
                     fp = fp * mom + j * local[j]
@@ -290,11 +299,11 @@ def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
                         res = abs(f2)
                         iters += 1
             qn = 0.0
-            for j in range(cp.shape[0] - 1, -1, -1):
-                qn = qn * mom + _polyval(cp[j], q)
+            for j in range(ncpj - 1, -1, -1):
+                qn = qn * mom + _polyval(cp[j], ncp, q)
             q = qn
             p = mom
-        p -= half * _polyval(vg, q)
+        p -= half * _polyval(vg, nvg, q)
         if not (math.isfinite(q) and math.isfinite(p)):
             status, fail_step = 2, i
             break
@@ -302,7 +311,7 @@ def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
         in_b = (b0 <= i) and (i < b1)
         in_rec = (rec_start <= i) and (i < rec_stop)
         if in_a or in_b or in_rec:
-            h = 0.5 * mval * p * p + _polyval(vpot, q)
+            h = 0.5 * mval * p * p + _polyval(vpot, nvpot, q)
             dev = abs(h - h0)
             if in_a and dev > max_a:
                 max_a = dev
@@ -315,56 +324,23 @@ def _python_kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
                 out_h[k] = h
                 out_iters[k] = iters
                 out_res[k] = res
-    return q, p, status, fail_step, fail_res, fail_iters, max_a, max_b
+    state[:] = q, p, fail_res, max_a, max_b
+    counts[:] = fail_step, fail_iters
+    return status
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # contraction into FMA would round differently from the Python loop
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-_F64, _I64, _PTR = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+# symsplit_kernel's parameters; ctypes refuses an array that is not a
+# C-contiguous float64 (int64 for out_iters and counts) array
+_F64, _I64 = ctypes.c_double, ctypes.c_int64
+_ARR, _IARR = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
 _C_ARGTYPES = (
-    [_PTR, _F64, _F64, _I64, ctypes.c_int, _PTR, _I64, _PTR, _I64, _I64,
-     _PTR, _I64, _I64, _PTR, _I64, _F64, _I64, _F64, _I64, _I64]
-    + [_PTR] * 5 + [_F64] + [_I64] * 4 + [_PTR, _PTR]
+    [_ARR, _F64, _F64, _I64, ctypes.c_int, _ARR, _I64, _ARR, _I64, _I64,
+     _ARR, _I64, _I64, _ARR, _I64, _F64, _I64, _F64, _I64, _I64]
+    + [_ARR] * 3 + [_IARR, _ARR, _F64] + [_I64] * 4 + [_ARR, _IARR]
 )
-
-
-def _buffer(arr, dtype, size):
-    """Address of a C-contiguous ``dtype`` array holding at least ``size`` items."""
-    if arr.dtype != dtype or not arr.flags.c_contiguous or arr.size < size:
-        raise ValueError(f"kernel buffer must be C-contiguous {dtype}, size >= {size}")
-    return arr.ctypes.data
-
-
-def _wrap_c(fn):
-    """The C loop behind the signature and return tuple of ``_python_kernel``."""
-    fn.argtypes = _C_ARGTYPES
-    fn.restype = ctypes.c_int
-
-    def kernel(q, p, mval, tau, n_steps, explicit_move, vg, cq, cp, vpot,
-               tol, max_iter, rec_start, rec_stop, out_q, out_p, out_h,
-               out_iters, out_res, h0, a0, a1, b0, b1, local):
-        # the arrays stay referenced here for the whole call
-        vg, cq, cp, vpot = (np.ascontiguousarray(a, dtype=np.float64)
-                            for a in (vg, cq, cp, vpot))
-        n_rec = max(rec_stop - rec_start, 0)
-        state = np.array([q, p, 0.0, 0.0, 0.0])
-        counts = np.zeros(2, dtype=np.int64)
-        status = fn(
-            state.ctypes.data, mval, tau, n_steps, bool(explicit_move),
-            vg.ctypes.data, vg.size, cq.ctypes.data, cq.shape[0], cq.shape[1],
-            cp.ctypes.data, cp.shape[0], cp.shape[1], vpot.ctypes.data, vpot.size,
-            tol, max_iter, POLISH_FLOOR, rec_start, rec_stop,
-            *(_buffer(a, np.float64, n_rec) for a in (out_q, out_p, out_h)),
-            _buffer(out_iters, np.int64, n_rec), _buffer(out_res, np.float64, n_rec),
-            h0, a0, a1, b0, b1, _buffer(local, np.float64, cq.shape[0]),
-            counts.ctypes.data,
-        )
-        q, p, fail_res, max_a, max_b = state.tolist()
-        fail_step, fail_iters = counts.tolist()
-        return q, p, status, fail_step, fail_res, fail_iters, max_a, max_b
-
-    return kernel
 
 
 def _load_c_kernel(cc: str, cache: Path):
@@ -400,9 +376,12 @@ def _load_c_kernel(cc: str, cache: Path):
             if tmp.exists():
                 tmp.unlink()
     try:
-        return _wrap_c(ctypes.CDLL(str(lib)).symsplit_kernel), f"{lib.name} built by {cc}"
+        kernel = ctypes.CDLL(str(lib)).symsplit_kernel
     except (OSError, AttributeError) as err:
         return None, f"cannot load {lib.name}: {err}"
+    kernel.argtypes = _C_ARGTYPES
+    kernel.restype = ctypes.c_int
+    return kernel, f"{lib.name} built by {cc}"
 
 
 _c_kernel, BACKEND_REASON = _load_c_kernel(os.environ.get("CC") or "cc",
@@ -473,12 +452,11 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     accumulate max |H - H(x0)| over step ranges without storing anything,
     which is how multi-million-step stability windows stay cheap.
     """
-    # tables_for rejects the potentials and masses the kernel cannot take
-    if x0.dim != 1 or cfg.variant not in _KERNEL_VARIANTS:
+    if not eligible(cfg, potential, mass, x0.dim):
         raise ValueError("configuration not eligible for the fast kernel")
-    order = cfg.scheme_order
-    tables = tables_for(potential, mass, order)
+    tables = tables_for(potential, mass, cfg.scheme_order)
     vg, cq, cp = tables.fold(cfg.tau)
+    vpot = tables.vpot
     rec_start, rec_stop = rec_range if rec_range is not None else (0, 0)
     n_rec = max(rec_stop - rec_start, 0)
     out_q = np.empty(n_rec)
@@ -491,15 +469,18 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         out_h[0] = hamiltonian(x0, potential, mass)
     a0, a1 = range_a if range_a is not None else (0, 0)
     b0, b1 = range_b if range_b is not None else (0, 0)
-    h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval(tables.vpot, float(x0.q[0]))
-    local = np.empty(cq.shape[0])
-    q, p, status, fail_step, fail_res, fail_iters, max_a, max_b = _kernel(
-        float(x0.q[0]), float(x0.p[0]), tables.mval, cfg.tau, int(n_steps),
-        order == 2, vg, cq, cp, tables.vpot, cfg.newton_tol,
-        int(cfg.newton_max_iter), int(rec_start), int(rec_stop),
-        out_q, out_p, out_h, out_iters, out_res, h0,
-        int(a0), int(a1), int(b0), int(b1), local,
+    h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval(vpot, vpot.size, float(x0.q[0]))
+    state = np.array([x0.q[0], x0.p[0], 0.0, 0.0, 0.0])
+    counts = np.zeros(2, dtype=np.int64)
+    status = _kernel(
+        state, tables.mval, cfg.tau, int(n_steps), cfg.scheme_order == 2,
+        vg, vg.size, cq, *cq.shape, cp, *cp.shape, vpot, vpot.size,
+        cfg.newton_tol, int(cfg.newton_max_iter), POLISH_FLOOR,
+        int(rec_start), int(rec_stop), out_q, out_p, out_h, out_iters, out_res,
+        h0, int(a0), int(a1), int(b0), int(b1), np.empty(cq.shape[0]), counts,
     )
+    q, p, fail_res, max_a, max_b = state.tolist()
+    fail_step, fail_iters = counts.tolist()
     failure = (None if status == 0 else NonFiniteState(fail_step) if status == 2
                else NewtonDiverged(fail_res, fail_iters, step_index=fail_step))
     completed = fail_step - 1 if status else n_steps

@@ -234,8 +234,8 @@ def period_estimate(times, q) -> float:
     more digits than the sampling interval.  The root of the cubic is
     bisected on floats with ``np.polyval``'s Horner operations in its
     order, so the result matches a bisection by ``np.polyval`` bit for
-    bit.  ``times`` must be finite and strictly increasing.  Needs at
-    least two crossings.
+    bit.  ``times`` must be finite and strictly increasing, and ``q``
+    finite.  Needs at least two crossings.
     """
     times = np.asarray(times, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -243,6 +243,8 @@ def period_estimate(times, q) -> float:
         raise ValueError("need matching arrays with at least four samples")
     if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
         raise ValueError("times must be finite and strictly increasing")
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite")
     t = times.tolist()
     crossings = []
     for i in np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0)).tolist():

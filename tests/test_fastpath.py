@@ -6,6 +6,7 @@ roundoff, not bitwise: the kernel folds tau into exact rational tables once
 instead of re-evaluating word contractions, and it never fuses half kicks.
 The C loop and the Python loop of the kernel agree bit for bit.
 """
+import ctypes
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from symsplit.hamiltonian import (
     MassMatrix,
     PhasePoint,
     Polynomial1D,
+    Quadratic,
     Quartic,
     hamiltonian,
 )
@@ -125,6 +127,26 @@ def test_zero_newton_derivative_stops_both_loops(quartic, mass1, x_unit):
         assert (run.completed_steps, len(run.rec_q)) == (0, 1)
 
 
+@needs_c
+@pytest.mark.parametrize("bad, message", [
+    (np.asfortranarray, r"flags \['C_CONTIGUOUS'\]"),
+    (lambda cq: cq.astype(np.float32), "data type float64"),
+])
+def test_c_kernel_refuses_a_bad_array(bad, message, quartic, mass1, x_unit):
+    # the argtypes check every array handed to the C loop; nothing is copied
+    fold = fastpath.FastTables.fold
+
+    def bad_cq(self, tau):
+        vg, cq, cp = fold(self, tau)
+        return vg, bad(cq), cp
+
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+    with mock.patch.object(fastpath.FastTables, "fold", bad_cq), \
+            mock.patch.object(fastpath, "_kernel", fastpath._c_kernel):
+        with pytest.raises(ctypes.ArgumentError, match=message):
+            fastpath.fast_run(x_unit, cfg, quartic, mass1, 3)
+
+
 def test_without_a_compiler_the_python_loop_runs(tmp_path):
     # a child process with CC=false: the build fails, the Python loop runs,
     # and the failed build leaves nothing behind in __pycache__
@@ -210,6 +232,18 @@ def test_heavy_mass_and_general_polynomial():
     x0 = PhasePoint([0.4], [0.3])
     run = fastpath.fast_run(x0, cfg, pot, mass, 200)
     slow = integrate(x0, cfg, pot, mass, 200)
+    assert abs(run.final.q[0] - slow.q[0]) < 1e-13
+    assert abs(run.final.p[0] - slow.p[0]) < 1e-13
+
+
+def test_strided_coefficients_reach_the_kernel(mass1):
+    # tables_for copies V's coefficients, so the kernel gets them C-contiguous
+    pot = Polynomial1D(np.array([0.0, 9.0, 0.0, 9.0, 0.5, 9.0, 0.3])[::2])
+    assert not pot.poly1d_coefficients().flags.c_contiguous
+    cfg = _cfg("corrected_kmk", 0.05, 6)
+    x0 = PhasePoint([0.4], [0.3])
+    run = fastpath.fast_run(x0, cfg, pot, mass1, 100)
+    slow = integrate(x0, cfg, pot, mass1, 100)
     assert abs(run.final.q[0] - slow.q[0]) < 1e-13
     assert abs(run.final.p[0] - slow.p[0]) < 1e-13
 
@@ -343,6 +377,31 @@ def test_newton_diagnostics_recorded(quartic, mass1, x_unit):
                             rec_range=(1, 21))
     assert run.rec_iters.max() >= 1
     assert run.rec_res.max() <= cfg.newton_tol
+
+
+def test_massless_coordinate_stays_put(quartic, opaque_quartic):
+    # with M = 0 the move is the identity, so only the kicks act:
+    # q stays q0 and p falls by tau V'(q0) per step
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+    x0 = PhasePoint([0.3], [0.7])
+    generic = fastpath.simulate(x0, cfg, opaque_quartic, MassMatrix(0.0), 50,
+                                rec_range=(0, 51))
+    assert generic.backend == "generic"
+    kernels = (_on_both_kernels if fastpath._c_kernel is not None
+               else lambda *a, **k: [fastpath.fast_run(*a, **k)])
+    for run in [generic, *kernels(x0, cfg, quartic, MassMatrix(0.0), 50, rec_range=(0, 51))]:
+        assert run.ok and run.completed_steps == 50
+        assert (run.rec_q == 0.3).all() and run.final.q[0] == 0.3
+        assert run.final.p[0] == pytest.approx(0.7 - 50 * 0.1 * 0.3**3, abs=1e-13)
+        assert (run.rec_iters == 0).all() and (run.rec_res == 0.0).all()
+
+    # a 2-D quadratic with M = diag(1, 0): the second coordinate never moves
+    x2 = PhasePoint([0.3, -0.2], [0.7, 0.4])
+    run = fastpath.simulate(x2, cfg, Quadratic([[1.0, 0.3], [0.3, 2.0]]),
+                            MassMatrix.diagonal([1.0, 0.0]), 50, rec_range=(0, 51))
+    assert run.ok and run.backend == "generic"
+    assert (run.rec_q[:, 1] == -0.2).all() and run.final.q[1] == -0.2
+    assert np.ptp(run.rec_q[:, 0]) > 0.5
 
 
 def test_tables_are_cached(quartic, mass1):

@@ -284,6 +284,16 @@ def test_period_estimate_rejects_a_broken_time_axis(kind):
         period_estimate(*_bad_time_axis(kind))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_period_estimate_rejects_a_non_finite_sample(bad):
+    # one bad sample next to the crossing at 2 pi would shift it without an error
+    t = np.arange(0.0, 50.0, 0.01)
+    q = np.sin(t)
+    q[630] = bad
+    with pytest.raises(ValueError, match="q must be finite"):
+        period_estimate(t, q)
+
+
 def _period_estimate_polyval(times, q) -> float:
     """The scalar loop period_estimate replaced, kept as its bit-for-bit oracle."""
     times = np.asarray(times, dtype=float)
