@@ -1,5 +1,6 @@
-/* The 1-D stepping loop of symsplit.fastpath, transliterated line for line.
+/* The compiled loops of symsplit.fastpath: two entry points.
  *
+ * symsplit_kernel is the 1-D stepping loop, transliterated line for line.
  * Every floating-point operation happens in the order of the Python loop
  * `fastpath._python_kernel`, so the two agree bit for bit.  That needs a
  * build without FMA contraction (-ffp-contract=off) and without
@@ -9,9 +10,19 @@
  * state: in q, p; out q, p, fail_res, max_a, max_b.
  * counts: out fail_step, fail_iters.
  * Returns 0, 1 (the Newton solve failed) or 2 (the state became non-finite).
+ *
+ * symsplit_format_rows writes a (nrows, ncols) array of doubles as CSV
+ * lines, the bytes of Python's "%.17g" % x for each field, or "%d" % x
+ * where int_cols[j] is non-zero.  It returns the number of bytes written,
+ * or -1 if an integer column holds a value that is not finite or not
+ * below 2^63 in magnitude.  `out` holds at least 25 bytes per field, the
+ * longest "-d.dddddddddddddddde-308" and its separator (21 for an integer
+ * column: "-9223372036854775807,").
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 static double polyval(const double *c, int64_t n, double x)
 {
@@ -132,4 +143,192 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
     state[0] = q, state[1] = p, state[2] = fail_res, state[3] = max_a, state[4] = max_b;
     counts[0] = fail_step, counts[1] = fail_iters;
     return status;
+}
+
+
+/* ------------------------------------------------------------------------
+ * %.17g without libm.  A finite non-zero |x| = m 2^e (m < 2^53) has
+ * k = floor(log10 |x|) and 17 significant digits D = round(|x| 10^s),
+ * s = 16 - k, rounded half to even.  For 0 <= s <= 32, m 5^s fits 128
+ * bits (5^32 < 2^75), so D is that product shifted by e + s.  Values
+ * outside those s (below about 1e-16, from 1e17 up) go to snprintf.
+ */
+
+typedef unsigned __int128 u128;
+
+static const uint64_t E16 = 10000000000000000ULL, E17 = 100000000000000000ULL;
+
+/* floor(n log10 2), to within one either way: scaled() corrects it */
+static int log10_pow2(int n)
+{
+    int64_t t = (int64_t)n * 78913;
+    return (int)(t >= 0 ? t >> 18 : -((-t + (1 << 18) - 1) >> 18));
+}
+
+/* floor(m 2^e 10^s) into *fl and whether round-half-even lifts it by one;
+ * 0 when s is outside [0, 32], or when a k off by more than one would
+ * overflow a shift */
+static int scaled(uint64_t m, int e, int s, const u128 *pow5, uint64_t *fl, int *up)
+{
+    if (s < 0 || s > 32)
+        return 0;
+    u128 n = (u128)m * pow5[s];
+    int sh = e + s;
+    if (sh >= 0) {
+        /* |x| 10^s is an integer; only a wrong k can make it this large */
+        if (sh >= 64 || n >> (64 - sh))
+            return 0;
+        *fl = (uint64_t)(n << sh), *up = 0;
+        return 1;
+    }
+    if (-sh >= 128)
+        return 0;
+    u128 q = n >> -sh, rem = n - (q << -sh), half = (u128)1 << (-sh - 1);
+    if (q >> 64)
+        return 0;
+    *fl = (uint64_t)q;
+    *up = rem > half || (rem == half && (q & 1));
+    return 1;
+}
+
+static const char PAIRS[] =
+    "00010203040506070809"
+    "10111213141516171819"
+    "20212223242526272829"
+    "30313233343536373839"
+    "40414243444546474849"
+    "50515253545556575859"
+    "60616263646566676869"
+    "70717273747576777879"
+    "80818283848586878889"
+    "90919293949596979899";
+
+/* the 17 digits of 10^16 <= d < 10^17, two at a time from two halves */
+static void digits17(char *dig, uint64_t d)
+{
+    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
+    for (int i = 15; i >= 9; i -= 2, lo /= 100)
+        memcpy(dig + i, PAIRS + 2 * (lo % 100), 2);
+    for (int i = 7; i >= 1; i -= 2, hi /= 100)
+        memcpy(dig + i, PAIRS + 2 * (hi % 100), 2);
+    dig[0] = (char)('0' + hi);
+}
+
+static char *put_uint(char *s, uint64_t v)
+{
+    char tmp[20];
+    int n = 0;
+    do {
+        tmp[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *s++ = tmp[--n];
+    return s;
+}
+
+static char *put_g17(char *s, double x, const u128 *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int neg = (int)(bits >> 63), be = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    if (be == 0x7ff && m) { /* Python prints nan whatever its sign */
+        memcpy(s, "nan", 3);
+        return s + 3;
+    }
+    if (neg)
+        *s++ = '-';
+    if (be == 0x7ff) {
+        memcpy(s, "inf", 3);
+        return s + 3;
+    }
+    if (be == 0 && m == 0) {
+        *s++ = '0';
+        return s;
+    }
+    int e = -1074;
+    if (be)
+        m |= 1ULL << 52, e = be - 1075;
+    /* 2^top <= |x| < 2^(top+1) */
+    int k = log10_pow2(e + 63 - __builtin_clzll(m));
+    uint64_t d;
+    int up, ok;
+    /* correct k on the floor, before rounding, until it has 17 digits */
+    for (;;) {
+        ok = scaled(m, e, 16 - k, pow5, &d, &up);
+        if (!ok || (d >= E16 && d < E17))
+            break;
+        k += d < E16 ? -1 : 1;
+    }
+    if (!ok) {
+        char tmp[32];
+        int n = snprintf(tmp, sizeof tmp, "%.17g", neg ? -x : x);
+        memcpy(s, tmp, (size_t)n);
+        return s + n;
+    }
+    d += (uint64_t)up;
+    if (d == E17)
+        d = E16, k++;
+    char dig[17];
+    digits17(dig, d);
+    int nd = 17;
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (k >= 0 && k < 17) {
+        memcpy(s, dig, (size_t)k + 1);
+        s += k + 1;
+        if (nd > k + 1) {
+            *s++ = '.';
+            memcpy(s, dig + k + 1, (size_t)(nd - k - 1));
+            s += nd - k - 1;
+        }
+    } else if (k >= -4 && k < 0) {
+        *s++ = '0', *s++ = '.';
+        for (int i = -1; i > k; i--)
+            *s++ = '0';
+        memcpy(s, dig, (size_t)nd);
+        s += nd;
+    } else {
+        *s++ = dig[0];
+        if (nd > 1) {
+            *s++ = '.';
+            memcpy(s, dig + 1, (size_t)nd - 1);
+            s += nd - 1;
+        }
+        *s++ = 'e', *s++ = k < 0 ? '-' : '+';
+        if (k < 0)
+            k = -k;
+        if (k < 10)
+            *s++ = '0';
+        s = put_uint(s, (uint64_t)k);
+    }
+    return s;
+}
+
+int64_t symsplit_format_rows(const double *rows, int64_t nrows, int64_t ncols,
+                             const unsigned char *int_cols, char *out)
+{
+    u128 pow5[33];
+    pow5[0] = 1;
+    for (int i = 1; i <= 32; i++)
+        pow5[i] = pow5[i - 1] * 5;
+    char *s = out;
+    for (int64_t i = 0; i < nrows; i++) {
+        for (int64_t j = 0; j < ncols; j++) {
+            double v = rows[i * ncols + j];
+            if (!int_cols[j]) {
+                s = put_g17(s, v, pow5);
+            } else if (v > -9223372036854775808.0 && v < 9223372036854775808.0) {
+                int64_t iv = (int64_t)v; /* "%d" truncates, as int() does */
+                if (iv < 0)
+                    *s++ = '-';
+                s = put_uint(s, iv < 0 ? -(uint64_t)iv : (uint64_t)iv);
+            } else {
+                return -1;
+            }
+            *s++ = j + 1 < ncols ? ',' : '\n';
+        }
+    }
+    return s - out;
 }

@@ -391,23 +391,24 @@ def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
     return rows, run.failure
 
 
-def _write_csv(path: Path, meta, header: str, lines) -> None:
-    """The ``#`` metadata block with its config hash, the header, the lines."""
+def _write_csv(path: Path, meta, header: str, body: str) -> None:
+    """The ``#`` metadata block with its config hash, the header, then
+    ``body``, whole newline-terminated lines."""
     block = [f"# symsplit {__version__}", *(f"# {key}: {value}" for key, value in meta),
-             f"# config_hash: {config_hash(meta)}", header, *lines]
+             f"# config_hash: {config_hash(meta)}", header]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(block) + "\n")
+    path.write_text("\n".join(block) + "\n" + body)
 
 
 def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
     """Trace CSV of ``_trace_rows`` rows; ``truncated`` is the footer's reason."""
     qcols = ",".join(f"q{i}" for i in range(dim))
     pcols = ",".join(f"p{i}" for i in range(dim))
-    row = ",".join(["%d"] + ["%.17g"] * (2 * dim + 3) + ["%d", "%.17g"])
-    lines = [row % tuple(values) for values in rows.tolist()]
+    # step and newton_iters are integers
+    body = fastpath.format_rows(rows, (0, 2 * dim + 4))
     if truncated is not None:
-        lines.append(f"# truncated: {truncated}")
-    _write_csv(path, meta, TRACE_COLUMNS.format(q=qcols, p=pcols), lines)
+        body += f"# truncated: {truncated}\n"
+    _write_csv(path, meta, TRACE_COLUMNS.format(q=qcols, p=pcols), body)
 
 
 def _failure_reason(failure) -> str:
@@ -524,11 +525,11 @@ def cmd_order(args) -> int:
         ("potential", "quartic"),
         ("t_final", _fmt(t_final)),
     ]
-    lines = [",".join((label, _fmt(report.tau_coarse), _fmt(report.tau_fine),
-                       _fmt(report.error_fine), _fmt(report.measured_order)))
-             for label, report in rows]
+    body = "".join(",".join((label, _fmt(report.tau_coarse), _fmt(report.tau_fine),
+                             _fmt(report.error_fine), _fmt(report.measured_order))) + "\n"
+                   for label, report in rows)
     _write_csv(out_dir / "orders.csv", meta,
-               "scheme,tau_coarse,tau_fine,error_norm,measured_order", lines)
+               "scheme,tau_coarse,tau_fine,error_norm,measured_order", body)
     return 0 if all_good else 3
 
 

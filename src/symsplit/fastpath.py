@@ -18,7 +18,9 @@ convention of the loop: its ctypes argtypes refuse an array of the wrong
 dtype or layout, and when the compiler or the load fails,
 ``_python_kernel`` takes the same arguments and runs the same loop in
 plain Python, bit for bit.  ``BACKEND`` names the loop that runs and
-``BACKEND_REASON`` says why.
+``BACKEND_REASON`` says why.  The same library formats trace CSV rows:
+``format_rows`` is ``symsplit_format_rows`` on the C backend and the
+``%``-template ``_template_rows`` otherwise, with the same bytes.
 
 ``simulate`` is the single point that decides which backend runs: the
 kernel through ``fast_run`` when ``eligible`` allows it, the generic
@@ -31,7 +33,7 @@ import ctypes
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +51,8 @@ from .operators import (
     generating_orders,
 )
 
-__all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for"]
+__all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for",
+           "format_rows"]
 
 _KERNEL_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
@@ -162,12 +165,21 @@ class FastTables:
     kick: tuple
     gq: tuple
     gp: tuple
+    _folded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def fold(self, tau: float):
-        """Fold tau powers into float coefficient arrays for the kernel."""
-        vg, cq, cp = ((np.array([tau**n for n in powers])[:, None, None] * stack).sum(axis=0)
-                      for powers, stack in (self.kick, self.gq, self.gp))
-        return vg[0], cq, cp
+        """Fold tau powers into float coefficient arrays for the kernel.
+
+        Each tau is folded once; later calls return the same read-only arrays.
+        """
+        folded = self._folded.get(tau)
+        if folded is None:
+            vg, cq, cp = ((np.array([tau**n for n in powers])[:, None, None] * stack).sum(axis=0)
+                          for powers, stack in (self.kick, self.gq, self.gp))
+            folded = self._folded[tau] = (vg[0], cq, cp)
+            for arr in folded:
+                arr.flags.writeable = False
+        return folded
 
 
 _TABLE_CACHE: dict = {}
@@ -341,10 +353,14 @@ _C_ARGTYPES = (
      _ARR, _I64, _I64, _ARR, _I64, _F64, _I64, _F64, _I64, _I64]
     + [_ARR] * 3 + [_IARR, _ARR, _F64] + [_I64] * 4 + [_ARR, _IARR]
 )
+# symsplit_format_rows(rows, nrows, ncols, int_cols, out)
+_FORMAT_ARGTYPES = [_ARR, _I64, _I64, ctypes.c_char_p, ctypes.c_char_p]
+# the longest field symsplit_format_rows writes, plus its separator
+_FIELD_BYTES, _INT_FIELD_BYTES = 25, 21
 
 
 def _load_c_kernel(cc: str, cache: Path):
-    """(C kernel, reason), or (None, reason) when it cannot be built or loaded.
+    """(C library, reason), or (None, reason) when it cannot be built or loaded.
 
     The library is built once per (source, compiler, flags) into ``cache``
     through a temporary file and ``os.replace``, so a concurrent import
@@ -376,19 +392,48 @@ def _load_c_kernel(cc: str, cache: Path):
             if tmp.exists():
                 tmp.unlink()
     try:
-        kernel = ctypes.CDLL(str(lib)).symsplit_kernel
+        dll = ctypes.CDLL(str(lib))
+        kernel, format_c = dll.symsplit_kernel, dll.symsplit_format_rows
     except (OSError, AttributeError) as err:
         return None, f"cannot load {lib.name}: {err}"
     kernel.argtypes = _C_ARGTYPES
     kernel.restype = ctypes.c_int
-    return kernel, f"{lib.name} built by {cc}"
+    format_c.argtypes = _FORMAT_ARGTYPES
+    format_c.restype = ctypes.c_int64
+    return dll, f"{lib.name} built by {cc}"
 
 
-_c_kernel, BACKEND_REASON = _load_c_kernel(os.environ.get("CC") or "cc",
-                                           _SOURCE.parent / "__pycache__")
-BACKEND = "c" if _c_kernel is not None else "python-fallback"
-# the one stepping loop fast_run calls
+def _template_rows(rows, int_cols) -> str:
+    """CSV lines of a 2-D float array: ``"%d"`` for the columns listed in
+    ``int_cols``, ``"%.17g"`` for the others, each line ending in a newline.
+
+    The reference the C formatter must match byte for byte.
+    """
+    row = ",".join("%d" if j in int_cols else "%.17g" for j in range(rows.shape[1])) + "\n"
+    return "".join(row % tuple(values) for values in rows.tolist())
+
+
+def _c_rows(rows, int_cols) -> str:
+    """``_template_rows`` by ``symsplit_format_rows``, the same bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    nrows, ncols = rows.shape
+    flags = bytes(j in int_cols for j in range(ncols))
+    out = ctypes.create_string_buffer(
+        nrows * sum(_INT_FIELD_BYTES if f else _FIELD_BYTES for f in flags))
+    size = _c_lib.symsplit_format_rows(rows, nrows, ncols, flags, out)
+    if size < 0:
+        raise ValueError("an integer column holds a non-finite value or one "
+                         "of magnitude 2**63 or more")
+    return str(memoryview(out)[:size], "ascii")
+
+
+_c_lib, BACKEND_REASON = _load_c_kernel(os.environ.get("CC") or "cc",
+                                        _SOURCE.parent / "__pycache__")
+_c_kernel = _c_lib.symsplit_kernel if _c_lib is not None else None
+BACKEND = "c" if _c_lib is not None else "python-fallback"
+# the one stepping loop fast_run calls, and the one row formatter of traces
 _kernel = _c_kernel or _python_kernel
+format_rows = _c_rows if _c_lib is not None else _template_rows
 # numba is gone; perfbench/workloads.py still reads this flag for its label
 HAVE_NUMBA = False
 

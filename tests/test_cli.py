@@ -2,10 +2,12 @@
 import hashlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from symsplit import fastpath
 from symsplit.cli import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from symsplit.cli import (
     parse_scheme,
     read_config_file,
     scheme_label,
+    write_trace,
 )
 from symsplit.integrators import SchemeConfig
 
@@ -547,3 +550,40 @@ def test_figure_one_csv_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in tmp_path.glob("*.csv")} == _FIGURE_ONE_SHA256
+
+
+# the C row formatter against its reference, the %-template, in one process
+_FORMATTERS = {"c": fastpath._c_rows, "template": fastpath._template_rows}
+needs_c = pytest.mark.skipif(fastpath._c_lib is None,
+                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
+
+
+@needs_c
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_pinned_runs_agree_across_formatters(name, tmp_path, capsys):
+    digests = set()
+    for label, rows in _FORMATTERS.items():
+        (tmp_path / label).mkdir()
+        with mock.patch.object(fastpath, "format_rows", rows):
+            digests.add(_pinned_run(name, tmp_path / label))
+    capsys.readouterr()
+    assert digests == {(_PINNED_RUNS[name][1], _PINNED_SHA256[name])}
+
+
+@needs_c
+def test_write_trace_of_special_values(tmp_path):
+    # nan of either sign, both infinities, -0, the least subnormal, a huge value
+    neg_nan = -np.float64(np.nan)
+    specials = [np.nan, neg_nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+    rows = np.array([[i, 0.1 * i, x, -x, x, 2.0 * x, i % 3, abs(x)]
+                     for i, x in enumerate(specials)])
+    written = {}
+    for label, fmt in _FORMATTERS.items():
+        with mock.patch.object(fastpath, "format_rows", fmt):
+            write_trace(tmp_path / f"{label}.csv", [("scheme", "test")], 1, rows,
+                        truncated="test")
+        written[label] = (tmp_path / f"{label}.csv").read_bytes()
+    assert written["c"] == written["template"]
+    assert [ln.split(",")[2] for ln in _data_rows(tmp_path / "c.csv")] == [
+        "nan", "nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1.0000000000000001e+300"]
+    assert _lines(tmp_path / "c.csv")[-1] == "# truncated: test"

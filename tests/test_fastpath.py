@@ -8,6 +8,7 @@ The C loop and the Python loop of the kernel agree bit for bit.
 """
 import ctypes
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -410,6 +411,10 @@ def test_tables_are_cached(quartic, mass1):
     assert t1 is t2
     t3 = fastpath.tables_for(quartic, mass1, 4)
     assert t3 is not t1
+    # each tau is folded once, into arrays no caller can change
+    folded = t1.fold(0.1)
+    assert t1.fold(0.1) is folded and t1.fold(0.2) is not folded
+    assert not any(arr.flags.writeable for arr in folded)
 
 
 class _OpaquePolynomial(Polynomial1D):
@@ -444,3 +449,41 @@ def test_fast_equals_generic_on_random_polynomials(order, coeffs, m, tau, q, p):
         _assert_bit_identical(*_on_both_kernels(
             x0, cfg, Polynomial1D(coeffs), mass, 8, rec_range=(0, 9),
             range_a=(1, 5), range_b=(4, 9)))
+
+
+# where the C formatter's digit count, layout or fallback changes:
+# 9.9999999999999998e-17 is the largest double below 1e-16
+_FORMAT_EDGES = [9.9999999999999998e-17, 1e-16, 9.999999999999999e16, 1e16, 1e17,
+                 1e-4, 1e-5, 2.0**63, 1e22, 1e23, 5e-324, sys.float_info.max, 0.0]
+
+
+@needs_c
+@pytest.mark.parametrize("x", _FORMAT_EDGES + [-x for x in _FORMAT_EDGES])
+def test_c_rows_edges(x):
+    rows = np.array([[x]])
+    assert fastpath._c_rows(rows, ()) == fastpath._template_rows(rows, ()) == "%.17g\n" % x
+
+
+@needs_c
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_c_rows_equal_the_template_on_raw_doubles(bits):
+    # every 64-bit pattern is a double: NaNs of both signs, infinities,
+    # subnormals and both zeros included
+    rows = np.array(struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)))
+    rows = rows.reshape(-1, 1) if len(bits) % 2 else rows.reshape(-1, 2)
+    assert fastpath._c_rows(rows, ()) == fastpath._template_rows(rows, ())
+
+
+@needs_c
+def test_c_rows_integer_columns():
+    # "%d" truncates toward zero, as int() does
+    rows = np.array([[0.0, 0.5], [7.0, -0.0], [-3.0, 1e-300], [2.0**53, 2.5],
+                     [-2.7, -1.0], [1e18, 3.0]])
+    text = fastpath._c_rows(rows, (0,))
+    assert text == fastpath._template_rows(rows, (0,))
+    assert [line.split(",")[0] for line in text.splitlines()] == [
+        "0", "7", "-3", "9007199254740992", "-2", "1000000000000000000"]
+    for bad in (np.nan, np.inf, 2.0**63, -2.0**64):
+        with pytest.raises(ValueError):
+            fastpath._c_rows(np.array([[bad, 1.0]]), (0,))
