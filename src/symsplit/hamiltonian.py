@@ -14,6 +14,7 @@ differencing enters any integrator path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,9 +26,17 @@ def _as_vector(x, name="array"):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+@cache
+def _basis(dim: int) -> np.ndarray:
+    """The read-only identity of size dim, whose rows are the basis vectors."""
+    basis = np.eye(dim)
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,10 @@ class Potential:
 
     exactly (no finite differences).  The contraction is symmetric in the
     directions and linear in each of them.
+
+    A subclass may also override the optional hook
+    :meth:`_gradient_contract`, which returns D^{k+1} V(q)[u_1, ..., u_k, .]
+    as one vector; the default builds it from d calls to :meth:`_contract`.
     """
 
     def value(self, q: np.ndarray) -> float:
@@ -145,6 +158,19 @@ class Potential:
 
     def _contract(self, q: np.ndarray, dirs: list) -> float:
         raise NotImplementedError
+
+    def _gradient_contract(self, q: np.ndarray, dirs: list, memo=None) -> np.ndarray:
+        """D^{k+1}V(q)[dirs, .] as one vector, k = len(dirs).
+
+        ``memo`` is a dict the caller keeps for this one q, where an
+        override may keep values that depend on q alone; the operator
+        engine passes one per workspace.  Row a of the result is
+        ``_contract(q, [e_a, *dirs])``.
+        """
+        vec = np.empty(q.size)
+        for a, row in enumerate(_basis(q.size)):
+            vec[a] = self._contract(q, [row, *dirs])
+        return vec
 
     # Optional structure probes used for dispatch; None means "not this shape".
 
@@ -197,6 +223,19 @@ class Polynomial1D(Potential):
         for u in dirs:
             acc *= u[0]
         return acc
+
+    def _gradient_contract(self, q, dirs, memo=None):
+        # _contract's product without its factor e_0[0] = 1.0, which is
+        # exact; the derivative value is taken once per memo
+        order = len(dirs) + 1
+        acc = None if memo is None else memo.get(order)
+        if acc is None:
+            acc = self._poly(q, order)
+            if memo is not None:
+                memo[order] = acc
+        for u in dirs:
+            acc *= u[0]
+        return np.array([acc])
 
     def poly1d_coefficients(self):
         return self.coefficients
@@ -286,6 +325,13 @@ class Quadratic(Potential):
         if len(dirs) == 2:
             return float(dirs[0] @ (self.stiffness @ dirs[1]))
         return 0.0
+
+    def _gradient_contract(self, q, dirs, memo=None):
+        # e_a . (K u) is (K u)[a]: matmul never yields -0.0, so the rows
+        # _contract would give are these bits for finite directions
+        if len(dirs) > 1:
+            return np.zeros(q.size)
+        return self.stiffness @ (dirs[0] if dirs else q)
 
     def poly1d_coefficients(self):
         if self.stiffness.shape == (1, 1):

@@ -122,9 +122,13 @@ class StepReport:
 
 def _state(q, p) -> PhasePoint:
     """PhasePoint(q, p); NonFiniteState if the step left the finite doubles."""
-    if not (np.isfinite(q).all() and np.isfinite(p).all()):
-        raise NonFiniteState()
-    return PhasePoint(q, p)
+    try:
+        return PhasePoint(q, p)
+    except ValueError:
+        # PhasePoint refuses non-finite entries; look again only on refusal
+        if np.isfinite(q).all() and np.isfinite(p).all():
+            raise
+        raise NonFiniteState() from None
 
 
 def kick(x: PhasePoint, h: float, potential: Potential, mass: MassMatrix,

@@ -15,9 +15,14 @@ by the product rule yields a sum of fully contracted derivative tensors of
 V whose direction vectors are either ``M p`` or nested contractions like
 ``M d2V (M dV)``.  Each table entry (one order of a correction table, or
 a single word) is expanded symbolically and its words merged into one
-exact term list once, on first use; evaluation then only ever calls the
-potential's exact ``dir_deriv`` contraction, so values and gradients carry
-no truncation error beyond floating-point roundoff.
+exact term list once, on first use.  Freezing the entry interns every
+node to an integer id, children first, and plans each of its node lists:
+the q-only ids it needs and the momentum-dependent ones, in id order.  A
+:class:`Workspace` runs that tape, keeping node vectors by id, and sums a
+list in one pass over the stack of its vectors.  Evaluation only ever
+calls the potential's exact contractions (``_contract`` and its
+``_gradient_contract`` hook), so values and gradients carry no truncation
+error beyond floating-point roundoff.
 
 Coefficient tables are stored as ``fractions.Fraction`` and converted to
 float once, so rational identities (for instance the harmonic reduction of
@@ -27,6 +32,7 @@ precision.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -288,33 +294,104 @@ def _table_expansion(entries) -> dict:
     return total
 
 
-@cache
+# v nodes are interned to integer ids when a table is frozen.  Children are
+# interned first, so a node's id is larger than its children's and id order
+# is an evaluation order.
+_NODE_IDS: dict = {}      # v node -> id
+_CHILDREN: list = []      # id -> child ids in the node's order, -1 for the momentum
+_ON_P: list = []          # id -> whether the node's value involves the momentum
+
+
+def _intern(node) -> int:
+    if node == _P:
+        return -1
+    i = _NODE_IDS.get(node)
+    if i is None:
+        kids = tuple(_intern(sub) for sub in node[1])
+        i = _NODE_IDS[node] = len(_CHILDREN)
+        _CHILDREN.append(kids)
+        _ON_P.append(any(k < 0 or _ON_P[k] for k in kids))
+    return i
+
+
+class _Plan:
+    """The node ids a frozen list needs, each segment in id order: ``q_ids``
+    depend on q alone, ``p_ids`` on the momentum as well."""
+
+    __slots__ = ("q_ids", "p_ids")
+
+    def __init__(self, ids):
+        need, todo = set(), [i for i in ids if i >= 0]
+        while todo:
+            i = todo.pop()
+            if i not in need:
+                need.add(i)
+                todo.extend(k for k in _CHILDREN[i] if k >= 0)
+        self.q_ids = sorted(i for i in need if not _ON_P[i])
+        self.p_ids = sorted(i for i in need if _ON_P[i])
+
+
+class _Terms(_Plan):
+    """Frozen value terms: coeff times D^kV[children], children as node ids."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, frozen):
+        self.terms = [(coeff, tuple(_intern(sub) for sub in children))
+                      for coeff, children in frozen]
+        super().__init__(k for _, kids in self.terms for k in kids)
+
+
+class _Nodes(_Plan):
+    """A frozen node list: the sum of coeff times each v node's vector."""
+
+    __slots__ = ("coeffs", "ids")
+
+    def __init__(self, frozen):
+        self.coeffs = np.array([coeff for coeff, _ in frozen]).reshape(-1, 1)
+        self.ids = np.array([_intern(node) for _, node in frozen], dtype=np.intp)
+        super().__init__(self.ids.tolist())
+
+
+# frozen terms by id(entries), with the entries kept alive beside them.  The
+# tables are module constants and single words come from _word_entries, so
+# a lookup hashes one int where a cache key would hash every Fraction.
+_FROZEN: dict = {}
+# interning reads and extends the node lists: one table is frozen at a time
+_FREEZING = threading.Lock()
+
+
 def _table_terms(entries) -> tuple:
-    """Frozen value terms, grad-q v nodes and grad-mom v nodes of one entry."""
-    expansion = _table_expansion(entries)
-    return (_freeze(expansion), _freeze(_rewrite(expansion, _grad_q_nodes)),
-            _freeze(_rewrite(expansion, _grad_mom_nodes)))
+    """Value terms, grad-q nodes and grad-mom nodes of one table entry."""
+    hit = _FROZEN.get(id(entries))
+    if hit is None:
+        with _FREEZING:
+            hit = _FROZEN.get(id(entries))
+            if hit is None:
+                expansion = _table_expansion(entries)
+                hit = _FROZEN[id(entries)] = (entries, (
+                    _Terms(_freeze(expansion)),
+                    _Nodes(_freeze(_rewrite(expansion, _grad_q_nodes))),
+                    _Nodes(_freeze(_rewrite(expansion, _grad_mom_nodes)))))
+    return hit[1]
 
 
-# Whether a node's value involves the momentum.
-_HAS_P: dict = {_P: True}
-
-
-def _has_p(node) -> bool:
-    cached = _HAS_P.get(node)
-    if cached is None:
-        cached = _HAS_P[node] = any(_has_p(sub) for sub in node[1])
-    return cached
+@cache
+def _word_entries(word: OperatorWord) -> tuple:
+    """The table entry of one word with coefficient 1, one object per word."""
+    return ((1, word),)
 
 
 class Workspace:
     """Evaluation workspace bound to one (potential, mass, q).
 
-    Keeps two caches mapping a v node to its pair (D^{k+1}V[children, .],
-    M times it): one for nodes free of the momentum, kept for the
-    workspace's life, so implicit solves that re-evaluate at fixed q pay
-    only for momentum-dependent work; one for the other nodes, cleared by
-    ``set_mom``.  Term scalars are not cached: for one momentum a step
+    The vector D^{k+1}V[children, .] of v node i is row i of one array, and
+    its raised direction (M times it) entry i of a list beside it.  A frozen
+    list's plan runs in two segments: its q-only nodes once for the
+    workspace's life, so implicit solves that re-evaluate at fixed q pay only
+    for momentum-dependent work, and its momentum-dependent nodes once per
+    ``set_mom``, which drops them.  A node shared by several lists is
+    evaluated once.  Term scalars are not kept: for one momentum a step
     never asks for the same term twice.
     """
 
@@ -323,54 +400,73 @@ class Workspace:
         self.mass = mass.mat
         self.q = np.asarray(q, dtype=float)
         self.dim = self.q.size
-        self.basis = np.eye(self.dim)
         self.p_vec = None
-        self._q_vals = {}
-        self._p_vals = {}
+        self._memo = {}          # the potential's per-q values
+        self._vecs = np.empty((0, self.dim))
+        self._dirs = []
+        self._have = []
+        self._p_have = []        # momentum-dependent ids evaluated since set_mom
 
     def set_mom(self, mom) -> None:
         self.p_vec = self.mass @ np.asarray(mom, dtype=float)
-        self._p_vals.clear()
+        for i in self._p_have:
+            self._have[i] = False
+            self._dirs[i] = None
+        self._p_have.clear()
 
-    def _pair(self, node):
-        cache = self._p_vals if _has_p(node) else self._q_vals
-        pair = cache.get(node)
-        if pair is None:
-            children = [self._direction(sub) for sub in node[1]]
-            if children:
-                # contract all but one slot; the bypass of dir_deriv's
-                # argument checks matters in implicit-solve loops
-                contract = self.potential._contract
-                vec = np.empty(self.dim)
-                for a in range(self.dim):
-                    vec[a] = contract(self.q, [self.basis[a]] + children)
-            else:
-                vec = self.potential.gradient(self.q)
-            pair = cache[node] = (vec, self.mass @ vec)
-        return pair
-
-    def _direction(self, node):
-        if node == _P:
+    def _direction(self, k):
+        if k < 0:
             if self.p_vec is None:
                 raise ValueError("word has momentum atoms but no momentum was given")
             return self.p_vec
-        return self._pair(node)[1]
+        vec = self._dirs[k]
+        if vec is None:
+            vec = self._dirs[k] = self.mass @ self._vecs[k]
+        return vec
+
+    def _evaluate(self, ids, log=None) -> None:
+        """Evaluate the nodes of ids not yet held, each appended to log."""
+        potential, q, memo, have = self.potential, self.q, self._memo, self._have
+        for i in ids:
+            if have[i]:
+                continue
+            kids = _CHILDREN[i]
+            if kids:
+                dirs = [self._direction(k) for k in kids]
+                self._vecs[i] = potential._gradient_contract(q, dirs, memo)
+            else:
+                self._vecs[i] = potential.gradient(q)
+            have[i] = True
+            if log is not None:
+                log.append(i)
+
+    def _run(self, plan: _Plan) -> None:
+        grow = len(_CHILDREN) - len(self._have)
+        if grow > 0:
+            self._vecs = np.concatenate([self._vecs, np.empty((grow, self.dim))])
+            self._dirs += [None] * grow
+            self._have += [False] * grow
+        self._evaluate(plan.q_ids)
+        self._evaluate(plan.p_ids, self._p_have)
 
     def term_value(self, children) -> float:
         if not children:
             return self.potential.value(self.q)
-        dirs = [self._direction(sub) for sub in children]
+        dirs = [self._direction(k) for k in children]
         return float(self.potential._contract(self.q, dirs))
 
-    def eval_terms(self, terms) -> float:
-        return sum(coeff * self.term_value(children) for coeff, children in terms)
+    def eval_terms(self, terms: _Terms) -> float:
+        self._run(terms)
+        return sum(coeff * self.term_value(children) for coeff, children in terms.terms)
 
-    def eval_nodes(self, nodes) -> np.ndarray:
+    def eval_nodes(self, nodes: _Nodes) -> np.ndarray:
         """Sum of coeff times each v node's vector D^{k+1}V[children, .]."""
-        out = np.zeros(self.dim)
-        for coeff, node in nodes:
-            out += coeff * self._pair(node)[0]
-        return out
+        if not nodes.ids.size:
+            return np.zeros(self.dim)
+        self._run(nodes)
+        # cumsum adds in list order, as ``out += coeff * vec`` from zeros
+        # does; adding 0.0 gives that zero start's sign to an all -0.0 sum
+        return (nodes.coeffs * self._vecs[nodes.ids]).cumsum(axis=0)[-1] + 0.0
 
 
 def _workspace(potential, mass, q, mom, workspace=None):
@@ -394,17 +490,17 @@ def _grad_mom(entries, ws) -> np.ndarray:
 
 def apply_word(word, potential, mass, q, mom=None, workspace=None) -> float:
     """Evaluate a derivative word applied to V at position q, momentum mom."""
-    return _value(((1, word),), _workspace(potential, mass, q, mom, workspace))
+    return _value(_word_entries(word), _workspace(potential, mass, q, mom, workspace))
 
 
 def grad_word_q(word, potential, mass, q, mom=None, workspace=None) -> np.ndarray:
     """Exact gradient of ``apply_word`` with respect to q."""
-    return _grad_q(((1, word),), _workspace(potential, mass, q, mom, workspace))
+    return _grad_q(_word_entries(word), _workspace(potential, mass, q, mom, workspace))
 
 
 def grad_word_mom(word, potential, mass, q, mom=None, workspace=None) -> np.ndarray:
     """Exact gradient of ``apply_word`` with respect to mom."""
-    return _grad_mom(((1, word),), _workspace(potential, mass, q, mom, workspace))
+    return _grad_mom(_word_entries(word), _workspace(potential, mass, q, mom, workspace))
 
 
 def _check_generator_order(table, n):

@@ -1,6 +1,8 @@
 """Splitting steps: kicks, moves, the implicit corrected move, exact
 quadratic stepping and the integrate driver."""
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from symsplit.hamiltonian import (
     MassMatrix,
     PhasePoint,
     Polynomial1D,
+    Potential,
     Quadratic,
     Quartic,
     hamiltonian,
@@ -414,3 +417,60 @@ def test_integrate_polynomial_potential_with_heavy_mass():
     h0 = hamiltonian(x, pot, mass)
     y = integrate(x, cfg, pot, mass, 200)
     assert abs(hamiltonian(y, pot, mass) - h0) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of the generic engine beyond quadratic potentials
+
+
+class _HenonHeiles(Potential):
+    """V = (x^2 + y^2) / 2 + x^2 y - y^3 / 3, exact contractions only."""
+
+    def value(self, q):
+        x, y = q
+        return 0.5 * (x * x + y * y) + x * x * y - y**3 / 3.0
+
+    def gradient(self, q):
+        x, y = q
+        return np.array([x + 2.0 * x * y, y + x * x - y * y])
+
+    def _contract(self, q, dirs):
+        x, y = q
+        if len(dirs) == 1:
+            return float(dirs[0] @ self.gradient(q))
+        if len(dirs) == 2:
+            u, v = dirs
+            return ((1.0 + 2.0 * y) * u[0] * v[0] + 2.0 * x * (u[0] * v[1] + u[1] * v[0])
+                    + (1.0 - 2.0 * y) * u[1] * v[1])
+        if len(dirs) == 3:
+            u, v, w = dirs
+            return (2.0 * (u[0] * v[0] * w[1] + u[0] * v[1] * w[0] + u[1] * v[0] * w[0])
+                    - 2.0 * u[1] * v[1] * w[1])
+        return 0.0
+
+
+def _observed_digest(x0, potential, mass, n_steps=20):
+    """sha256 of every observed state and StepReport of order-8 steps."""
+    digest = hashlib.sha256()
+
+    def observer(i, t, x, report):
+        digest.update(x.q.tobytes() + x.p.tobytes())
+        digest.update(struct.pack("<qd", report.newton_iterations, report.newton_residual))
+
+    integrate(x0, SchemeConfig("corrected_kmk", 0.1, order=8), potential, mass,
+              n_steps, observer=observer)
+    return digest.hexdigest()
+
+
+# computed before the generic engine's node tape replaced its tuple-keyed
+# caches; a change to operators or the Newton solve must leave them alone
+def test_henon_heiles_steps_are_pinned():
+    mass = MassMatrix([[1.5, 0.2], [0.2, 0.8]])
+    x0 = _x([0.1, -0.2], [0.3, 0.15])
+    assert _observed_digest(x0, _HenonHeiles(), mass) == (
+        "320bb0ee7ae8ffeff917d08b7a5cb907024d06521456ff9166e55b6389affe46")
+
+
+def test_opaque_quartic_steps_are_pinned(opaque_quartic, mass1, x_unit):
+    assert _observed_digest(x_unit, opaque_quartic, mass1) == (
+        "c67a18208f5c6e23b5ffc4c44d77bdc131715241d0e7684a349561109789ab2f")

@@ -12,8 +12,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symsplit.hamiltonian import Harmonic, MassMatrix, PhasePoint, Potential, Quartic
+from symsplit import operators
+from symsplit.hamiltonian import (
+    Harmonic,
+    MassMatrix,
+    PhasePoint,
+    Polynomial1D,
+    Potential,
+    Quadratic,
+    Quartic,
+)
 from symsplit.integrators import SchemeConfig, integrate
 from symsplit.operators import (
     GENERATING_TERMS,
@@ -149,6 +160,125 @@ def test_step_contractions_grow_linearly_in_dimension():
         calls[d] = count[0]
     for d in (2, 4, 8):
         assert calls[d] <= d * calls[1] * 1.05, calls
+
+
+# ---------------------------------------------------------------------------
+# the node tape against a plain evaluation, bit for bit
+
+# coordinates with both zeros drawn often: a sign of zero may flip a product
+_coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+
+
+def _spd(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return a @ a.T / dim + 0.5 * np.eye(dim)
+
+
+@st.composite
+def _problems(draw):
+    """(potential, mass) of one of the four kinds the engine has hooks for."""
+    kind = draw(st.sampled_from(["quartic", "poly1d", "quadratic3d", "harmonic2d"]))
+    if kind == "quartic":
+        return Quartic(), MassMatrix.identity(1)
+    if kind == "poly1d":
+        coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7))
+        return Polynomial1D(coeffs), MassMatrix(draw(st.floats(0.25, 4.0)))
+    if kind == "quadratic3d":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        return Quadratic(_spd(rng, 3)), MassMatrix(_spd(rng, 3))
+    return Harmonic(draw(st.floats(0.5, 2.0))), MassMatrix([[1.5, 0.2], [0.2, 0.8]])
+
+
+def _plain_sum(entries, walk, potential, mass, q, mom):
+    """Sum of a table's nodes: each node's vector from the base class's
+    basis-row loop, added one by one from zeros."""
+    raised = mass.mat @ mom
+
+    def vector(node):
+        dirs = [raised if sub == operators._P else mass.mat @ vector(sub)
+                for sub in node[1]]
+        if not dirs:
+            return potential.gradient(q)
+        return Potential._gradient_contract(potential, q, dirs)
+
+    nodes = operators._freeze(operators._rewrite(operators._table_expansion(entries), walk))
+    out = np.zeros(q.size)
+    for coeff, node in nodes:
+        out += coeff * vector(node)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(problem=_problems(), order=st.sampled_from([4, 6, 8]),
+       tau=st.floats(0.01, 0.5), data=st.data())
+def test_tape_matches_a_plain_evaluation_bit_for_bit(problem, order, tau, data):
+    potential, mass = problem
+    dim = mass.dim
+    q = np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
+    mom = np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
+    kick = potential.gradient(q).astype(float, copy=True)
+    for n in correction_orders(order):
+        kick += tau**n * _plain_sum(POTENTIAL_GENERATORS[n], operators._grad_q_nodes,
+                                    potential, mass, q, mom)
+    dgdq = mom.copy()
+    dgdp = q + tau * (mass.mat @ mom)
+    for n in generating_orders(order):
+        dgdq += tau**n * _plain_sum(GENERATING_TERMS[n], operators._grad_q_nodes,
+                                    potential, mass, q, mom)
+        dgdp += tau**n * (mass.mat @ _plain_sum(GENERATING_TERMS[n], operators._grad_mom_nodes,
+                                                potential, mass, q, mom))
+    assert v_eff_grad(potential, mass, q, tau, order).tobytes() == kick.tobytes()
+    ws = Workspace(potential, mass, q)
+    # twice through one workspace: the second pass reuses its q segment
+    for _ in range(2):
+        got_q = generating_function_grad_q(potential, mass, q, mom, tau, order, workspace=ws)
+        got_p = generating_function_grad_p(potential, mass, q, mom, tau, order, workspace=ws)
+        assert got_q.tobytes() == dgdq.tobytes()
+        assert got_p.tobytes() == dgdp.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(problem=_problems(), k=st.integers(0, 7), data=st.data())
+def test_gradient_contract_overrides_match_the_basis_loop(problem, k, data):
+    potential, mass = problem
+    dim = mass.dim
+    q = np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
+    dirs = [np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
+            for _ in range(k)]
+    want = Potential._gradient_contract(potential, q, dirs).tobytes()
+    memo = {}
+    for kept in (None, memo, memo):
+        assert potential._gradient_contract(q, dirs, kept).tobytes() == want
+
+
+def test_set_mom_drops_every_momentum_node_even_after_a_failure(mass1):
+    calls = [0]
+
+    class Flaky(Quartic):
+        def _gradient_contract(self, q, dirs, memo=None):
+            calls[0] += 1
+            if calls[0] == 12:
+                raise FloatingPointError("one failed contraction")
+            return super()._gradient_contract(q, dirs, memo)
+
+    pot, q = Flaky(), np.array([0.8])
+    ws = Workspace(pot, mass1, q)
+    with pytest.raises(FloatingPointError):
+        generating_function_grad_q(pot, mass1, q, np.array([0.3]), 0.2, 8, workspace=ws)
+    for mom in ([1.1], [-0.4], [1.1]):
+        mom = np.array(mom)
+        reused = generating_function_grad_q(pot, mass1, q, mom, 0.2, 8, workspace=ws)
+        fresh = generating_function_grad_q(pot, mass1, q, mom, 0.2, 8)
+        assert reused.tobytes() == fresh.tobytes()
+
+
+def test_polynomial_hook_refuses_a_q_of_another_length(quartic):
+    q = np.array([0.5, 1.0])
+    for memo in (None, {}):
+        with pytest.raises(ValueError):
+            quartic._gradient_contract(q, [np.ones(2)], memo)
+    with pytest.raises(ValueError):
+        v_eff_grad(quartic, MassMatrix.identity(2), q, 0.1, 4)
 
 
 # ---------------------------------------------------------------------------
