@@ -25,6 +25,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -586,7 +587,10 @@ def _tau_list(text: str):
     return taus
 
 
+@cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on first use: parsing leaves it
+    as it was, and help and error text are formatted when they are printed."""
     parser = _Parser(prog="symsplit",
                      description="corrected splitting schemes for separable "
                                  "Hamiltonian systems")

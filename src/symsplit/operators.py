@@ -331,6 +331,11 @@ class _Plan:
         self.p_ids = sorted(i for i in need if _ON_P[i])
 
 
+# V' itself: the root v node, which the gradient tables share
+_ROOT = _intern(_W)
+_ROOT_PLAN = _Plan([_ROOT])
+
+
 class _Terms(_Plan):
     """Frozen value terms: coeff times D^kV[children], children as node ids."""
 
@@ -449,6 +454,11 @@ class Workspace:
         self._evaluate(plan.q_ids)
         self._evaluate(plan.p_ids, self._p_have)
 
+    def gradient(self) -> np.ndarray:
+        """V'(q), the root node's row; evaluated once per workspace."""
+        self._run(_ROOT_PLAN)
+        return self._vecs[_ROOT]
+
     def term_value(self, children) -> float:
         if not children:
             return self.potential.value(self.q)
@@ -555,8 +565,11 @@ def v_eff(potential, mass, q, tau, scheme_order, workspace=None) -> float:
 
 def v_eff_grad(potential, mass, q, tau, scheme_order, workspace=None) -> np.ndarray:
     ws = _workspace(potential, mass, q, None, workspace)
-    total = potential.gradient(ws.q).astype(float, copy=True)
-    for n in correction_orders(scheme_order):
+    orders = correction_orders(scheme_order)
+    if not orders:
+        return potential.gradient(ws.q).astype(float, copy=True)
+    total = ws.gradient().copy()
+    for n in orders:
         total += tau**n * _grad_q(POTENTIAL_GENERATORS[n], ws)
     return total
 

@@ -1,4 +1,5 @@
 """Command-line harness: argument handling, CSV contract, exit codes."""
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from symsplit.cli import (
     ConfigError,
     ExperimentConfig,
     _trace_rows,
+    build_parser,
     main,
     parse_scheme,
     read_config_file,
@@ -190,6 +192,15 @@ def test_bad_values_name_themselves(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "tau values must be positive and finite" in err, tau_list
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_resonant_exact_step_writes_nothing(tmp_path, capsys):
+    # omega * tau = pi: the modified spring constant tan(x/2) blows up
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--potential", "harmonic", "--scheme", "exact_quadratic",
+                 "--tau", "3.141592653589793", "--out", str(out)]) == 1
+    assert "within 1e-8 of an odd multiple of pi" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_divergence_keeps_partial_trace(tmp_path, capsys):
@@ -515,6 +526,55 @@ def test_csv_bytes_are_pinned(name, tmp_path, capsys):
     rc, digest = _pinned_run(name, tmp_path)
     capsys.readouterr()
     assert (rc, digest) == (_PINNED_RUNS[name][1], _PINNED_SHA256[name])
+
+
+def _fresh_parser_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main``'s parse with a parser built
+    for this call alone."""
+    try:
+        build_parser.__wrapped__().parse_args(argv)
+    except ConfigError as err:
+        return 1, "", f"error: {err}\n"
+    except SystemExit as done:
+        return done.code, capsys.readouterr().out, ""
+    raise AssertionError(f"{argv} parsed")
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    failing = [
+        ["run", "--no-such-flag"],
+        ["figure", "3", "--tau-list", "0.1,nan", "--out", str(tmp_path)],
+        ["--version"],
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    assert main(failing[0]) == 1
+    capsys.readouterr()
+    outcomes = []
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting_init):
+        for argv in failing:
+            try:
+                code = main(argv)
+            except SystemExit as done:
+                code = done.code
+            text = capsys.readouterr()
+            outcomes.append((code, text.out, text.err))
+        for name in sorted(_PINNED_RUNS):
+            (tmp_path / name).mkdir()
+            assert _pinned_run(name, tmp_path / name) == (
+                _PINNED_RUNS[name][1], _PINNED_SHA256[name]), name
+        capsys.readouterr()
+    assert built == []
+    # the text is that of a parser built for the one call
+    assert outcomes == [_fresh_parser_outcome(argv, capsys) for argv in failing]
+    assert [code for code, _, _ in outcomes] == [1, 1, 0]
+    assert "unrecognized arguments: --no-such-flag" in outcomes[0][2]
+    assert "tau values must be positive and finite" in outcomes[1][2]
 
 
 # sha256 of each CSV `figure 1` writes.  Each series' window and

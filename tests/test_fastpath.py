@@ -380,6 +380,29 @@ def test_newton_diagnostics_recorded(quartic, mass1, x_unit):
     assert run.rec_res.max() <= cfg.newton_tol
 
 
+@pytest.mark.parametrize("p0", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_large_momenta_converge_on_every_loop(p0, quartic, opaque_quartic, mass1):
+    # newton_tol is absolute, and every loop still meets it at |p| = 1e6.
+    # The kernel and the generic engine may take different iteration counts
+    # (they do at 1e3 and 1e4) while their states agree.
+    cfg = _cfg("corrected_kmk", 1.0 / p0, 8)
+    x0 = PhasePoint([0.0], [p0])
+    kernels = (_on_both_kernels if fastpath._c_kernel is not None
+               else lambda *a, **k: [fastpath.fast_run(*a, **k)])
+    runs = kernels(x0, cfg, quartic, mass1, 20, rec_range=(0, 21))
+    generic = fastpath.simulate(x0, cfg, opaque_quartic, mass1, 20, rec_range=(0, 21))
+    assert generic.backend == "generic"
+    for run in [*runs, generic]:
+        assert run.ok and run.completed_steps == 20
+        assert (run.rec_res <= cfg.newton_tol).all()
+        assert run.rec_iters.max() < cfg.newton_max_iter
+    if len(runs) == 2:
+        _assert_bit_identical(*runs)
+    for name in ("rec_q", "rec_p", "rec_h"):
+        np.testing.assert_allclose(getattr(generic, name), getattr(runs[0], name),
+                                   rtol=1e-14, atol=0.0, err_msg=name)
+
+
 def test_massless_coordinate_stays_put(quartic, opaque_quartic):
     # with M = 0 the move is the identity, so only the kicks act:
     # q stays q0 and p falls by tau V'(q0) per step

@@ -271,6 +271,21 @@ def test_harmonic_modified_coeffs_resonance():
         harmonic_modified_coeffs(3 * math.pi, 1.0, "mkm")
 
 
+def test_exact_quadratic_step_refuses_a_resonant_mode():
+    # modes omega = 1 and 2; the second sits at omega * tau = pi, or within
+    # 1e-8 of it, and the step raises instead of dividing by tan(pi/2)
+    potential, mass = Quadratic(np.diag([1.0, 4.0])), MassMatrix.identity(2)
+    x = _x([0.3, -0.1], [0.2, 0.4])
+    for phase in (math.pi, math.pi - 9e-9, math.pi + 9e-9, 3 * math.pi):
+        with pytest.raises(ResonantStep, match="odd multiple of pi"):
+            exact_quadratic_step(x, phase / 2, mass, potential.stiffness)
+        with pytest.raises(ResonantStep):
+            step(x, SchemeConfig("exact_quadratic", phase / 2), potential, mass)
+    # 2e-8 away from pi the step is taken
+    y = exact_quadratic_step(x, (math.pi + 2e-8) / 2, mass, potential.stiffness)
+    assert np.isfinite(y.q).all() and np.isfinite(y.p).all()
+
+
 def test_exact_quadratic_free_particle_is_drift():
     mass = MassMatrix.identity(2)
     x = PhasePoint(np.array([1.0, -2.0]), np.array([0.5, 0.25]))

@@ -396,6 +396,26 @@ def test_v_eff_sums_the_corrections(quartic, mass1):
     assert v_eff(quartic, mass1, q, tau, 8) == pytest.approx(expected, rel=1e-15)
 
 
+def test_v_eff_grad_evaluates_the_gradient_once(quartic, mass1):
+    # the root node's row starts the sum; the correction tables reuse it
+    calls = [0]
+
+    class Counting(Quartic):
+        def gradient(self, q):
+            calls[0] += 1
+            return super().gradient(q)
+
+    q, tau = np.array([0.9]), 0.15
+    for order in (2, 4, 6, 8):
+        calls[0] = 0
+        got = v_eff_grad(Counting(), mass1, q, tau, order)
+        assert calls[0] == 1, order
+        want = quartic.gradient(q).copy()
+        for n in correction_orders(order):
+            want += potential_correction_grad(n, quartic, mass1, q, tau)
+        assert got.tobytes() == want.tobytes(), order
+
+
 def test_generating_function_zero_tau_is_identity(quartic, mass1):
     q, mom = np.array([0.6]), np.array([-1.2])
     assert generating_function(quartic, mass1, q, mom, 0.0, 8) == pytest.approx(
