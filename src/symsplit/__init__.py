@@ -16,9 +16,7 @@ from .hamiltonian import (
     Potential,
     Quadratic,
     Quartic,
-    dir_deriv,
     hamiltonian,
-    raise_index,
 )
 from .integrators import (
     DegenerateMass,
@@ -63,8 +61,6 @@ __all__ = [
     "Quadratic",
     "Polynomial1D",
     "hamiltonian",
-    "raise_index",
-    "dir_deriv",
     "OperatorWord",
     "KINETIC_GENERATORS",
     "POTENTIAL_GENERATORS",

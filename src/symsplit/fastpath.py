@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
-from .integrators import (POLISH_FLOOR, NewtonDiverged, NonFiniteState,
-                          SchemeConfig, integrate)
+from .integrators import (KMK_VARIANTS, POLISH_FLOOR, NewtonDiverged,
+                          NonFiniteState, SchemeConfig, integrate)
 from .operators import (
     GENERATING_TERMS,
     POTENTIAL_GENERATORS,
@@ -53,8 +53,6 @@ from .operators import (
 
 __all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for",
            "format_rows"]
-
-_KERNEL_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +478,7 @@ def eligible(cfg: SchemeConfig, potential: Potential, mass: MassMatrix,
     return (
         dim == 1
         and mass.dim == 1
-        and cfg.variant in _KERNEL_VARIANTS
+        and cfg.variant in KMK_VARIANTS
         and potential.poly1d_coefficients() is not None
     )
 
@@ -499,7 +497,7 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """
     if not eligible(cfg, potential, mass, x0.dim):
         raise ValueError("configuration not eligible for the fast kernel")
-    tables = tables_for(potential, mass, cfg.scheme_order)
+    tables = tables_for(potential, mass, cfg.order)
     vg, cq, cp = tables.fold(cfg.tau)
     vpot = tables.vpot
     rec_start, rec_stop = rec_range if rec_range is not None else (0, 0)
@@ -518,7 +516,7 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     state = np.array([x0.q[0], x0.p[0], 0.0, 0.0, 0.0])
     counts = np.zeros(2, dtype=np.int64)
     status = _kernel(
-        state, tables.mval, cfg.tau, int(n_steps), cfg.scheme_order == 2,
+        state, tables.mval, cfg.tau, int(n_steps), cfg.order == 2,
         vg, vg.size, cq, *cq.shape, cp, *cp.shape, vpot, vpot.size,
         cfg.newton_tol, int(cfg.newton_max_iter), POLISH_FLOOR,
         int(rec_start), int(rec_stop), out_q, out_p, out_h, out_iters, out_res,

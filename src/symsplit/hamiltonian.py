@@ -13,6 +13,7 @@ differencing enters any integrator path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,12 +23,16 @@ import numpy as np
 MAX_DERIVATIVE_ORDER = 8
 
 
+def _check_finite(arr, name):
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def _as_vector(x, name="array"):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
 
 
@@ -82,6 +87,7 @@ class MassMatrix:
             m = m.reshape(1, 1)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"mass matrix must be square, got shape {m.shape}")
+        _check_finite(m, "mass matrix")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValueError("mass matrix must be symmetric")
@@ -112,11 +118,6 @@ class MassMatrix:
 
     def __repr__(self):
         return f"MassMatrix(dim={self.dim})"
-
-
-def raise_index(covector: np.ndarray, mass: MassMatrix) -> np.ndarray:
-    """Raise an index with the mass matrix: returns M @ covector."""
-    return mass.raise_index(covector)
 
 
 class Potential:
@@ -190,13 +191,18 @@ class Polynomial1D(Potential):
         c = np.asarray(coefficients, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
+        _check_finite(c, "coefficient vector")
         self.coefficients = c
-        # derivative coefficient rows, cached up to the supported order
+        # derivative coefficient rows, cached up to the supported order; an
+        # overflow to inf is refused below, not warned about
         self._deriv = [c]
-        for _ in range(MAX_DERIVATIVE_ORDER):
-            prev = self._deriv[-1]
-            self._deriv.append(prev[1:] * np.arange(1, prev.size) if prev.size > 1
-                               else np.zeros(0))
+        with np.errstate(over="ignore"):
+            for _ in range(MAX_DERIVATIVE_ORDER):
+                prev = self._deriv[-1]
+                self._deriv.append(prev[1:] * np.arange(1, prev.size) if prev.size > 1
+                                   else np.zeros(0))
+        if not np.isfinite(np.concatenate(self._deriv)).all():
+            raise ValueError("coefficient vector overflows in its derivatives")
 
     def _poly(self, q, order):
         if q.size != 1:
@@ -268,8 +274,8 @@ class Harmonic(Potential):
 
     def __init__(self, omega: float = 1.0):
         omega = float(omega)
-        if omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not (omega > 0.0 and math.isfinite(omega * omega)):
+            raise ValueError(f"omega must be positive with a finite square, got {omega!r}")
         self.omega = omega
 
     def value(self, q):
@@ -304,6 +310,7 @@ class Quadratic(Potential):
         k = np.asarray(stiffness, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"stiffness must be square, got shape {k.shape}")
+        _check_finite(k, "stiffness")
         scale = max(1.0, float(np.abs(k).max()))
         if np.abs(k - k.T).max() > 1e-12 * scale:
             raise ValueError("stiffness must be symmetric")
@@ -345,11 +352,6 @@ class Quadratic(Potential):
 
     def __repr__(self):
         return f"Quadratic(dim={self.stiffness.shape[0]})"
-
-
-def dir_deriv(potential: Potential, q: np.ndarray, dirs) -> float:
-    """Exact contraction D^k V(q)[u_1, ..., u_k]; k = len(dirs), k <= 8."""
-    return potential.dir_deriv(q, dirs)
 
 
 def hamiltonian(x: PhasePoint, potential: Potential, mass: MassMatrix) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .hamiltonian import MassMatrix, PhasePoint, Potential
 from .operators import (
+    SCHEME_ORDERS,
     Workspace,
     generating_function_grad_p,
     generating_function_grad_q,
@@ -46,7 +47,8 @@ __all__ = [
 ]
 
 VARIANTS = ("baseline_kmk", "baseline_mkm", "corrected_kmk", "exact_quadratic")
-CORRECTED_ORDERS = (2, 4, 6, 8)
+# the variants that step kick-move-kick, so adjacent half kicks can fuse
+KMK_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
 # residual-to-momentum-scale ratio below which further Newton refinement
 # is roundoff; shared with the compiled kernel so both paths solve alike
@@ -86,7 +88,10 @@ class DegenerateMass(ValueError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Integrator selection plus step size and implicit-solve knobs."""
+    """Integrator selection plus step size and implicit-solve knobs.
+
+    ``order`` is the global accuracy order, 2 for every variant but
+    corrected_kmk (for exact_quadratic a label only)."""
 
     variant: str
     tau: float
@@ -99,17 +104,12 @@ class SchemeConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
-        if self.variant == "corrected_kmk" and self.order not in CORRECTED_ORDERS:
-            raise ValueError(f"corrected order must be one of {CORRECTED_ORDERS}")
+        if self.variant == "corrected_kmk" and self.order not in SCHEME_ORDERS:
+            raise ValueError(f"corrected order must be one of {SCHEME_ORDERS}")
         if self.variant != "corrected_kmk" and self.order != 2:
             raise ValueError(f"variant {self.variant!r} does not take an order")
         if self.newton_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("newton_tol must be positive, newton_max_iter >= 1")
-
-    @property
-    def scheme_order(self) -> int:
-        """Global accuracy order; exact_quadratic reports 2 for labeling only."""
-        return self.order if self.variant == "corrected_kmk" else 2
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def _move(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """Kick-move-kick move: the explicit drift at order 2, which keeps the
     corrected order-2 scheme bit-identical to the baseline, else the
     implicit generating-function move."""
-    if cfg.scheme_order == 2:
+    if cfg.order == 2:
         return move_explicit(x, cfg.tau, mass), StepReport()
     return move_generating(x, cfg, potential, mass)
 
@@ -346,7 +346,7 @@ def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
          mass: MassMatrix):
     """Advance one step; returns (new state, StepReport)."""
     tau = cfg.tau
-    order = cfg.scheme_order
+    order = cfg.order
     if cfg.variant == "exact_quadratic":
         return exact_quadratic_step(x, tau, mass, _stiffness_for(potential, x.dim)), StepReport()
     if cfg.variant == "baseline_mkm":
@@ -385,8 +385,8 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    tau, order = cfg.tau, cfg.scheme_order
-    fuse = observer is None and cfg.variant in ("baseline_kmk", "corrected_kmk")
+    tau, order = cfg.tau, cfg.order
+    fuse = observer is None and cfg.variant in KMK_VARIANTS
     x = x0
     for i in range(1, n_steps + 1):
         # a fused step ends after its move; the next step's full kick (or

@@ -186,20 +186,21 @@ GENERATING_TERMS = {
     ),
 }
 
-_SCHEME_ORDERS = (2, 4, 6, 8)
+# the orders a corrected kick-move-kick scheme is built to
+SCHEME_ORDERS = (2, 4, 6, 8)
 
 
 def correction_orders(scheme_order: int) -> range:
     """Even generator orders entering an effective potential/kinetic energy."""
-    if scheme_order not in _SCHEME_ORDERS:
-        raise ValueError(f"scheme order must be one of {_SCHEME_ORDERS}")
+    if scheme_order not in SCHEME_ORDERS:
+        raise ValueError(f"scheme order must be one of {SCHEME_ORDERS}")
     return range(2, scheme_order - 1, 2)
 
 
 def generating_orders(scheme_order: int) -> range:
     """Generating-series orders (beyond the exact n = 0, 1 terms) kept."""
-    if scheme_order not in _SCHEME_ORDERS:
-        raise ValueError(f"scheme order must be one of {_SCHEME_ORDERS}")
+    if scheme_order not in SCHEME_ORDERS:
+        raise ValueError(f"scheme order must be one of {SCHEME_ORDERS}")
     return range(3, scheme_order + 1)
 
 

@@ -71,14 +71,14 @@ def quartic_period() -> float:
 
 
 def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
-                       t_final: float, tol: float = 1e-13,
-                       tau_start: float = 0.05, order: int = 8) -> PhasePoint:
+                       t_final: float, order: int = 8) -> PhasePoint:
     """High-accuracy final state at t_final via the order-8 scheme.
 
-    The step count doubles until two successive refinements agree to
-    ``tol`` in phase-space max-norm; the finer of the two is returned.
-    ``order`` exists so cross-checks can rebuild the reference with the
-    order-6 scheme; the two references agree to the acceptance tolerance.
+    The run starts at the step count that makes tau at most 0.05, and the
+    count doubles until two successive refinements agree to 1e-13 in
+    phase-space max-norm; the finer of the two is returned.  ``order``
+    exists so cross-checks can rebuild the reference with the order-6
+    scheme; the two references agree to the acceptance tolerance.
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
@@ -89,7 +89,8 @@ def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
         cfg = SchemeConfig("corrected_kmk", t_final / n, order=order)
         return fastpath.simulate(x0, cfg, potential, mass, n).raise_if_failed().final
 
-    n = max(1, math.ceil(t_final / tau_start))
+    tol = 1e-13
+    n = max(1, math.ceil(t_final / 0.05))
     prev = run(n)
     for _ in range(14):
         n *= 2
@@ -117,16 +118,14 @@ def _window_steps(window, tau, n_max=None):
 
 
 def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
-                       mass: MassMatrix, window, m: int | None = None) -> EnergyTrace:
+                       mass: MassMatrix, window) -> EnergyTrace:
     """Energy at every step time inside [window[0], window[1]].
 
     The scaled column divides the deviation from the initial energy by
-    tau^m, with m defaulting to the scheme's accuracy order; matching
+    tau^m, where m is the scheme's accuracy order ``cfg.order``; matching
     windows from runs at different tau should then land on one curve.
     """
-    tau = cfg.tau
-    if m is None:
-        m = cfg.scheme_order
+    tau, m = cfg.tau, cfg.order
     h0 = hamiltonian(x0, potential, mass)
     i0, i1 = _window_steps(window, tau)
     run = fastpath.simulate(x0, cfg, potential, mass, i1,
@@ -200,12 +199,13 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
 
 
 def symplecticity_defect(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-                         mass: MassMatrix, fd_step: float = 1e-6) -> float:
+                         mass: MassMatrix) -> float:
     """Max-norm of J^T Omega J - Omega for the one-step map Jacobian at x.
 
-    J comes from central finite differences of the full step map, so the
-    achievable floor is the solver tolerance divided by the stencil width;
-    exact symplecticity shows up as a defect at that floor.
+    J comes from central finite differences of the full step map with a
+    step of 1e-6 in each phase-space coordinate, so the achievable floor
+    is the solver tolerance divided by the stencil width; exact
+    symplecticity shows up as a defect at that floor.
     """
     n = x.dim
     z0 = x.as_array()
@@ -218,8 +218,8 @@ def symplecticity_defect(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     jac = np.empty((dim, dim))
     for k in range(dim):
         dz = np.zeros(dim)
-        dz[k] = fd_step
-        jac[:, k] = (flow(z0 + dz) - flow(z0 - dz)) / (2.0 * fd_step)
+        dz[k] = 1e-6
+        jac[:, k] = (flow(z0 + dz) - flow(z0 - dz)) / 2e-6
     omega = np.zeros((dim, dim))
     omega[:n, n:] = np.eye(n)
     omega[n:, :n] = -np.eye(n)

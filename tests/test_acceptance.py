@@ -117,8 +117,7 @@ def test_criterion_04_scaling_collapse(quartic, mass1, x_unit):
             cfg = SchemeConfig(variant, tau, order=order)
             period = measure_period(x_unit, cfg, quartic, mass1, t_probe)
             trace = energy_error_trace(x_unit, cfg, quartic, mass1,
-                                       (15.5 * period, 16.0 * period),
-                                       m=order)
+                                       (15.5 * period, 16.0 * period))
             traces[tau] = (trace.times / period, trace.scaled)
 
         phase_f, scaled_f = traces[0.05]

@@ -194,6 +194,47 @@ def test_bad_values_name_themselves(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_non_finite_inputs_write_nothing(tmp_path, capsys):
+    files = {"kinf.mat": "1\ninf\n", "knan.mat": "2\n1 nan\nnan 1\n",
+             "mnan.mat": "1\nnan\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "trace.csv"
+    cases = [
+        (["--potential", "harmonic", "--omega", "1e200"],
+         "omega must be positive with a finite square, got 1e+200"),
+        (["--potential", "quadratic", "--k-file", str(tmp_path / "kinf.mat"),
+          "--q0", "1", "--p0", "0", "--t-final", "1"],
+         "stiffness contains non-finite entries"),
+        (["--potential", "quadratic", "--k-file", str(tmp_path / "knan.mat"),
+          "--q0", "1,0", "--p0", "0,1", "--t-final", "1"],
+         "stiffness contains non-finite entries"),
+        (["--m-file", str(tmp_path / "mnan.mat")],
+         "mass matrix contains non-finite entries"),
+    ]
+    for flags, message in cases:
+        assert main(["run", *flags, "--out", str(out)]) == 1, flags
+        assert f"error: {message}\n" == capsys.readouterr().err, flags
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["run", "--periods", "1", "--out", "{blocker}/trace.csv"], "trace.csv"),
+    (["figure", "3", "--tau-list", "0.1", "--out", "{blocker}"],
+     "fig3_corrected_kmk4_tau0.1.csv"),
+    (["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.1", "--periods", "1",
+      "--jobs", "1", "--out", "{blocker}"], "sweep_baseline_kmk_tau0.1.csv"),
+    (["order", "--schemes", "baseline_kmk", "--out", "{blocker}"], "orders.csv"),
+], ids=["run", "figure", "sweep", "order"])
+def test_unwritable_output_is_a_config_error(argv, written, tmp_path, capsys):
+    # the output directory would have to be created where a file stands
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    assert main([arg.format(blocker=blocker) for arg in argv]) == 1
+    assert f"error: cannot write {blocker / written}: " in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_resonant_exact_step_writes_nothing(tmp_path, capsys):
     # omega * tau = pi: the modified spring constant tan(x/2) blows up
     out = tmp_path / "trace.csv"
@@ -512,6 +553,24 @@ _PINNED_SHA256 = {
 }
 
 
+# sha256 of each CSV of figures 2 and 4, the paper's baseline and order-6
+# windows; figure 4 at its coarsest step only
+_FIGURE_RUNS = {
+    2: (["figure", "2"], {
+        "fig2_baseline_kmk_tau0.05.csv":
+            "50284313f58081b670f902a2b9bdaf9d8d3f2a658abb1b8ea21531585dcb66a2",
+        "fig2_baseline_kmk_tau0.1.csv":
+            "7f5875b70618f4f125fcdfc3f04e2668222a3764d3c4d1b23614e22b89d9ad55",
+        "fig2_baseline_kmk_tau0.2.csv":
+            "b6dcf337e7b22599104b845911e1a279383a2cc9da627d634f509e2e2e905ce1",
+    }),
+    4: (["figure", "4", "--tau-list", "0.2"], {
+        "fig4_corrected_kmk6_tau0.2.csv":
+            "3370d03345c59dc288b7d73ba9422ef0628819d2680d963ca7961a0d773592c7",
+    }),
+}
+
+
 def _pinned_run(name, out_dir):
     """Run one pinned command into out_dir; returns (exit code, sha256)."""
     argv, _, written = _PINNED_RUNS[name]
@@ -610,6 +669,15 @@ def test_figure_one_csv_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in tmp_path.glob("*.csv")} == _FIGURE_ONE_SHA256
+
+
+@pytest.mark.parametrize("number", sorted(_FIGURE_RUNS))
+def test_figure_csv_bytes_are_pinned(number, tmp_path, capsys):
+    argv, pinned = _FIGURE_RUNS[number]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.glob("*.csv")} == pinned
 
 
 # the C row formatter against its reference, the %-template, in one process

@@ -1,4 +1,7 @@
 """Phase-space containers, mass matrices and exact directional derivatives."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,7 @@ from symsplit.hamiltonian import (
     Polynomial1D,
     Quadratic,
     Quartic,
-    dir_deriv,
     hamiltonian,
-    raise_index,
 )
 
 
@@ -38,19 +39,19 @@ def test_phase_point_arrays_are_frozen():
 
 def test_raise_index_identity():
     mass = MassMatrix.identity(2)
-    v = raise_index(np.array([3.0, -1.0]), mass)
+    v = mass.raise_index(np.array([3.0, -1.0]))
     assert v.tolist() == [3.0, -1.0]
 
 
 def test_raise_index_diagonal():
     mass = MassMatrix.diagonal([2.0, 0.5])
-    v = raise_index(np.array([1.0, 4.0]), mass)
+    v = mass.raise_index(np.array([1.0, 4.0]))
     assert v.tolist() == [2.0, 2.0]
 
 
 def test_raise_index_coupled():
     mass = MassMatrix([[1.0, 0.5], [0.5, 1.0]])
-    v = raise_index(np.array([1.0, 0.0]), mass)
+    v = mass.raise_index(np.array([1.0, 0.0]))
     assert v.tolist() == [1.0, 0.5]
 
 
@@ -66,6 +67,32 @@ def test_mass_matrix_validation():
     assert m.dim == 1 and m.mat[0, 0] == 2.5
     with pytest.raises(ValueError):
         m.raise_index(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Harmonic(np.nan), "omega must be positive with a finite square, got nan"),
+    (lambda: Harmonic(np.inf), "omega must be positive with a finite square, got inf"),
+    (lambda: Harmonic(1e200), "omega must be positive with a finite square, got 1e+200"),
+    (lambda: Polynomial1D([0.0, 0.0, np.inf]),
+     "coefficient vector contains non-finite entries"),
+    # 2 * 1e308 overflows in the first derivative row
+    (lambda: Polynomial1D([0.0, 0.0, 1e308]),
+     "coefficient vector overflows in its derivatives"),
+    (lambda: Quadratic([[np.inf]]), "stiffness contains non-finite entries"),
+    (lambda: Quadratic([[1.0, np.nan], [np.nan, 1.0]]),
+     "stiffness contains non-finite entries"),
+    (lambda: MassMatrix([[np.inf]]), "mass matrix contains non-finite entries"),
+    (lambda: MassMatrix([[1.0, np.nan], [np.nan, 1.0]]),
+     "mass matrix contains non-finite entries"),
+], ids=["harmonic-nan", "harmonic-inf", "harmonic-square", "polynomial-inf",
+        "polynomial-derivative", "quadratic-inf", "quadratic-nan", "mass-inf",
+        "mass-nan"])
+def test_constructors_refuse_non_finite_input(build, message):
+    # refused before any arithmetic, so no numpy warning fires either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_hamiltonian_values(quartic, mass1):
@@ -95,13 +122,13 @@ def test_hamiltonian_even_in_momentum(quartic):
 def test_dir_deriv_quartic_first_order(quartic):
     q = np.array([1.0])
     # V'(1) = 1 for V = q^4/4
-    assert dir_deriv(quartic, q, [np.array([1.0])]) == pytest.approx(1.0)
+    assert quartic.dir_deriv(q, [np.array([1.0])]) == pytest.approx(1.0)
 
 
 def test_dir_deriv_quartic_vanishes_past_degree(quartic):
     q = np.array([0.7])
     dirs = [np.array([1.0])] * 5
-    assert dir_deriv(quartic, q, dirs) == 0.0
+    assert quartic.dir_deriv(q, dirs) == 0.0
 
 
 def test_dir_deriv_harmonic(quartic):
@@ -109,8 +136,8 @@ def test_dir_deriv_harmonic(quartic):
     q = np.array([5.0, -3.0])
     u = np.array([1.0, 1.0])
     # Hessian is the identity, so the second derivative along (u, u) is |u|^2
-    assert dir_deriv(harm, q, [u, u]) == pytest.approx(2.0)
-    assert dir_deriv(harm, q, [u, u, u]) == 0.0
+    assert harm.dir_deriv(q, [u, u]) == pytest.approx(2.0)
+    assert harm.dir_deriv(q, [u, u, u]) == 0.0
 
 
 def test_dir_deriv_order_bounds(quartic):
