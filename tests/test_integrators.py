@@ -44,9 +44,7 @@ def _x(q, p):
 
 
 def test_scheme_config_validation():
-    assert SchemeConfig("corrected_kmk", 0.1, order=6).order == 6
-    assert SchemeConfig("baseline_kmk", 0.1).order == 2
-    assert SchemeConfig("exact_quadratic", 0.1).order == 2
+    SchemeConfig("corrected_kmk", 0.1, order=8)
     with pytest.raises(ValueError, match="unknown variant"):
         SchemeConfig("leapfrog", 0.1)
     with pytest.raises(ValueError, match="tau must be positive"):
@@ -59,6 +57,12 @@ def test_scheme_config_validation():
         SchemeConfig("baseline_kmk", 0.1, order=4)
     with pytest.raises(ValueError, match="newton"):
         SchemeConfig("corrected_kmk", 0.1, order=4, newton_tol=0.0)
+
+
+def test_scheme_order_property():
+    assert SchemeConfig("corrected_kmk", 0.1, order=6).order == 6
+    assert SchemeConfig("baseline_kmk", 0.1).order == 2
+    assert SchemeConfig("exact_quadratic", 0.1).order == 2
 
 
 # ---------------------------------------------------------------------------
