@@ -196,22 +196,27 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
     vfrac = [Fraction(float(c)) for c in coeffs]
     mval = Fraction(float(mass.mat[0, 0]))
     ctx = _SymbolicContext(vfrac, mval)
-    kick = {0: np.array([[float(c * i) for i, c in enumerate(vfrac) if i] or [0.0]])}
-    for n in correction_orders(scheme_order):
-        kick[n] = _poly_matrix(_poly_dq(ctx.table_poly(POTENTIAL_GENERATORS[n])))
-        if kick[n].shape[0] != 1:
-            raise ValueError("potential correction unexpectedly momentum dependent")
-    # G = q.P + (tau/2) M P^2 + sum_n tau^n G_n
-    gen = {0: {(1, 1): Fraction(1)}, 1: {(0, 2): mval / 2}}
-    for n in generating_orders(scheme_order):
-        gen[n] = ctx.table_poly(GENERATING_TERMS[n])
-    tables = FastTables(
-        mval=float(mval),
-        vpot=np.array(coeffs, dtype=float),
-        kick=_stacked(kick),
-        gq=_stacked({n: _poly_matrix(_poly_dq(g)) for n, g in gen.items()}),
-        gp=_stacked({n: _poly_matrix(_poly_dp(g)) for n, g in gen.items()}),
-    )
+    try:
+        kick = {0: np.array([[float(c * i) for i, c in enumerate(vfrac) if i] or [0.0]])}
+        for n in correction_orders(scheme_order):
+            kick[n] = _poly_matrix(_poly_dq(ctx.table_poly(POTENTIAL_GENERATORS[n])))
+            if kick[n].shape[0] != 1:
+                raise ValueError("potential correction unexpectedly momentum dependent")
+        # G = q.P + (tau/2) M P^2 + sum_n tau^n G_n
+        gen = {0: {(1, 1): Fraction(1)}, 1: {(0, 2): mval / 2}}
+        for n in generating_orders(scheme_order):
+            gen[n] = ctx.table_poly(GENERATING_TERMS[n])
+        tables = FastTables(
+            mval=float(mval),
+            vpot=np.array(coeffs, dtype=float),
+            kick=_stacked(kick),
+            gq=_stacked({n: _poly_matrix(_poly_dq(g)) for n, g in gen.items()}),
+            gp=_stacked({n: _poly_matrix(_poly_dp(g)) for n, g in gen.items()}),
+        )
+    except OverflowError:
+        # float(Fraction) of an exact coefficient beyond the double range
+        raise ValueError(f"the order-{scheme_order} kernel tables of this potential "
+                         "and mass overflow the float range") from None
     _TABLE_CACHE[key] = tables
     return tables
 

@@ -36,6 +36,21 @@ def _as_vector(x, name="array"):
     return arr
 
 
+def _symmetrized(m, name):
+    """(m + m^T) / 2 of a finite square m, refused unless m is symmetric to
+    1e-12 of its largest entry; entries whose sum would overflow are halved
+    before they are added."""
+    scale = max(1.0, float(np.abs(m).max()))
+    with np.errstate(over="ignore"):
+        if np.abs(m - m.T).max() > 1e-12 * scale:
+            raise ValueError(f"{name} must be symmetric")
+        sym = 0.5 * (m + m.T)
+    big = ~np.isfinite(sym)
+    if big.any():
+        sym[big] = (0.5 * m + 0.5 * m.T)[big]
+    return sym, scale
+
+
 @cache
 def _basis(dim: int) -> np.ndarray:
     """The read-only identity of size dim, whose rows are the basis vectors."""
@@ -88,10 +103,7 @@ class MassMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"mass matrix must be square, got shape {m.shape}")
         _check_finite(m, "mass matrix")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise ValueError("mass matrix must be symmetric")
-        m = 0.5 * (m + m.T)
+        m, scale = _symmetrized(m, "mass matrix")
         if np.linalg.eigvalsh(m).min() < -1e-12 * scale:
             raise ValueError("mass matrix must be positive semi-definite")
         m.flags.writeable = False
@@ -132,9 +144,10 @@ class Potential:
     exactly (no finite differences).  The contraction is symmetric in the
     directions and linear in each of them.
 
-    A subclass may also override the optional hook
-    :meth:`_gradient_contract`, which returns D^{k+1} V(q)[u_1, ..., u_k, .]
-    as one vector; the default builds it from d calls to :meth:`_contract`.
+    A subclass may also override the optional hook :meth:`_gradient_rows`,
+    which returns the vectors D^{k+1} V(q)[u_1, ..., u_k, .] of a batch of
+    direction lists as the rows of one array; the default builds each row
+    from d calls to :meth:`_contract`.
     """
 
     def value(self, q: np.ndarray) -> float:
@@ -160,18 +173,23 @@ class Potential:
     def _contract(self, q: np.ndarray, dirs: list) -> float:
         raise NotImplementedError
 
-    def _gradient_contract(self, q: np.ndarray, dirs: list, memo=None) -> np.ndarray:
-        """D^{k+1}V(q)[dirs, .] as one vector, k = len(dirs).
+    def _gradient_rows(self, q: np.ndarray, orders, dirs: np.ndarray,
+                       memo=None) -> np.ndarray:
+        """Row i is D^{orders[i]}V(q)[dirs[i, :orders[i] - 1], .].
 
-        ``memo`` is a dict the caller keeps for this one q, where an
-        override may keep values that depend on q alone; the operator
-        engine passes one per workspace.  Row a of the result is
-        ``_contract(q, [e_a, *dirs])``.
+        ``dirs`` has shape (n, kmax, d): row i's directions come first and
+        its remaining slots hold 1.0.  ``memo`` is a dict the caller keeps
+        for this one q, where an override may keep values that depend on q
+        alone; the operator engine passes one per workspace.  Entry a of
+        row i is ``_contract(q, [e_a, *dirs[i, :orders[i] - 1]])``.
         """
-        vec = np.empty(q.size)
-        for a, row in enumerate(_basis(q.size)):
-            vec[a] = self._contract(q, [row, *dirs])
-        return vec
+        out = np.empty((len(orders), q.size))
+        basis = _basis(q.size)
+        for i, order in enumerate(orders):
+            row = list(dirs[i, :order - 1])
+            for a, e in enumerate(basis):
+                out[i, a] = self._contract(q, [e, *row])
+        return out
 
     # Optional structure probes used for dispatch; None means "not this shape".
 
@@ -230,18 +248,19 @@ class Polynomial1D(Potential):
             acc *= u[0]
         return acc
 
-    def _gradient_contract(self, q, dirs, memo=None):
-        # _contract's product without its factor e_0[0] = 1.0, which is
-        # exact; the derivative value is taken once per memo
-        order = len(dirs) + 1
-        acc = None if memo is None else memo.get(order)
-        if acc is None:
-            acc = self._poly(q, order)
+    def _gradient_rows(self, q, orders, dirs, memo=None):
+        # _contract's product without its factor e_0[0] = 1.0, times the
+        # 1.0 pad slots: both exact; the derivative values are taken once
+        # per memo
+        values = None if memo is None else memo.get("poly")
+        if values is None:
+            values = np.array([self._poly(q, k) for k in range(MAX_DERIVATIVE_ORDER + 1)])
             if memo is not None:
-                memo[order] = acc
-        for u in dirs:
-            acc *= u[0]
-        return np.array([acc])
+                memo["poly"] = values
+        acc = values[orders]
+        for u in dirs[:, :, 0].T:
+            acc *= u
+        return acc[:, None]
 
     def poly1d_coefficients(self):
         return self.coefficients
@@ -311,10 +330,7 @@ class Quadratic(Potential):
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"stiffness must be square, got shape {k.shape}")
         _check_finite(k, "stiffness")
-        scale = max(1.0, float(np.abs(k).max()))
-        if np.abs(k - k.T).max() > 1e-12 * scale:
-            raise ValueError("stiffness must be symmetric")
-        k = 0.5 * (k + k.T)
+        k, _ = _symmetrized(k, "stiffness")
         k.flags.writeable = False
         self.stiffness = k
 
@@ -333,12 +349,19 @@ class Quadratic(Potential):
             return float(dirs[0] @ (self.stiffness @ dirs[1]))
         return 0.0
 
-    def _gradient_contract(self, q, dirs, memo=None):
+    def _gradient_rows(self, q, orders, dirs, memo=None):
         # e_a . (K u) is (K u)[a]: matmul never yields -0.0, so the rows
-        # _contract would give are these bits for finite directions
-        if len(dirs) > 1:
-            return np.zeros(q.size)
-        return self.stiffness @ (dirs[0] if dirs else q)
+        # _contract would give are these bits for finite directions;
+        # D^{k+1}V vanishes for k >= 2
+        orders = np.asarray(orders)
+        out = np.zeros((orders.size, q.size))
+        first = (orders == 2).nonzero()[0]
+        if first.size:
+            out[first] = np.matmul(self.stiffness, dirs[first, 0, :, None])[..., 0]
+        root = (orders == 1).nonzero()[0]
+        if root.size:
+            out[root] = self.stiffness @ q
+        return out
 
     def poly1d_coefficients(self):
         if self.stiffness.shape == (1, 1):

@@ -15,14 +15,16 @@ by the product rule yields a sum of fully contracted derivative tensors of
 V whose direction vectors are either ``M p`` or nested contractions like
 ``M d2V (M dV)``.  Each table entry (one order of a correction table, or
 a single word) is expanded symbolically and its words merged into one
-exact term list once, on first use.  Freezing the entry interns every
-node to an integer id, children first, and plans each of its node lists:
-the q-only ids it needs and the momentum-dependent ones, in id order.  A
-:class:`Workspace` runs that tape, keeping node vectors by id, and sums a
-list in one pass over the stack of its vectors.  Evaluation only ever
-calls the potential's exact contractions (``_contract`` and its
-``_gradient_contract`` hook), so values and gradients carry no truncation
-error beyond floating-point roundoff.
+exact term list once, on first use.  Freezing interns every node to an
+integer id, children first, and plans the union of the node lists one
+operator call sums as levels: a node's level is one more than its deepest
+child of its own kind, q-only or momentum-dependent, so each level is one
+batched call of the potential's ``_gradient_rows`` hook.  A
+:class:`Workspace` runs that plan, keeping node vectors and their raised
+directions as rows by id, and sums every list in one pass over the stack of
+its vectors.  Evaluation only ever calls the potential's exact
+contractions (``_contract`` and the hook), so values and gradients carry no
+truncation error beyond floating-point roundoff.
 
 Coefficient tables are stored as ``fractions.Fraction`` and converted to
 float once, so rational identities (for instance the harmonic reduction of
@@ -295,46 +297,78 @@ def _table_expansion(entries) -> dict:
     return total
 
 
-# v nodes are interned to integer ids when a table is frozen.  Children are
-# interned first, so a node's id is larger than its children's and id order
-# is an evaluation order.
-_NODE_IDS: dict = {}      # v node -> id
-_CHILDREN: list = []      # id -> child ids in the node's order, -1 for the momentum
-_ON_P: list = []          # id -> whether the node's value involves the momentum
+# v nodes are interned to integer ids when a table is frozen.  Ids 0 and 1
+# are the pad slot and the momentum; children are interned before their
+# node, so a node's id is larger than its children's.
+_PAD, _MOM = 0, 1
+_NODE_IDS: dict = {_P: _MOM}  # node -> id
+_CHILDREN: list = [(), ()]    # id -> child ids in the node's order
+_ON_P: list = [False, True]   # id -> whether the value involves the momentum
 
 
 def _intern(node) -> int:
-    if node == _P:
-        return -1
     i = _NODE_IDS.get(node)
     if i is None:
         kids = tuple(_intern(sub) for sub in node[1])
         i = _NODE_IDS[node] = len(_CHILDREN)
         _CHILDREN.append(kids)
-        _ON_P.append(any(k < 0 or _ON_P[k] for k in kids))
+        _ON_P.append(any(_ON_P[k] for k in kids))
     return i
-
-
-class _Plan:
-    """The node ids a frozen list needs, each segment in id order: ``q_ids``
-    depend on q alone, ``p_ids`` on the momentum as well."""
-
-    __slots__ = ("q_ids", "p_ids")
-
-    def __init__(self, ids):
-        need, todo = set(), [i for i in ids if i >= 0]
-        while todo:
-            i = todo.pop()
-            if i not in need:
-                need.add(i)
-                todo.extend(k for k in _CHILDREN[i] if k >= 0)
-        self.q_ids = sorted(i for i in need if not _ON_P[i])
-        self.p_ids = sorted(i for i in need if _ON_P[i])
 
 
 # V' itself: the root v node, which the gradient tables share
 _ROOT = _intern(_W)
-_ROOT_PLAN = _Plan([_ROOT])
+
+
+class _Plan:
+    """The v nodes an operator call reads, run as levels.
+
+    A node's level is one more than its deepest child of its own kind, q-only
+    or momentum-dependent, so the nodes of one level depend only on earlier
+    levels and the momentum and are evaluated in one batched hook call.
+    ``q_levels`` hold the q-only nodes but the root, which ``root`` says is
+    needed; ``p_levels`` the momentum-dependent ones.  A level is (ids,
+    orders, kids, lift): the node ids, their derivative orders, their child
+    ids padded with ``_PAD`` to one width, and whether any of its nodes'
+    raised directions is read.
+    """
+
+    __slots__ = ("root", "on_p", "q_levels", "p_levels", "size")
+
+    def __init__(self, ids, read=()):
+        need, todo = set(), [i for i in ids if i > _MOM]
+        while todo:
+            i = todo.pop()
+            if i not in need:
+                need.add(i)
+                todo.extend(k for k in _CHILDREN[i] if k > _MOM)
+        read = set(read).union(*(_CHILDREN[i] for i in need))
+        level = {}
+        for i in sorted(need):
+            kin = [level[k] for k in _CHILDREN[i] if k > _MOM and _ON_P[k] == _ON_P[i]]
+            level[i] = 1 + max(kin, default=0) if _CHILDREN[i] else 0
+        self.root = _ROOT in need
+        self.on_p = any(_ON_P[i] for i in read | need)
+        self.q_levels = self._levels(need, level, read, False)
+        self.p_levels = self._levels(need, level, read, True)
+        self.size = max(need, default=_MOM) + 1
+
+    @staticmethod
+    def _levels(need, level, read, on_p) -> tuple:
+        batches = {}
+        for i in sorted(need):
+            if _ON_P[i] == on_p and level[i]:
+                batches.setdefault(level[i], []).append(i)
+        out = []
+        for _, ids in sorted(batches.items()):
+            width = max(len(_CHILDREN[i]) for i in ids)
+            out.append((
+                np.array(ids, dtype=np.intp),
+                np.array([len(_CHILDREN[i]) + 1 for i in ids], dtype=np.intp),
+                np.array([_CHILDREN[i] + (_PAD,) * (width - len(_CHILDREN[i]))
+                          for i in ids], dtype=np.intp),
+                not read.isdisjoint(ids)))
+        return tuple(out)
 
 
 class _Terms(_Plan):
@@ -343,62 +377,78 @@ class _Terms(_Plan):
     __slots__ = ("terms",)
 
     def __init__(self, frozen):
-        self.terms = [(coeff, tuple(_intern(sub) for sub in children))
+        self.terms = [(coeff, [_intern(sub) for sub in children])
                       for coeff, children in frozen]
-        super().__init__(k for _, kids in self.terms for k in kids)
+        kids = [k for _, ks in self.terms for k in ks]
+        super().__init__(kids, kids)
 
 
-class _Nodes(_Plan):
-    """A frozen node list: the sum of coeff times each v node's vector."""
+class _Sums(_Plan):
+    """Frozen node lists, each summed as coeff times each v node's vector.
 
-    __slots__ = ("coeffs", "ids")
+    Row t of ``idx`` and ``coeffs`` is list t, padded with ``_PAD``, whose
+    vector is zero, and coefficient 0.0.
+    """
 
-    def __init__(self, frozen):
-        self.coeffs = np.array([coeff for coeff, _ in frozen]).reshape(-1, 1)
-        self.ids = np.array([_intern(node) for _, node in frozen], dtype=np.intp)
-        super().__init__(self.ids.tolist())
+    __slots__ = ("coeffs", "idx")
+
+    def __init__(self, lists):
+        width = max([len(nodes) for nodes in lists] + [1])
+        self.coeffs = np.zeros((len(lists), width, 1))
+        self.idx = np.full((len(lists), width), _PAD, dtype=np.intp)
+        for t, nodes in enumerate(lists):
+            for j, (coeff, node) in enumerate(nodes):
+                self.coeffs[t, j, 0] = coeff
+                self.idx[t, j] = _intern(node)
+        super().__init__(self.idx.ravel().tolist())
 
 
-# frozen terms by id(entries), with the entries kept alive beside them.  The
-# tables are module constants and single words come from _word_entries, so
-# a lookup hashes one int where a cache key would hash every Fraction.
+# frozen plans by (walk, id(table), orders), with the table kept alive
+# beside them.  The tables are module constants and single words come from
+# _word_table, so a lookup hashes ints where a key of the entries would hash
+# every Fraction.
 _FROZEN: dict = {}
-# interning reads and extends the node lists: one table is frozen at a time
+# interning reads and extends the node lists: one plan is built at a time
 _FREEZING = threading.Lock()
 
 
-def _table_terms(entries) -> tuple:
-    """Value terms, grad-q nodes and grad-mom nodes of one table entry."""
-    hit = _FROZEN.get(id(entries))
+def _plan(walk, table: dict, orders):
+    """The plan of table[n] for n in orders: its value terms (one order)
+    when walk is None, else the node list walk gives for each order."""
+    key = (walk, id(table), orders)
+    hit = _FROZEN.get(key)
     if hit is None:
         with _FREEZING:
-            hit = _FROZEN.get(id(entries))
+            hit = _FROZEN.get(key)
             if hit is None:
-                expansion = _table_expansion(entries)
-                hit = _FROZEN[id(entries)] = (entries, (
-                    _Terms(_freeze(expansion)),
-                    _Nodes(_freeze(_rewrite(expansion, _grad_q_nodes))),
-                    _Nodes(_freeze(_rewrite(expansion, _grad_mom_nodes)))))
+                expansions = [_table_expansion(table[n]) for n in orders]
+                if walk is None:
+                    (expansion,) = expansions
+                    plan = _Terms(_freeze(expansion))
+                else:
+                    plan = _Sums([_freeze(_rewrite(e, walk)) for e in expansions])
+                hit = _FROZEN[key] = (table, plan)
     return hit[1]
 
 
 @cache
-def _word_entries(word: OperatorWord) -> tuple:
-    """The table entry of one word with coefficient 1, one object per word."""
-    return ((1, word),)
+def _word_table(word: OperatorWord) -> dict:
+    """The table of one word with coefficient 1 at order 0, one per word."""
+    return {0: ((1, word),)}
 
 
 class Workspace:
     """Evaluation workspace bound to one (potential, mass, q).
 
     The vector D^{k+1}V[children, .] of v node i is row i of one array, and
-    its raised direction (M times it) entry i of a list beside it.  A frozen
-    list's plan runs in two segments: its q-only nodes once for the
-    workspace's life, so implicit solves that re-evaluate at fixed q pay only
-    for momentum-dependent work, and its momentum-dependent nodes once per
-    ``set_mom``, which drops them.  A node shared by several lists is
-    evaluated once.  Term scalars are not kept: for one momentum a step
-    never asks for the same term twice.
+    its raised direction (M times it) row i of another, both as long as the
+    interned node count.  Row ``_PAD`` holds zero and one, and the raised
+    momentum is direction ``_MOM``.  A plan runs level by level, each level
+    one call of the potential's ``_gradient_rows`` hook: its q-only levels
+    once for the workspace's life, so implicit solves that re-evaluate at
+    fixed q pay only for momentum-dependent work, and its
+    momentum-dependent levels on every run.  Term scalars are not kept: for
+    one momentum a step never asks for the same term twice.
     """
 
     def __init__(self, potential: Potential, mass: MassMatrix, q: np.ndarray):
@@ -408,76 +458,63 @@ class Workspace:
         self.dim = self.q.size
         self.p_vec = None
         self._memo = {}          # the potential's per-q values
-        self._vecs = np.empty((0, self.dim))
-        self._dirs = []
-        self._have = []
-        self._p_have = []        # momentum-dependent ids evaluated since set_mom
+        self._vecs = np.zeros((len(_CHILDREN), self.dim))
+        self._dirs = np.ones((len(_CHILDREN), self.dim))
+        self._root = False       # whether the root row holds V'(q)
+        self._q_done = set()     # plans whose q-only levels ran
 
     def set_mom(self, mom) -> None:
         self.p_vec = self.mass @ np.asarray(mom, dtype=float)
-        for i in self._p_have:
-            self._have[i] = False
-            self._dirs[i] = None
-        self._p_have.clear()
-
-    def _direction(self, k):
-        if k < 0:
-            if self.p_vec is None:
-                raise ValueError("word has momentum atoms but no momentum was given")
-            return self.p_vec
-        vec = self._dirs[k]
-        if vec is None:
-            vec = self._dirs[k] = self.mass @ self._vecs[k]
-        return vec
-
-    def _evaluate(self, ids, log=None) -> None:
-        """Evaluate the nodes of ids not yet held, each appended to log."""
-        potential, q, memo, have = self.potential, self.q, self._memo, self._have
-        for i in ids:
-            if have[i]:
-                continue
-            kids = _CHILDREN[i]
-            if kids:
-                dirs = [self._direction(k) for k in kids]
-                self._vecs[i] = potential._gradient_contract(q, dirs, memo)
-            else:
-                self._vecs[i] = potential.gradient(q)
-            have[i] = True
-            if log is not None:
-                log.append(i)
+        self._dirs[_MOM] = self.p_vec
 
     def _run(self, plan: _Plan) -> None:
-        grow = len(_CHILDREN) - len(self._have)
+        grow = plan.size - len(self._vecs)
         if grow > 0:
-            self._vecs = np.concatenate([self._vecs, np.empty((grow, self.dim))])
-            self._dirs += [None] * grow
-            self._have += [False] * grow
-        self._evaluate(plan.q_ids)
-        self._evaluate(plan.p_ids, self._p_have)
+            self._vecs = np.concatenate([self._vecs, np.zeros((grow, self.dim))])
+            self._dirs = np.concatenate([self._dirs, np.ones((grow, self.dim))])
+        if plan not in self._q_done:
+            if plan.root:
+                self.gradient()
+            self._levels(plan.q_levels)
+            self._q_done.add(plan)
+        if plan.on_p:
+            if self.p_vec is None:
+                raise ValueError("word has momentum atoms but no momentum was given")
+            self._levels(plan.p_levels)
+
+    def _levels(self, levels) -> None:
+        potential, q, memo, mass = self.potential, self.q, self._memo, self.mass
+        vecs, dirs = self._vecs, self._dirs
+        for ids, orders, kids, lift in levels:
+            rows = potential._gradient_rows(q, orders, dirs[kids], memo)
+            vecs[ids] = rows
+            if lift:
+                dirs[ids] = np.matmul(mass, rows[..., None])[..., 0]
 
     def gradient(self) -> np.ndarray:
         """V'(q), the root node's row; evaluated once per workspace."""
-        self._run(_ROOT_PLAN)
+        if not self._root:
+            self._vecs[_ROOT] = self.potential.gradient(self.q)
+            self._dirs[_ROOT] = self.mass @ self._vecs[_ROOT]
+            self._root = True
         return self._vecs[_ROOT]
 
-    def term_value(self, children) -> float:
-        if not children:
+    def term_value(self, kids) -> float:
+        if not kids:
             return self.potential.value(self.q)
-        dirs = [self._direction(k) for k in children]
-        return float(self.potential._contract(self.q, dirs))
+        return float(self.potential._contract(self.q, list(self._dirs[kids])))
 
     def eval_terms(self, terms: _Terms) -> float:
         self._run(terms)
-        return sum(coeff * self.term_value(children) for coeff, children in terms.terms)
+        return sum(coeff * self.term_value(kids) for coeff, kids in terms.terms)
 
-    def eval_nodes(self, nodes: _Nodes) -> np.ndarray:
-        """Sum of coeff times each v node's vector D^{k+1}V[children, .]."""
-        if not nodes.ids.size:
-            return np.zeros(self.dim)
-        self._run(nodes)
+    def node_sums(self, sums: _Sums) -> np.ndarray:
+        """Row t: the sum of coeff times each v node's vector of list t."""
+        self._run(sums)
         # cumsum adds in list order, as ``out += coeff * vec`` from zeros
-        # does; adding 0.0 gives that zero start's sign to an all -0.0 sum
-        return (nodes.coeffs * self._vecs[nodes.ids]).cumsum(axis=0)[-1] + 0.0
+        # does; the pads add 0.0, and adding 0.0 gives that zero start's
+        # sign to an all -0.0 sum
+        return (sums.coeffs * self._vecs[sums.idx]).cumsum(axis=1)[:, -1] + 0.0
 
 
 def _workspace(potential, mass, q, mom, workspace=None):
@@ -487,31 +524,37 @@ def _workspace(potential, mass, q, mom, workspace=None):
     return ws
 
 
-def _value(entries, ws) -> float:
-    return ws.eval_terms(_table_terms(entries)[0])
+def _value(table, n, ws) -> float:
+    return ws.eval_terms(_plan(None, table, range(n, n + 1)))
 
 
-def _grad_q(entries, ws) -> np.ndarray:
-    return ws.eval_nodes(_table_terms(entries)[1])
+def _grad_q(table, n, ws) -> np.ndarray:
+    return ws.node_sums(_plan(_grad_q_nodes, table, range(n, n + 1)))[0]
 
 
-def _grad_mom(entries, ws) -> np.ndarray:
-    return ws.mass @ ws.eval_nodes(_table_terms(entries)[2])
+def _grad_mom(table, n, ws) -> np.ndarray:
+    return ws.mass @ ws.node_sums(_plan(_grad_mom_nodes, table, range(n, n + 1)))[0]
+
+
+def _series(start, tau, orders, sums) -> np.ndarray:
+    """start plus tau**n times row n of sums, added in the order of orders."""
+    scaled = np.array([tau**n for n in orders])[:, None] * sums
+    return np.concatenate((start[None], scaled)).cumsum(axis=0)[-1]
 
 
 def apply_word(word, potential, mass, q, mom=None, workspace=None) -> float:
     """Evaluate a derivative word applied to V at position q, momentum mom."""
-    return _value(_word_entries(word), _workspace(potential, mass, q, mom, workspace))
+    return _value(_word_table(word), 0, _workspace(potential, mass, q, mom, workspace))
 
 
 def grad_word_q(word, potential, mass, q, mom=None, workspace=None) -> np.ndarray:
     """Exact gradient of ``apply_word`` with respect to q."""
-    return _grad_q(_word_entries(word), _workspace(potential, mass, q, mom, workspace))
+    return _grad_q(_word_table(word), 0, _workspace(potential, mass, q, mom, workspace))
 
 
 def grad_word_mom(word, potential, mass, q, mom=None, workspace=None) -> np.ndarray:
     """Exact gradient of ``apply_word`` with respect to mom."""
-    return _grad_mom(_word_entries(word), _workspace(potential, mass, q, mom, workspace))
+    return _grad_mom(_word_table(word), 0, _workspace(potential, mass, q, mom, workspace))
 
 
 def _check_generator_order(table, n):
@@ -523,32 +566,32 @@ def kinetic_correction(n, potential, mass, q, mom, tau, workspace=None) -> float
     """Kinetic correction generator of order n (times tau^n)."""
     _check_generator_order(KINETIC_GENERATORS, n)
     ws = _workspace(potential, mass, q, mom, workspace)
-    return tau**n * _value(KINETIC_GENERATORS[n], ws)
+    return tau**n * _value(KINETIC_GENERATORS, n, ws)
 
 
 def kinetic_correction_grad_q(n, potential, mass, q, mom, tau, workspace=None):
     _check_generator_order(KINETIC_GENERATORS, n)
     ws = _workspace(potential, mass, q, mom, workspace)
-    return tau**n * _grad_q(KINETIC_GENERATORS[n], ws)
+    return tau**n * _grad_q(KINETIC_GENERATORS, n, ws)
 
 
 def kinetic_correction_grad_mom(n, potential, mass, q, mom, tau, workspace=None):
     _check_generator_order(KINETIC_GENERATORS, n)
     ws = _workspace(potential, mass, q, mom, workspace)
-    return tau**n * _grad_mom(KINETIC_GENERATORS[n], ws)
+    return tau**n * _grad_mom(KINETIC_GENERATORS, n, ws)
 
 
 def potential_correction(n, potential, mass, q, tau, workspace=None) -> float:
     """Potential correction generator of order n (times tau^n); q-only."""
     _check_generator_order(POTENTIAL_GENERATORS, n)
     ws = _workspace(potential, mass, q, None, workspace)
-    return tau**n * _value(POTENTIAL_GENERATORS[n], ws)
+    return tau**n * _value(POTENTIAL_GENERATORS, n, ws)
 
 
 def potential_correction_grad(n, potential, mass, q, tau, workspace=None) -> np.ndarray:
     _check_generator_order(POTENTIAL_GENERATORS, n)
     ws = _workspace(potential, mass, q, None, workspace)
-    return tau**n * _grad_q(POTENTIAL_GENERATORS[n], ws)
+    return tau**n * _grad_q(POTENTIAL_GENERATORS, n, ws)
 
 
 def v_eff(potential, mass, q, tau, scheme_order, workspace=None) -> float:
@@ -560,7 +603,7 @@ def v_eff(potential, mass, q, tau, scheme_order, workspace=None) -> float:
     ws = _workspace(potential, mass, q, None, workspace)
     total = potential.value(ws.q)
     for n in correction_orders(scheme_order):
-        total += tau**n * _value(POTENTIAL_GENERATORS[n], ws)
+        total += tau**n * _value(POTENTIAL_GENERATORS, n, ws)
     return total
 
 
@@ -569,10 +612,8 @@ def v_eff_grad(potential, mass, q, tau, scheme_order, workspace=None) -> np.ndar
     orders = correction_orders(scheme_order)
     if not orders:
         return potential.gradient(ws.q).astype(float, copy=True)
-    total = ws.gradient().copy()
-    for n in orders:
-        total += tau**n * _grad_q(POTENTIAL_GENERATORS[n], ws)
-    return total
+    sums = ws.node_sums(_plan(_grad_q_nodes, POTENTIAL_GENERATORS, orders))
+    return _series(ws.gradient(), tau, orders, sums)
 
 
 def generating_function(potential, mass, q, mom, tau, scheme_order, workspace=None) -> float:
@@ -585,7 +626,7 @@ def generating_function(potential, mass, q, mom, tau, scheme_order, workspace=No
     mom = np.asarray(mom, dtype=float)
     total = float(ws.q @ mom) + 0.5 * tau * float(mom @ ws.p_vec)
     for n in generating_orders(scheme_order):
-        total += tau**n * _value(GENERATING_TERMS[n], ws)
+        total += tau**n * _value(GENERATING_TERMS, n, ws)
     return total
 
 
@@ -593,17 +634,16 @@ def generating_function_grad_q(potential, mass, q, mom, tau, scheme_order,
                                workspace=None) -> np.ndarray:
     """d G / d q: the implicit equation for the new momentum is p = this."""
     ws = _workspace(potential, mass, q, mom, workspace)
-    total = np.asarray(mom, dtype=float).copy()
-    for n in generating_orders(scheme_order):
-        total += tau**n * _grad_q(GENERATING_TERMS[n], ws)
-    return total
+    orders = generating_orders(scheme_order)
+    sums = ws.node_sums(_plan(_grad_q_nodes, GENERATING_TERMS, orders))
+    return _series(np.asarray(mom, dtype=float), tau, orders, sums)
 
 
 def generating_function_grad_p(potential, mass, q, mom, tau, scheme_order,
                                workspace=None) -> np.ndarray:
     """d G / d P: evaluates the new position once P has been solved for."""
     ws = _workspace(potential, mass, q, mom, workspace)
-    total = ws.q + tau * ws.p_vec
-    for n in generating_orders(scheme_order):
-        total += tau**n * _grad_mom(GENERATING_TERMS[n], ws)
-    return total
+    orders = generating_orders(scheme_order)
+    sums = ws.node_sums(_plan(_grad_mom_nodes, GENERATING_TERMS, orders))
+    raised = np.matmul(ws.mass, sums[..., None])[..., 0]
+    return _series(ws.q + tau * ws.p_vec, tau, orders, raised)

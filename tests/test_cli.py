@@ -218,6 +218,19 @@ def test_non_finite_inputs_write_nothing(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_overflowing_kernel_tables_write_nothing(tmp_path, capsys):
+    (tmp_path / "kbig.mat").write_text("1\n1e200\n")
+    out = tmp_path / "trace.csv"
+    for flags in (["--potential", "harmonic", "--omega", "1e100"],
+                  ["--potential", "quadratic", "--k-file", str(tmp_path / "kbig.mat"),
+                   "--q0", "1", "--p0", "0", "--t-final", "1"]):
+        assert main(["run", *flags, "--out", str(out)]) == 1, flags
+        assert capsys.readouterr().err == (
+            "error: the order-8 kernel tables of this potential and mass "
+            "overflow the float range\n"), flags
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv, written", [
     (["run", "--periods", "1", "--out", "{blocker}/trace.csv"], "trace.csv"),
     (["figure", "3", "--tau-list", "0.1", "--out", "{blocker}"],

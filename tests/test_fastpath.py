@@ -440,6 +440,15 @@ def test_tables_are_cached(quartic, mass1):
     assert not any(arr.flags.writeable for arr in folded)
 
 
+@pytest.mark.parametrize("potential", [Harmonic(1e100), Quadratic([[1e200]])])
+def test_tables_that_overflow_are_refused(potential, mass1):
+    # finite V'' = 1e200, but the exact order-8 table coefficients leave the
+    # double range; order 2 needs none of them
+    with pytest.raises(ValueError, match="order-8 kernel tables .* overflow"):
+        fastpath.tables_for(potential, mass1, 8)
+    assert fastpath.tables_for(potential, mass1, 2).mval == 1.0
+
+
 class _OpaquePolynomial(Polynomial1D):
     """The same polynomial hiding its coefficients, forcing the generic engine."""
 

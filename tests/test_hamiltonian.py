@@ -95,6 +95,27 @@ def test_constructors_refuse_non_finite_input(build, message):
             build()
 
 
+def test_symmetrizing_near_the_float_limit_does_not_overflow():
+    # k + k^T overflows here; the entries are halved before they are added
+    big = [[1e308, 1e308], [1e308, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Quadratic(big).stiffness.tolist() == big
+        near = 1.7e308 * (1.0 - 1e-15)
+        k = Quadratic([[1.7e308, near], [1.7e308, 1.0]]).stiffness
+        assert k[0, 1] == k[1, 0] == 0.5 * near + 0.5 * 1.7e308
+        assert MassMatrix([[1e308, 1e308], [1e308, 1e308]]).mat.tolist() == [[1e308] * 2] * 2
+        # indefinite, and far from symmetric: refused, not warned about
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            MassMatrix(big)
+        for build, name in ((Quadratic, "stiffness"), (MassMatrix, "mass matrix")):
+            with pytest.raises(ValueError, match=f"{name} must be symmetric"):
+                build([[1.0, 1e308], [-1e308, 1.0]])
+    # below the limit the halving comes after the sum, as before
+    k = np.array([[2.0, 1.0 + 2.0**-52], [1.0, 3.0]])
+    assert Quadratic(k).stiffness[0, 1] == 0.5 * (k[0, 1] + k[1, 0])
+
+
 def test_hamiltonian_values(quartic, mass1):
     x = PhasePoint(np.array([0.0]), np.array([1.0]))
     assert hamiltonian(x, quartic, mass1) == 0.5

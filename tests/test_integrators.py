@@ -7,13 +7,13 @@ import struct
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import HenonHeiles
 
 from symsplit.hamiltonian import (
     Harmonic,
     MassMatrix,
     PhasePoint,
     Polynomial1D,
-    Potential,
     Quadratic,
     Quartic,
     hamiltonian,
@@ -438,32 +438,6 @@ def test_integrate_polynomial_potential_with_heavy_mass():
 # pinned bytes of the generic engine beyond quadratic potentials
 
 
-class _HenonHeiles(Potential):
-    """V = (x^2 + y^2) / 2 + x^2 y - y^3 / 3, exact contractions only."""
-
-    def value(self, q):
-        x, y = q
-        return 0.5 * (x * x + y * y) + x * x * y - y**3 / 3.0
-
-    def gradient(self, q):
-        x, y = q
-        return np.array([x + 2.0 * x * y, y + x * x - y * y])
-
-    def _contract(self, q, dirs):
-        x, y = q
-        if len(dirs) == 1:
-            return float(dirs[0] @ self.gradient(q))
-        if len(dirs) == 2:
-            u, v = dirs
-            return ((1.0 + 2.0 * y) * u[0] * v[0] + 2.0 * x * (u[0] * v[1] + u[1] * v[0])
-                    + (1.0 - 2.0 * y) * u[1] * v[1])
-        if len(dirs) == 3:
-            u, v, w = dirs
-            return (2.0 * (u[0] * v[0] * w[1] + u[0] * v[1] * w[0] + u[1] * v[0] * w[0])
-                    - 2.0 * u[1] * v[1] * w[1])
-        return 0.0
-
-
 def _observed_digest(x0, potential, mass, n_steps=20):
     """sha256 of every observed state and StepReport of order-8 steps."""
     digest = hashlib.sha256()
@@ -482,7 +456,7 @@ def _observed_digest(x0, potential, mass, n_steps=20):
 def test_henon_heiles_steps_are_pinned():
     mass = MassMatrix([[1.5, 0.2], [0.2, 0.8]])
     x0 = _x([0.1, -0.2], [0.3, 0.15])
-    assert _observed_digest(x0, _HenonHeiles(), mass) == (
+    assert _observed_digest(x0, HenonHeiles(), mass) == (
         "320bb0ee7ae8ffeff917d08b7a5cb907024d06521456ff9166e55b6389affe46")
 
 

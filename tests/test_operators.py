@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import HenonHeiles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,8 +177,9 @@ def _spd(rng, dim):
 
 @st.composite
 def _problems(draw):
-    """(potential, mass) of one of the four kinds the engine has hooks for."""
-    kind = draw(st.sampled_from(["quartic", "poly1d", "quadratic3d", "harmonic2d"]))
+    """(potential, mass) of one of the four kinds the engine has hooks for,
+    or Hénon–Heiles, which defines only ``_contract``."""
+    kind = draw(st.sampled_from(["quartic", "poly1d", "quadratic3d", "harmonic2d", "henon"]))
     if kind == "quartic":
         return Quartic(), MassMatrix.identity(1)
     if kind == "poly1d":
@@ -186,12 +188,19 @@ def _problems(draw):
     if kind == "quadratic3d":
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         return Quadratic(_spd(rng, 3)), MassMatrix(_spd(rng, 3))
+    if kind == "henon":
+        return HenonHeiles(), MassMatrix([[1.5, 0.2], [0.2, 0.8]])
     return Harmonic(draw(st.floats(0.5, 2.0))), MassMatrix([[1.5, 0.2], [0.2, 0.8]])
 
 
+def _basis_loop(potential, q, dirs):
+    """D^{k+1}V[dirs, .] entry by entry: ``_contract`` with each basis row."""
+    return np.array([potential._contract(q, [row, *dirs]) for row in np.eye(q.size)])
+
+
 def _plain_sum(entries, walk, potential, mass, q, mom):
-    """Sum of a table's nodes: each node's vector from the base class's
-    basis-row loop, added one by one from zeros."""
+    """Sum of a table's nodes: each node's vector from a basis-row loop of
+    ``_contract``, added one by one from zeros."""
     raised = mass.mat @ mom
 
     def vector(node):
@@ -199,7 +208,7 @@ def _plain_sum(entries, walk, potential, mass, q, mom):
                 for sub in node[1]]
         if not dirs:
             return potential.gradient(q)
-        return Potential._gradient_contract(potential, q, dirs)
+        return _basis_loop(potential, q, dirs)
 
     nodes = operators._freeze(operators._rewrite(operators._table_expansion(entries), walk))
     out = np.zeros(q.size)
@@ -238,45 +247,80 @@ def test_tape_matches_a_plain_evaluation_bit_for_bit(problem, order, tau, data):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(problem=_problems(), k=st.integers(0, 7), data=st.data())
-def test_gradient_contract_overrides_match_the_basis_loop(problem, k, data):
+@given(problem=_problems(), ks=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+       pad=st.integers(0, 2), data=st.data())
+def test_gradient_contract_overrides_match_the_basis_loop(problem, ks, pad, data):
+    # one level of rows with mixed orders, padded past the longest by pad
     potential, mass = problem
     dim = mass.dim
     q = np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
-    dirs = [np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
-            for _ in range(k)]
-    want = Potential._gradient_contract(potential, q, dirs).tobytes()
+    rows = [[np.array(data.draw(st.lists(_coord, min_size=dim, max_size=dim)))
+             for _ in range(k)] for k in ks]
+    orders = np.array([k + 1 for k in ks])
+    dirs = np.ones((len(ks), max(ks) + pad, dim))
+    for i, row in enumerate(rows):
+        dirs[i, :len(row)] = np.reshape(row, (len(row), dim))
+    want = Potential._gradient_rows(potential, q, orders, dirs)
+    for i, row in enumerate(rows):
+        assert want[i].tobytes() == _basis_loop(potential, q, row).tobytes()
     memo = {}
     for kept in (None, memo, memo):
-        assert potential._gradient_contract(q, dirs, kept).tobytes() == want
+        assert potential._gradient_rows(q, orders, dirs, kept).tobytes() == want.tobytes()
+
+
+def _counting(base, fail_at=None):
+    """A subclass of base counting its hook calls, failing on call fail_at."""
+
+    class Counting(base):
+        calls = 0
+
+        def _gradient_rows(self, q, orders, dirs, memo=None):
+            type(self).calls += 1
+            if type(self).calls == fail_at:
+                raise FloatingPointError("one failed level")
+            return super()._gradient_rows(q, orders, dirs, memo)
+
+    return Counting()
 
 
 def test_set_mom_drops_every_momentum_node_even_after_a_failure(mass1):
-    calls = [0]
+    # a failure in any level, q-only or momentum-dependent, leaves nothing
+    # the next evaluation would reuse
+    q = np.array([0.8])
+    counted = _counting(Quartic)
+    generating_function_grad_q(counted, mass1, q, np.array([0.3]), 0.2, 8)
+    assert counted.calls > 3
+    for fail_at in range(1, counted.calls + 1):
+        pot = _counting(Quartic, fail_at)
+        ws = Workspace(pot, mass1, q)
+        with pytest.raises(FloatingPointError):
+            generating_function_grad_q(pot, mass1, q, np.array([0.3]), 0.2, 8, workspace=ws)
+        for mom in ([1.1], [-0.4], [1.1]):
+            mom = np.array(mom)
+            reused = generating_function_grad_q(pot, mass1, q, mom, 0.2, 8, workspace=ws)
+            fresh = generating_function_grad_q(pot, mass1, q, mom, 0.2, 8)
+            assert reused.tobytes() == fresh.tobytes()
 
-    class Flaky(Quartic):
-        def _gradient_contract(self, q, dirs, memo=None):
-            calls[0] += 1
-            if calls[0] == 12:
-                raise FloatingPointError("one failed contraction")
-            return super()._gradient_contract(q, dirs, memo)
 
-    pot, q = Flaky(), np.array([0.8])
-    ws = Workspace(pot, mass1, q)
-    with pytest.raises(FloatingPointError):
-        generating_function_grad_q(pot, mass1, q, np.array([0.3]), 0.2, 8, workspace=ws)
-    for mom in ([1.1], [-0.4], [1.1]):
-        mom = np.array(mom)
-        reused = generating_function_grad_q(pot, mass1, q, mom, 0.2, 8, workspace=ws)
-        fresh = generating_function_grad_q(pot, mass1, q, mom, 0.2, 8)
-        assert reused.tobytes() == fresh.tobytes()
+@pytest.mark.parametrize("base, mass", [(Quartic, MassMatrix.identity(1)),
+                                        (HenonHeiles, MassMatrix([[1.5, 0.2], [0.2, 0.8]]))])
+def test_a_new_momentum_costs_one_hook_call_per_level(base, mass):
+    # the order-8 dG/dq tables' 53 momentum-dependent nodes run in 3 levels
+    pot = _counting(base)
+    q = np.linspace(0.3, -0.2, mass.dim)
+    ws = Workspace(pot, mass, q)
+    generating_function_grad_q(pot, mass, q, np.full(mass.dim, 0.5), 0.1, 8, workspace=ws)
+    for mom in (0.7, -0.1):
+        before = pot.calls
+        generating_function_grad_q(pot, mass, q, np.full(mass.dim, mom), 0.1, 8, workspace=ws)
+        assert pot.calls - before == 3
 
 
 def test_polynomial_hook_refuses_a_q_of_another_length(quartic):
     q = np.array([0.5, 1.0])
     for memo in (None, {}):
         with pytest.raises(ValueError):
-            quartic._gradient_contract(q, [np.ones(2)], memo)
+            quartic._gradient_rows(q, np.array([2]), np.ones((1, 1, 2)), memo)
     with pytest.raises(ValueError):
         v_eff_grad(quartic, MassMatrix.identity(2), q, 0.1, 4)
 
