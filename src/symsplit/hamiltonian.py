@@ -38,17 +38,14 @@ def _as_vector(x, name="array"):
 
 def _symmetrized(m, name):
     """(m + m^T) / 2 of a finite square m, refused unless m is symmetric to
-    1e-12 of its largest entry; entries whose sum would overflow are halved
-    before they are added."""
+    1e-12 of its largest entry.  The entries are halved before they are
+    added, so the sum cannot overflow; halving is exact, so this gives the
+    bits of halving the sum for every entry whose half is a normal double."""
     scale = max(1.0, float(np.abs(m).max()))
     with np.errstate(over="ignore"):
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValueError(f"{name} must be symmetric")
-        sym = 0.5 * (m + m.T)
-    big = ~np.isfinite(sym)
-    if big.any():
-        sym[big] = (0.5 * m + 0.5 * m.T)[big]
-    return sym, scale
+    return 0.5 * m + 0.5 * m.T, scale
 
 
 @cache
