@@ -132,13 +132,14 @@ def _state(q, p) -> PhasePoint:
 
 
 def kick(x: PhasePoint, h: float, potential: Potential, mass: MassMatrix,
-         tau_full: float, scheme_order: int = 2) -> PhasePoint:
+         tau_full: float, scheme_order: int = 2, workspace=None) -> PhasePoint:
     """Momentum update over time h from the effective potential.
 
     The effective potential's internal tau powers use the full step size
-    ``tau_full`` even when h is a half step.
+    ``tau_full`` even when h is a half step.  ``workspace``, an
+    ``operators.Workspace`` at x.q, keeps the force for a later kick there.
     """
-    g = v_eff_grad(potential, mass, x.q, tau_full, scheme_order)
+    g = v_eff_grad(potential, mass, x.q, tau_full, scheme_order, workspace=workspace)
     return _state(x.q, x.p - h * g)
 
 
@@ -163,16 +164,18 @@ def _fd_jacobian(ws, potential, mass, q, mom, tau, order):
 
 
 def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-                    mass: MassMatrix):
+                    mass: MassMatrix, workspace=None):
     """Implicit move: solve p = dG/dq(q, P) for P, then read Q = dG/dP.
 
     Newton iteration starts from P = p (the identity-map limit) and stops
     on the max-norm residual.  The Jacobian is a finite-difference
     approximation of d2G/dqdP; an approximate Jacobian only affects the
     convergence path, not the solved map, so symplecticity is untouched.
+    ``workspace``, an ``operators.Workspace`` at x.q, shares the q-only
+    work with the kick there; by default the move makes its own.
     """
     tau, order = cfg.tau, cfg.order
-    ws = Workspace(potential, mass, x.q)
+    ws = workspace if workspace is not None else Workspace(potential, mass, x.q)
     target = x.p
     mom = x.p.copy()
     iterations = 0
@@ -333,13 +336,13 @@ def _stiffness_for(potential: Potential, dim: int) -> np.ndarray:
 
 
 def _move(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-          mass: MassMatrix):
+          mass: MassMatrix, workspace=None):
     """Kick-move-kick move: the explicit drift at order 2, which keeps the
     corrected order-2 scheme bit-identical to the baseline, else the
     implicit generating-function move."""
     if cfg.order == 2:
         return move_explicit(x, cfg.tau, mass), StepReport()
-    return move_generating(x, cfg, potential, mass)
+    return move_generating(x, cfg, potential, mass, workspace=workspace)
 
 
 def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
@@ -381,27 +384,43 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     halves the number of force evaluations without changing the map beyond
     roundoff.  A fused full kick finishes the step before it, so a state
     that turns non-finite there is reported at that earlier step, as it is
-    without fusing.
+    without fusing.  At corrected orders above 2 one
+    ``operators.Workspace`` per position is shared by every kick there and
+    the implicit move from it, so each position's force and q-only
+    derivative work is evaluated once; an observed run gives the bits of
+    repeated ``step`` calls.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     tau, order = cfg.tau, cfg.order
-    fuse = observer is None and cfg.variant in KMK_VARIANTS
+    kmk = cfg.variant in KMK_VARIANTS
+    fuse = kmk and observer is None
+
+    def at(x):
+        # only corrected orders above 2 move implicitly; order 2 drifts
+        return Workspace(potential, mass, x.q) if order > 2 else None
+
     x = x0
+    ws = at(x)
     for i in range(1, n_steps + 1):
-        # a fused step ends after its move; the next step's full kick (or
-        # the closing half kick) completes it
-        if fuse:
-            with _failing_at(max(i - 1, 1)):
-                x = kick(x, tau if i > 1 else 0.5 * tau, potential, mass, tau, order)
-            with _failing_at(i):
-                x, report = _move(x, cfg, potential, mass)
-        else:
+        if not kmk:
             with _failing_at(i):
                 x, report = step(x, cfg, potential, mass)
+        else:
+            # a fused step ends after its move; the next step's full kick
+            # (or the closing half kick) completes it
+            full = fuse and i > 1
+            with _failing_at(i - 1 if full else i):
+                x = kick(x, tau if full else 0.5 * tau, potential, mass, tau, order,
+                         workspace=ws)
+            with _failing_at(i):
+                x, report = _move(x, cfg, potential, mass, ws)
+                ws = at(x)
+                if not fuse:
+                    x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
         if observer is not None:
             observer(i, i * tau, x, report)
     if fuse and n_steps:
         with _failing_at(n_steps):
-            x = kick(x, 0.5 * tau, potential, mass, tau, order)
+            x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
     return x

@@ -22,9 +22,11 @@ child of its own kind, q-only or momentum-dependent, so each level is one
 batched call of the potential's ``_gradient_rows`` hook.  A
 :class:`Workspace` runs that plan, keeping node vectors and their raised
 directions as rows by id, and sums every list in one pass over the stack of
-its vectors.  Evaluation only ever calls the potential's exact
-contractions (``_contract`` and the hook), so values and gradients carry no
-truncation error beyond floating-point roundoff.
+its vectors.  It keeps its q-only rows across plans, so every operator at
+one position shares them: the integrators keep one workspace per position,
+for the kick and the implicit move there.  Evaluation only ever calls the
+potential's exact contractions (``_contract`` and the hook), so values and
+gradients carry no truncation error beyond floating-point roundoff.
 
 Coefficient tables are stored as ``fractions.Fraction`` and converted to
 float once, so rational identities (for instance the harmonic reduction of
@@ -37,7 +39,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -328,9 +330,9 @@ class _Plan:
     levels and the momentum and are evaluated in one batched hook call.
     ``q_levels`` hold the q-only nodes but the root, which ``root`` says is
     needed; ``p_levels`` the momentum-dependent ones.  A level is (ids,
-    orders, kids, lift): the node ids, their derivative orders, their child
-    ids padded with ``_PAD`` to one width, and whether any of its nodes'
-    raised directions is read.
+    orders, kids, lift, members): the node ids, their derivative orders,
+    their child ids padded with ``_PAD`` to one width, whether any of its
+    nodes' raised directions is read, and the ids as a tuple of ints.
     """
 
     __slots__ = ("root", "on_p", "q_levels", "p_levels", "size")
@@ -367,7 +369,8 @@ class _Plan:
                 np.array([len(_CHILDREN[i]) + 1 for i in ids], dtype=np.intp),
                 np.array([_CHILDREN[i] + (_PAD,) * (width - len(_CHILDREN[i]))
                           for i in ids], dtype=np.intp),
-                not read.isdisjoint(ids)))
+                not read.isdisjoint(ids),
+                tuple(ids)))
         return tuple(out)
 
 
@@ -444,11 +447,14 @@ class Workspace:
     its raised direction (M times it) row i of another, both as long as the
     interned node count.  Row ``_PAD`` holds zero and one, and the raised
     momentum is direction ``_MOM``.  A plan runs level by level, each level
-    one call of the potential's ``_gradient_rows`` hook: its q-only levels
-    once for the workspace's life, so implicit solves that re-evaluate at
-    fixed q pay only for momentum-dependent work, and its
-    momentum-dependent levels on every run.  Term scalars are not kept: for
-    one momentum a step never asks for the same term twice.
+    one call of the potential's ``_gradient_rows`` hook.  A q-only row is
+    evaluated once for the workspace's life, whichever plan first needs it,
+    and raised once, when a plan first reads its direction, so every
+    operator at this q shares it: the kick's force and the implicit move's
+    Newton solve and position update.  Momentum levels run on every plan
+    run.  The kick force is kept per (tau, orders), so a second kick at this
+    q costs nothing.  Term scalars are not kept: for one momentum a step
+    never asks for the same term twice.
     """
 
     def __init__(self, potential: Potential, mass: MassMatrix, q: np.ndarray):
@@ -460,8 +466,9 @@ class Workspace:
         self._memo = {}          # the potential's per-q values
         self._vecs = np.zeros((len(_CHILDREN), self.dim))
         self._dirs = np.ones((len(_CHILDREN), self.dim))
-        self._root = False       # whether the root row holds V'(q)
-        self._q_done = set()     # plans whose q-only levels ran
+        self._have = set()       # q-only ids whose row is set
+        self._raised = set()     # q-only ids whose raised direction is set
+        self._forces = {}        # v_eff_grad's result by (tau, orders)
 
     def set_mom(self, mom) -> None:
         self.p_vec = self.mass @ np.asarray(mom, dtype=float)
@@ -472,31 +479,43 @@ class Workspace:
         if grow > 0:
             self._vecs = np.concatenate([self._vecs, np.zeros((grow, self.dim))])
             self._dirs = np.concatenate([self._dirs, np.ones((grow, self.dim))])
-        if plan not in self._q_done:
-            if plan.root:
-                self.gradient()
-            self._levels(plan.q_levels)
-            self._q_done.add(plan)
+        if plan.root:
+            self.gradient()
+        have, raised = self._have, self._raised
+        for ids, orders, kids, lift, members in plan.q_levels:
+            if have.isdisjoint(members):
+                self._level(ids, orders, kids, lift)
+                have.update(members)
+                if lift:
+                    raised.update(members)
+                continue
+            if not have.issuperset(members):
+                # another plan ran part of this level
+                todo = [j for j, i in enumerate(members) if i not in have]
+                self._level(ids[todo], orders[todo], kids[todo], False)
+                have.update(members)
+            if lift and not raised.issuperset(members):
+                # the rows are here, but not all of their directions
+                self._dirs[ids] = np.matmul(self.mass, self._vecs[ids][..., None])[..., 0]
+                raised.update(members)
         if plan.on_p:
             if self.p_vec is None:
                 raise ValueError("word has momentum atoms but no momentum was given")
-            self._levels(plan.p_levels)
+            for ids, orders, kids, lift, _ in plan.p_levels:
+                self._level(ids, orders, kids, lift)
 
-    def _levels(self, levels) -> None:
-        potential, q, memo, mass = self.potential, self.q, self._memo, self.mass
-        vecs, dirs = self._vecs, self._dirs
-        for ids, orders, kids, lift in levels:
-            rows = potential._gradient_rows(q, orders, dirs[kids], memo)
-            vecs[ids] = rows
-            if lift:
-                dirs[ids] = np.matmul(mass, rows[..., None])[..., 0]
+    def _level(self, ids, orders, kids, lift) -> None:
+        rows = self.potential._gradient_rows(self.q, orders, self._dirs[kids], self._memo)
+        self._vecs[ids] = rows
+        if lift:
+            self._dirs[ids] = np.matmul(self.mass, rows[..., None])[..., 0]
 
     def gradient(self) -> np.ndarray:
         """V'(q), the root node's row; evaluated once per workspace."""
-        if not self._root:
+        if _ROOT not in self._have:
             self._vecs[_ROOT] = self.potential.gradient(self.q)
             self._dirs[_ROOT] = self.mass @ self._vecs[_ROOT]
-            self._root = True
+            self._have.add(_ROOT)
         return self._vecs[_ROOT]
 
     def term_value(self, kids) -> float:
@@ -536,9 +555,17 @@ def _grad_mom(table, n, ws) -> np.ndarray:
     return ws.mass @ ws.node_sums(_plan(_grad_mom_nodes, table, range(n, n + 1)))[0]
 
 
+@lru_cache(maxsize=256)
+def _powers(tau, orders) -> np.ndarray:
+    """The column of tau**n for n in orders, read-only."""
+    column = np.array([tau**n for n in orders])[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def _series(start, tau, orders, sums) -> np.ndarray:
     """start plus tau**n times row n of sums, added in the order of orders."""
-    scaled = np.array([tau**n for n in orders])[:, None] * sums
+    scaled = _powers(tau, orders) * sums
     return np.concatenate((start[None], scaled)).cumsum(axis=0)[-1]
 
 
@@ -608,12 +635,16 @@ def v_eff(potential, mass, q, tau, scheme_order, workspace=None) -> float:
 
 
 def v_eff_grad(potential, mass, q, tau, scheme_order, workspace=None) -> np.ndarray:
+    """Gradient of ``v_eff``: the kick force, kept by the workspace."""
     ws = _workspace(potential, mass, q, None, workspace)
     orders = correction_orders(scheme_order)
     if not orders:
         return potential.gradient(ws.q).astype(float, copy=True)
-    sums = ws.node_sums(_plan(_grad_q_nodes, POTENTIAL_GENERATORS, orders))
-    return _series(ws.gradient(), tau, orders, sums)
+    force = ws._forces.get((tau, orders))
+    if force is None:
+        sums = ws.node_sums(_plan(_grad_q_nodes, POTENTIAL_GENERATORS, orders))
+        force = ws._forces[tau, orders] = _series(ws.gradient(), tau, orders, sums)
+    return force.copy()
 
 
 def generating_function(potential, mass, q, mom, tau, scheme_order, workspace=None) -> float:

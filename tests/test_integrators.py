@@ -401,6 +401,46 @@ def test_integrate_fused_path_matches_observed_path(variant, order, quartic,
     assert np.abs(fused.as_array() - unfused.as_array()).max() < 1e-14
 
 
+@pytest.mark.parametrize("variant,order", [("baseline_kmk", 2), ("corrected_kmk", 2),
+                                           ("corrected_kmk", 4), ("corrected_kmk", 6),
+                                           ("corrected_kmk", 8)])
+@pytest.mark.parametrize("problem", ["quartic", "henon"])
+def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, problem):
+    # integrate shares one workspace per position; step makes a fresh one
+    # for every kick and move
+    if problem == "quartic":
+        potential, mass, x = Quartic(), MassMatrix.identity(1), _x(0.0, 1.0)
+    else:
+        potential, mass = HenonHeiles(), MassMatrix([[1.5, 0.2], [0.2, 0.8]])
+        x = _x([0.1, -0.2], [0.3, 0.15])
+    cfg = SchemeConfig(variant, 0.1, order=order)
+    seen = []
+    integrate(x, cfg, potential, mass, 12,
+              observer=lambda i, t, y, report: seen.append((y, report)))
+    assert len(seen) == 12
+    for y, report in seen:
+        x, want = step(x, cfg, potential, mass)
+        assert y.q.tobytes() == x.q.tobytes() and y.p.tobytes() == x.p.tobytes()
+        assert report == want
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_integrate_evaluates_each_position_once(observed, mass1, x_unit):
+    # n steps visit n + 1 positions; each one's force and moves share V'
+    class Counting(Quartic):
+        calls = 0
+
+        def gradient(self, q):
+            type(self).calls += 1
+            return super().gradient(q)
+
+    pot = Counting()
+    observer = (lambda *args: None) if observed else None
+    integrate(x_unit, SchemeConfig("corrected_kmk", 0.05, order=8), pot, mass1, 10,
+              observer=observer)
+    assert pot.calls == 11
+
+
 def test_integrate_attaches_step_index_on_divergence(quartic, mass1):
     cfg = SchemeConfig("corrected_kmk", 3.0, order=8)
     with pytest.raises(NewtonDiverged) as info:

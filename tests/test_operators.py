@@ -316,6 +316,43 @@ def test_a_new_momentum_costs_one_hook_call_per_level(base, mass):
         assert pot.calls - before == 3
 
 
+def test_grad_p_reuses_the_q_only_rows_grad_q_left(mass1):
+    # the order-8 dG/dP plan's one q-only node is in dG/dq's plan too, so
+    # only its 3 momentum levels run
+    pot = _counting(Quartic)
+    q, mom = np.array([0.8]), np.array([0.3])
+    ws = Workspace(pot, mass1, q)
+    generating_function_grad_q(pot, mass1, q, mom, 0.2, 8, workspace=ws)
+    before = pot.calls
+    generating_function_grad_p(pot, mass1, q, mom, 0.2, 8, workspace=ws)
+    assert pot.calls - before == 3
+
+
+@pytest.mark.parametrize("potential, mass", [
+    (Quartic(), MassMatrix.identity(1)),
+    (HenonHeiles(), MassMatrix([[1.5, 0.2], [0.2, 0.8]])),
+])
+def test_a_shared_workspace_gives_fresh_bytes_in_any_order(potential, mass):
+    # the plans share q-only nodes, and the order-4 force's plan reads no
+    # raised direction of the node ("v", (W,)) that dG/dq reads; whichever
+    # runs first, each result keeps its bits
+    q = np.linspace(0.3, -0.2, mass.dim)
+    mom = np.linspace(0.5, 0.1, mass.dim)
+    calls = {
+        "v_eff_grad:4": lambda ws: v_eff_grad(potential, mass, q, 0.1, 4, workspace=ws),
+        "v_eff_grad:8": lambda ws: v_eff_grad(potential, mass, q, 0.1, 8, workspace=ws),
+        "grad_q": lambda ws: generating_function_grad_q(potential, mass, q, mom, 0.1, 8,
+                                                        workspace=ws),
+        "grad_p": lambda ws: generating_function_grad_p(potential, mass, q, mom, 0.1, 8,
+                                                        workspace=ws),
+    }
+    fresh = {name: call(None).tobytes() for name, call in calls.items()}
+    for names in itertools.permutations(calls):
+        ws = Workspace(potential, mass, q)
+        for name in names:
+            assert calls[name](ws).tobytes() == fresh[name], names
+
+
 def test_polynomial_hook_refuses_a_q_of_another_length(quartic):
     q = np.array([0.5, 1.0])
     for memo in (None, {}):
@@ -458,6 +495,16 @@ def test_v_eff_grad_evaluates_the_gradient_once(quartic, mass1):
         for n in correction_orders(order):
             want += potential_correction_grad(n, quartic, mass1, q, tau)
         assert got.tobytes() == want.tobytes(), order
+
+
+def test_a_workspace_keeps_each_force_apart(quartic, mass1):
+    # the force is kept per (tau, order), and each caller gets its own copy
+    q = np.array([0.9])
+    ws = Workspace(quartic, mass1, q)
+    for tau, order in [(0.15, 8), (0.15, 6), (0.1, 8), (0.15, 8), (0.1, 8)]:
+        got = v_eff_grad(quartic, mass1, q, tau, order, workspace=ws)
+        assert got.tobytes() == v_eff_grad(quartic, mass1, q, tau, order).tobytes()
+        got[0] = np.nan
 
 
 def test_generating_function_zero_tau_is_identity(quartic, mass1):
