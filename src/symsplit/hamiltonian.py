@@ -248,15 +248,16 @@ class Polynomial1D(Potential):
     def _gradient_rows(self, q, orders, dirs, memo=None):
         # _contract's product without its factor e_0[0] = 1.0, times the
         # 1.0 pad slots: both exact; the derivative values are taken once
-        # per memo.  The reduction over axis 0 multiplies slot by slot, in
-        # _contract's order.
+        # per memo
         values = None if memo is None else memo.get("poly")
         if values is None:
             values = np.array([self._poly(q, k) for k in range(MAX_DERIVATIVE_ORDER + 1)])
             if memo is not None:
                 memo["poly"] = values
-        factors = np.concatenate((values[orders][None], dirs[:, :, 0].T))
-        return np.multiply.reduce(factors, axis=0)[:, None]
+        acc = values[orders]
+        for u in dirs[:, :, 0].T:
+            acc *= u
+        return acc[:, None]
 
     def poly1d_coefficients(self):
         return self.coefficients

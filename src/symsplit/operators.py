@@ -447,14 +447,15 @@ class Workspace:
     its raised direction (M times it) row i of another, both as long as the
     interned node count.  Row ``_PAD`` holds zero and one, and the raised
     momentum is direction ``_MOM``.  A plan runs level by level, each level
-    one call of the potential's ``_gradient_rows`` hook.  A q-only row is
-    evaluated once for the workspace's life, whichever plan first needs it,
-    and raised once, when a plan first reads its direction, so every
-    operator at this q shares it: the kick's force and the implicit move's
-    Newton solve and position update.  Momentum levels run on every plan
-    run.  The kick force is kept per (tau, orders), so a second kick at this
-    q costs nothing.  Term scalars are not kept: for one momentum a step
-    never asks for the same term twice.
+    one call of the potential's ``_gradient_rows`` hook.  A q-only level is
+    skipped when the workspace already holds all of its rows, whichever plan
+    evaluated them, and its rows are raised when a plan first reads their
+    directions, so every operator at this q shares them: the kick's force
+    and the implicit move's Newton solve and position update.  A level held
+    only in part runs whole again, with the same bits.  Momentum levels run
+    on every plan run.  The kick force is kept per (tau, orders), so a
+    second kick at this q costs nothing.  Term scalars are not kept: for one
+    momentum a step never asks for the same term twice.
     """
 
     def __init__(self, potential: Potential, mass: MassMatrix, q: np.ndarray):
@@ -483,18 +484,14 @@ class Workspace:
             self.gradient()
         have, raised = self._have, self._raised
         for ids, orders, kids, lift, members in plan.q_levels:
-            if have.isdisjoint(members):
+            if not have.issuperset(members):
+                # a hook row has the same bits in any batch, so rows another
+                # plan already holds are simply evaluated again
                 self._level(ids, orders, kids, lift)
                 have.update(members)
                 if lift:
                     raised.update(members)
-                continue
-            if not have.issuperset(members):
-                # another plan ran part of this level
-                todo = [j for j, i in enumerate(members) if i not in have]
-                self._level(ids[todo], orders[todo], kids[todo], False)
-                have.update(members)
-            if lift and not raised.issuperset(members):
+            elif lift and not raised.issuperset(members):
                 # the rows are here, but not all of their directions
                 self._dirs[ids] = np.matmul(self.mass, self._vecs[ids][..., None])[..., 0]
                 raised.update(members)
