@@ -566,12 +566,9 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
                 rec.append((x.q, x.p, h, report.newton_iterations,
                             report.newton_residual))
 
-    # without anything to record, integrate fuses adjacent half kicks
-    watch = rec_range or range_a or range_b
     final, failure = None, None
     try:
-        final = integrate(x0, cfg, potential, mass, n_steps,
-                          observer=observer if watch else None)
+        final = integrate(x0, cfg, potential, mass, n_steps, observer=observer)
     except (NewtonDiverged, NonFiniteState) as err:
         failure = err
     qs, ps, hs, iters, res = zip(*rec) if rec else ((),) * 5

@@ -24,7 +24,9 @@ MAX_DERIVATIVE_ORDER = 8
 
 
 def _check_finite(arr, name):
-    if not np.isfinite(arr).all():
+    # on a short vector count_nonzero takes about half the time of .all(),
+    # which sets up a ufunc reduce; a kick-move-kick step checks six
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} contains non-finite entries")
 
 

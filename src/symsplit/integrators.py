@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 VARIANTS = ("baseline_kmk", "baseline_mkm", "corrected_kmk", "exact_quadratic")
-# the variants that step kick-move-kick, so adjacent half kicks can fuse
+# the variants whose step is half kick, move, half kick
 KMK_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
 # residual-to-momentum-scale ratio below which further Newton refinement
@@ -379,22 +379,17 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """Run n_steps of the scheme from x0; returns the final state.
 
     ``observer(i, t, x, report)`` is called after each completed step with
-    the 1-based step index and t = i * tau.  Without an observer the
-    kick-move-kick variants fuse adjacent half kicks into full kicks, which
-    halves the number of force evaluations without changing the map beyond
-    roundoff.  A fused full kick finishes the step before it, so a state
-    that turns non-finite there is reported at that earlier step, as it is
-    without fusing.  At corrected orders above 2 one
-    ``operators.Workspace`` per position is shared by every kick there and
+    the 1-based step index and t = i * tau.  Every kick-move-kick step is
+    half kick, move, half kick, so a run gives the bits of repeated ``step``
+    calls whether or not it is observed.  At corrected orders above 2 one
+    ``operators.Workspace`` per position is shared by both kicks there and
     the implicit move from it, so each position's force and q-only
-    derivative work is evaluated once; an observed run gives the bits of
-    repeated ``step`` calls.
+    derivative work is evaluated once.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     tau, order = cfg.tau, cfg.order
     kmk = cfg.variant in KMK_VARIANTS
-    fuse = kmk and observer is None
 
     def at(x):
         # only corrected orders above 2 move implicitly; order 2 drifts
@@ -403,24 +398,14 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     x = x0
     ws = at(x)
     for i in range(1, n_steps + 1):
-        if not kmk:
-            with _failing_at(i):
+        with _failing_at(i):
+            if not kmk:
                 x, report = step(x, cfg, potential, mass)
-        else:
-            # a fused step ends after its move; the next step's full kick
-            # (or the closing half kick) completes it
-            full = fuse and i > 1
-            with _failing_at(i - 1 if full else i):
-                x = kick(x, tau if full else 0.5 * tau, potential, mass, tau, order,
-                         workspace=ws)
-            with _failing_at(i):
+            else:
+                x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
                 x, report = _move(x, cfg, potential, mass, ws)
                 ws = at(x)
-                if not fuse:
-                    x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
+                x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
         if observer is not None:
             observer(i, i * tau, x, report)
-    if fuse and n_steps:
-        with _failing_at(n_steps):
-            x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
     return x

@@ -331,8 +331,10 @@ class _Plan:
     ``q_levels`` hold the q-only nodes but the root, which ``root`` says is
     needed; ``p_levels`` the momentum-dependent ones.  A level is (ids,
     orders, kids, lift, members): the node ids, their derivative orders,
-    their child ids padded with ``_PAD`` to one width, whether any of its
-    nodes' raised directions is read, and the ids as a tuple of ints.
+    their child ids padded with ``_PAD`` to one width, whether to raise its
+    rows (always for a q-only level, whose directions a later plan at the
+    same q may read; for a momentum level when this plan reads any), and
+    the ids as a tuple of ints.
     """
 
     __slots__ = ("root", "on_p", "q_levels", "p_levels", "size")
@@ -369,7 +371,7 @@ class _Plan:
                 np.array([len(_CHILDREN[i]) + 1 for i in ids], dtype=np.intp),
                 np.array([_CHILDREN[i] + (_PAD,) * (width - len(_CHILDREN[i]))
                           for i in ids], dtype=np.intp),
-                not read.isdisjoint(ids),
+                not on_p or not read.isdisjoint(ids),
                 tuple(ids)))
         return tuple(out)
 
@@ -449,8 +451,8 @@ class Workspace:
     momentum is direction ``_MOM``.  A plan runs level by level, each level
     one call of the potential's ``_gradient_rows`` hook.  A q-only level is
     skipped when the workspace already holds all of its rows, whichever plan
-    evaluated them, and its rows are raised when a plan first reads their
-    directions, so every operator at this q shares them: the kick's force
+    evaluated them, and its rows are raised as soon as they are evaluated,
+    so every operator at this q shares rows and directions: the kick's force
     and the implicit move's Newton solve and position update.  A level held
     only in part runs whole again, with the same bits.  Momentum levels run
     on every plan run.  The kick force is kept per (tau, orders), so a
@@ -468,7 +470,6 @@ class Workspace:
         self._vecs = np.zeros((len(_CHILDREN), self.dim))
         self._dirs = np.ones((len(_CHILDREN), self.dim))
         self._have = set()       # q-only ids whose row is set
-        self._raised = set()     # q-only ids whose raised direction is set
         self._forces = {}        # v_eff_grad's result by (tau, orders)
 
     def set_mom(self, mom) -> None:
@@ -482,19 +483,13 @@ class Workspace:
             self._dirs = np.concatenate([self._dirs, np.ones((grow, self.dim))])
         if plan.root:
             self.gradient()
-        have, raised = self._have, self._raised
+        have = self._have
         for ids, orders, kids, lift, members in plan.q_levels:
             if not have.issuperset(members):
                 # a hook row has the same bits in any batch, so rows another
                 # plan already holds are simply evaluated again
                 self._level(ids, orders, kids, lift)
                 have.update(members)
-                if lift:
-                    raised.update(members)
-            elif lift and not raised.issuperset(members):
-                # the rows are here, but not all of their directions
-                self._dirs[ids] = np.matmul(self.mass, self._vecs[ids][..., None])[..., 0]
-                raised.update(members)
         if plan.on_p:
             if self.p_vec is None:
                 raise ValueError("word has momentum atoms but no momentum was given")

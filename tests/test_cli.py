@@ -360,6 +360,56 @@ def test_matrix_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_each_config_error_names_itself_and_writes_nothing(tmp_path, capsys):
+    (tmp_path / "k1.mat").write_text("1\n4.0\n")
+    (tmp_path / "ragged.mat").write_text("2\n1.0 0.0\n4.0\n")
+    (tmp_path / "m2.mat").write_text("2\n1.0 0.0\n0.0 1.0\n")
+    missing, ragged = tmp_path / "missing.mat", tmp_path / "ragged.mat"
+    out = tmp_path / "out"
+    quadratic = ["--potential", "quadratic", "--k-file", str(tmp_path / "k1.mat")]
+    cases = [
+        (["run", "--window", "1:2:3"], "window must look like START:END, got '1:2:3'"),
+        (["run", "--window", "a:b"], "window bounds must be finite numbers, got 'a:b'"),
+        (["run", "--potential", "quadratic", "--k-file", str(missing), "--q0", "1",
+          "--p0", "0", "--t-final", "1"], f"matrix file not found: {missing}"),
+        (["run", "--potential", "quadratic", "--k-file", str(ragged), "--q0", "1,0",
+          "--p0", "0,1", "--t-final", "1"], f"{ragged}: the number of columns changed"),
+        (["run", "--scheme", "corrected_kmk:x"], "bad order 'x' in 'corrected_kmk:x'; "),
+        (["run", "--potential", "cubic"],
+         "unknown potential 'cubic'; choose from quartic, harmonic, quadratic"),
+        (["run", *quadratic, "--t-final", "1"],
+         "quadratic potential needs explicit --q0 and --p0"),
+        (["run", "--m-file", str(tmp_path / "m2.mat")], "mass is 2x2, state dimension 1"),
+        (["run", "--t-final", "0"], "t-final must be positive"),
+        (["run", "--t-final", "-1"], "t-final must be positive"),
+        (["run", "--periods", "0"], "periods must be positive"),
+        (["run", *quadratic, "--q0", "1", "--p0", "0", "--periods", "1"],
+         "a quadratic potential has no single period; use --t-final"),
+        (["figure", "3", "--tau-list", "0.1,x"], "cannot parse tau list '0.1,x'"),
+    ]
+    for argv, message in cases:
+        assert main([*argv, "--out", str(out / "trace.csv" if argv[0] == "run" else out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, argv
+        assert not out.exists(), argv
+
+
+def test_run_out_may_name_a_directory(tmp_path):
+    assert main(["run", "--tau", "0.1", "--periods", "0.5", "--out", str(tmp_path)]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
+    assert _meta(tmp_path / "trace.csv")["scheme"] == "corrected_kmk:8"
+
+
+def test_harmonic_run_records_its_omega(tmp_path):
+    out = tmp_path / "h.csv"
+    assert main(["run", "--potential", "harmonic", "--omega", "2.5",
+                 "--scheme", "baseline_kmk", "--tau", "0.1", "--periods", "1",
+                 "--out", str(out)]) == 0
+    assert "# omega: 2.5" in _lines(out)
+    # one period is 2 pi / 2.5 = 2.51, so 26 steps of 0.1 and 27 rows
+    assert _meta(out)["steps"] == "26" and len(_data_rows(out)) == 27
+
+
 # ---------------------------------------------------------------------------
 # figure
 

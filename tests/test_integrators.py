@@ -3,17 +3,20 @@ quadratic stepping and the integrate driver."""
 import hashlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import HenonHeiles
 
+from symsplit import fastpath, integrators
 from symsplit.hamiltonian import (
     Harmonic,
     MassMatrix,
     PhasePoint,
     Polynomial1D,
+    Potential,
     Quadratic,
     Quartic,
     hamiltonian,
@@ -32,6 +35,7 @@ from symsplit.integrators import (
     move_generating,
     step,
 )
+from symsplit.operators import generating_function_grad_q
 
 
 def _x(q, p):
@@ -356,6 +360,22 @@ def test_exact_quadratic_scheme_requires_quadratic_potential(quartic, mass1):
         step(_x(0.0, 1.0), cfg, quartic, mass1)
 
 
+def test_exact_quadratic_takes_a_quadratic_polynomial(mass1):
+    # V = 2 q^2 has stiffness 4, as Harmonic(2.0) has
+    cfg = SchemeConfig("exact_quadratic", 0.1)
+    x = _x(0.3, 1.0)
+    assert (Polynomial1D([0.0, 0.0, 2.0]).quadratic_matrix(1).tobytes()
+            == Harmonic(2.0).quadratic_matrix(1).tobytes())
+    runs = [integrate(x, cfg, pot, mass1, 20)
+            for pot in (Polynomial1D([0.0, 0.0, 2.0]), Harmonic(2.0))]
+    assert runs[0].as_array().tobytes() == runs[1].as_array().tobytes()
+    # a constant or a linear term makes V more than a quadratic form
+    for coeffs in ([1.0, 0.0, 2.0], [0.0, -0.5, 2.0]):
+        assert Polynomial1D(coeffs).quadratic_matrix(1) is None
+        with pytest.raises(ValueError, match="purely quadratic"):
+            integrate(x, cfg, Polynomial1D(coeffs), mass1, 1)
+
+
 def test_exact_quadratic_conserves_energy_per_step():
     pot = Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
     mass = MassMatrix([[1.5, 0.2], [0.2, 0.8]])
@@ -395,10 +415,10 @@ def test_integrate_fused_path_matches_observed_path(variant, order, quartic,
         cfg = SchemeConfig(variant, 0.1, order=order)
     else:
         cfg = SchemeConfig(variant, 0.1)
-    fused = integrate(x_unit, cfg, quartic, mass1, 40)
-    unfused = integrate(x_unit, cfg, quartic, mass1, 40,
-                        observer=lambda *a: None)
-    assert np.abs(fused.as_array() - unfused.as_array()).max() < 1e-14
+    unobserved = integrate(x_unit, cfg, quartic, mass1, 40)
+    observed = integrate(x_unit, cfg, quartic, mass1, 40,
+                         observer=lambda *a: None)
+    assert unobserved.as_array().tobytes() == observed.as_array().tobytes()
 
 
 @pytest.mark.parametrize("variant,order", [("baseline_kmk", 2), ("corrected_kmk", 2),
@@ -407,7 +427,8 @@ def test_integrate_fused_path_matches_observed_path(variant, order, quartic,
 @pytest.mark.parametrize("problem", ["quartic", "henon"])
 def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, problem):
     # integrate shares one workspace per position; step makes a fresh one
-    # for every kick and move
+    # for every kick and move.  Observed or not, integrate runs the same
+    # half kick, move, half kick.
     if problem == "quartic":
         potential, mass, x = Quartic(), MassMatrix.identity(1), _x(0.0, 1.0)
     else:
@@ -417,11 +438,13 @@ def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, p
     seen = []
     integrate(x, cfg, potential, mass, 12,
               observer=lambda i, t, y, report: seen.append((y, report)))
+    unobserved = integrate(x, cfg, potential, mass, 12)
     assert len(seen) == 12
     for y, report in seen:
         x, want = step(x, cfg, potential, mass)
         assert y.q.tobytes() == x.q.tobytes() and y.p.tobytes() == x.p.tobytes()
         assert report == want
+    assert unobserved.as_array().tobytes() == x.as_array().tobytes()
 
 
 @pytest.mark.parametrize("observed", [False, True])
@@ -447,6 +470,71 @@ def test_integrate_attaches_step_index_on_divergence(quartic, mass1):
         integrate(_x(0.0, 1.0), cfg, quartic, mass1, 10)
     assert info.value.step_index is not None
     assert "at step" in str(info.value)
+
+
+class _NanAboveSecondOrder(Potential):
+    """V = q^2 / 2 through ``_contract`` alone, except that its third and
+    higher derivatives read nan once q passes 0.25."""
+
+    def value(self, q):
+        return 0.5 * float(q @ q)
+
+    def gradient(self, q):
+        return np.array(q, dtype=float)
+
+    def _contract(self, q, dirs):
+        if len(dirs) == 1:
+            return float(dirs[0] @ q)
+        if len(dirs) == 2:
+            return float(dirs[0] @ dirs[1])
+        return math.nan if q[0] > 0.25 else 0.0
+
+
+def test_a_non_finite_residual_is_a_failed_solve(mass1, x_unit):
+    # the order-4 kick reads V' and V'' only, so the kicks stay finite and the
+    # move from q = sin(0.3) = 0.296, in step 4, is the first to read nan
+    pot = _NanAboveSecondOrder()
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=4)
+    with pytest.raises(NewtonDiverged) as info:
+        integrate(x_unit, cfg, pot, mass1, 10)
+    run = fastpath.simulate(x_unit, cfg, pot, mass1, 10, rec_range=(0, 11))
+    for failed in (info.value, run.failure):
+        assert isinstance(failed, NewtonDiverged)
+        assert math.isnan(failed.residual) and failed.iterations == 0
+        assert failed.step_index == 4
+    assert run.completed_steps == 3 and len(run.rec_h) == 4 and run.final is None
+
+
+def test_a_singular_jacobian_is_a_failed_solve(opaque_quartic, mass1, x_unit):
+    # with every linear solve refused, a step whose first residual is within
+    # tolerance keeps its momentum unpolished, and the first step whose
+    # residual is not fails at iteration 0; the first residual grows with q
+    pot = opaque_quartic
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=4, newton_tol=1e-4)
+    seen = []
+    singular = np.linalg.LinAlgError("Singular matrix")
+    with mock.patch.object(integrators.np.linalg, "solve", side_effect=singular):
+        with pytest.raises(NewtonDiverged) as info:
+            integrate(x_unit, cfg, pot, mass1, 10,
+                      observer=lambda i, t, y, report: seen.append((y, report)))
+        run = fastpath.simulate(x_unit, cfg, pot, mass1, 10, rec_range=(0, 11))
+
+    def first_residual(x):
+        half = kick(x, 0.05, pot, mass1, 0.1, 4)
+        return float(np.abs(generating_function_grad_q(
+            pot, mass1, half.q, half.p, 0.1, 4) - half.p).max())
+
+    starts = [x_unit] + [y for y, _ in seen]
+    for x, (_, report) in zip(starts, seen):
+        assert report == StepReport(0, first_residual(x))
+        assert 0.0 < report.newton_residual <= cfg.newton_tol
+    for failed in (info.value, run.failure):
+        assert isinstance(failed, NewtonDiverged)
+        assert failed.residual == first_residual(starts[-1]) > cfg.newton_tol
+        assert failed.iterations == 0 and failed.step_index == 3
+    assert run.completed_steps == 2 and run.final is None
+    assert run.rec_iters.tolist() == [0, 0, 0]
+    assert run.rec_res[1:].tolist() == [report.newton_residual for _, report in seen]
 
 
 def test_integrate_quartic_one_period_returns_near_start(quartic, mass1,
