@@ -356,8 +356,11 @@ def test_exact_quadratic_rejects_singular_mass():
 
 def test_exact_quadratic_scheme_requires_quadratic_potential(quartic, mass1):
     cfg = SchemeConfig("exact_quadratic", 0.1)
-    with pytest.raises(ValueError, match="purely quadratic"):
-        step(_x(0.0, 1.0), cfg, quartic, mass1)
+    # a constant or a linear term makes V more than a quadratic form
+    for pot in (quartic, Polynomial1D([1.0, 0.0, 2.0]), Polynomial1D([0.0, -0.5, 2.0])):
+        assert pot.quadratic_matrix(1) is None
+        with pytest.raises(ValueError, match="purely quadratic"):
+            step(_x(0.0, 1.0), cfg, pot, mass1)
 
 
 def test_exact_quadratic_takes_a_quadratic_polynomial(mass1):
@@ -369,11 +372,6 @@ def test_exact_quadratic_takes_a_quadratic_polynomial(mass1):
     runs = [integrate(x, cfg, pot, mass1, 20)
             for pot in (Polynomial1D([0.0, 0.0, 2.0]), Harmonic(2.0))]
     assert runs[0].as_array().tobytes() == runs[1].as_array().tobytes()
-    # a constant or a linear term makes V more than a quadratic form
-    for coeffs in ([1.0, 0.0, 2.0], [0.0, -0.5, 2.0]):
-        assert Polynomial1D(coeffs).quadratic_matrix(1) is None
-        with pytest.raises(ValueError, match="purely quadratic"):
-            integrate(x, cfg, Polynomial1D(coeffs), mass1, 1)
 
 
 def test_exact_quadratic_conserves_energy_per_step():
