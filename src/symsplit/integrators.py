@@ -381,22 +381,16 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     ``observer(i, t, x, report)`` is called after each completed step with
     the 1-based step index and t = i * tau.  Every kick-move-kick step is
     half kick, move, half kick, so a run gives the bits of repeated ``step``
-    calls whether or not it is observed.  At corrected orders above 2 one
-    ``operators.Workspace`` per position is shared by both kicks there and
-    the implicit move from it, so each position's force and q-only
-    derivative work is evaluated once.
+    calls whether or not it is observed.  One ``operators.Workspace`` per
+    position is shared by both kicks there and the implicit move from it,
+    so each position's force and q-only derivative work is evaluated once.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     tau, order = cfg.tau, cfg.order
     kmk = cfg.variant in KMK_VARIANTS
-
-    def at(x):
-        # only corrected orders above 2 move implicitly; order 2 drifts
-        return Workspace(potential, mass, x.q) if order > 2 else None
-
     x = x0
-    ws = at(x)
+    ws = Workspace(potential, mass, x.q)
     for i in range(1, n_steps + 1):
         with _failing_at(i):
             if not kmk:
@@ -404,7 +398,7 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
             else:
                 x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
                 x, report = _move(x, cfg, potential, mass, ws)
-                ws = at(x)
+                ws = Workspace(potential, mass, x.q)
                 x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
         if observer is not None:
             observer(i, i * tau, x, report)

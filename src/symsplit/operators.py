@@ -631,7 +631,7 @@ def v_eff_grad(potential, mass, q, tau, scheme_order, workspace=None) -> np.ndar
     ws = _workspace(potential, mass, q, None, workspace)
     orders = correction_orders(scheme_order)
     if not orders:
-        return potential.gradient(ws.q).astype(float, copy=True)
+        return ws.gradient().copy()
     force = ws._forces.get((tau, orders))
     if force is None:
         sums = ws.node_sums(_plan(_grad_q_nodes, POTENTIAL_GENERATORS, orders))

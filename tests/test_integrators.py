@@ -407,8 +407,8 @@ def test_integrate_observer_sequencing(quartic, mass1, x_unit):
 
 @pytest.mark.parametrize("variant,order", [("baseline_kmk", 2),
                                            ("corrected_kmk", 6)])
-def test_integrate_fused_path_matches_observed_path(variant, order, quartic,
-                                                    mass1, x_unit):
+def test_unobserved_integrate_is_bit_identical_to_observed(variant, order, quartic,
+                                                          mass1, x_unit):
     if variant == "corrected_kmk":
         cfg = SchemeConfig(variant, 0.1, order=order)
     else:
@@ -445,8 +445,9 @@ def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, p
     assert unobserved.as_array().tobytes() == x.as_array().tobytes()
 
 
+@pytest.mark.parametrize("variant,order", [("baseline_kmk", 2), ("corrected_kmk", 8)])
 @pytest.mark.parametrize("observed", [False, True])
-def test_integrate_evaluates_each_position_once(observed, mass1, x_unit):
+def test_integrate_evaluates_each_position_once(observed, variant, order, mass1, x_unit):
     # n steps visit n + 1 positions; each one's force and moves share V'
     class Counting(Quartic):
         calls = 0
@@ -457,7 +458,7 @@ def test_integrate_evaluates_each_position_once(observed, mass1, x_unit):
 
     pot = Counting()
     observer = (lambda *args: None) if observed else None
-    integrate(x_unit, SchemeConfig("corrected_kmk", 0.05, order=8), pot, mass1, 10,
+    integrate(x_unit, SchemeConfig(variant, 0.05, order=order), pot, mass1, 10,
               observer=observer)
     assert pot.calls == 11
 
