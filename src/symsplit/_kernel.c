@@ -7,6 +7,13 @@
  * -ffast-math.  Arrays are C-contiguous doubles (int64 for out_iters);
  * `fastpath` checks them before passing pointers.
  *
+ * Each step is half kick, implicit move, half kick: Newton solves
+ * p = dG/dq(q, P) for P, then Q = dG/dP(q, P).  At order 2 the folded
+ * tables make the residual exactly P - p, so the solve stops at 0
+ * iterations and Q = (tau m) P + q is the drift.  max_a and max_b are the
+ * largest |H - H0| over their step windows, with H0 the entry state's
+ * energy by the formula of every step.
+ *
  * state: in q, p; out q, p, fail_res, max_a, max_b.
  * counts: out fail_step, fail_iters.
  * Returns 0, 1 (the Newton solve failed) or 2 (the state became non-finite).
@@ -32,18 +39,27 @@ static double polyval(const double *c, int64_t n, double x)
     return acc;
 }
 
+/* the derivative of polyval(c, n, .) at x */
+static double dpolyval(const double *c, int64_t n, double x)
+{
+    double acc = 0.0;
+    for (int64_t k = n - 1; k > 0; k--)
+        acc = acc * x + (double)k * c[k];
+    return acc;
+}
+
 int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
-                    int explicit_move, const double *vg, int64_t nvg,
-                    const double *cq, int64_t nj, int64_t ncq,
-                    const double *cp, int64_t ncpj, int64_t ncp,
+                    const double *vg, int64_t nvg, const double *cq, int64_t nj,
+                    int64_t ncq, const double *cp, int64_t ncpj, int64_t ncp,
                     const double *vpot, int64_t nvpot, double tol,
                     int64_t max_iter, double polish_floor,
                     int64_t rec_start, int64_t rec_stop, double *out_q,
                     double *out_p, double *out_h, int64_t *out_iters,
-                    double *out_res, double h0, int64_t a0, int64_t a1,
-                    int64_t b0, int64_t b1, double *local, int64_t *counts)
+                    double *out_res, int64_t a0, int64_t a1, int64_t b0,
+                    int64_t b1, double *local, int64_t *counts)
 {
     double q = state[0], p = state[1];
+    double h0 = 0.5 * mval * p * p + polyval(vpot, nvpot, q);
     double max_a = 0.0, max_b = 0.0, fail_res = 0.0;
     int64_t fail_step = 0, fail_iters = 0;
     int status = 0;
@@ -54,67 +70,51 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
             status = 2, fail_step = i;
             break;
         }
+        /* solve p = dG/dq(q, P) for P: Newton on a polynomial in P */
+        for (int64_t j = 0; j < nj; j++)
+            local[j] = polyval(cq + j * ncq, ncq, q);
         int64_t iters = 0;
-        double res = 0.0;
-        if (explicit_move) {
-            q += tau * mval * p;
-        } else {
-            for (int64_t j = 0; j < nj; j++)
-                local[j] = polyval(cq + j * ncq, ncq, q);
-            double mom = p, f, fp;
-            int ok = 0;
-            for (;;) {
-                f = 0.0;
-                for (int64_t j = nj - 1; j >= 0; j--)
-                    f = f * mom + local[j];
-                f -= p;
-                res = fabs(f);
-                if (!isfinite(res))
-                    break;
-                if (res <= tol) {
-                    ok = 1;
-                    break;
-                }
-                if (iters >= max_iter)
-                    break;
-                fp = 0.0;
-                for (int64_t j = nj - 1; j > 0; j--)
-                    fp = fp * mom + (double)j * local[j];
-                if (fp == 0.0)
-                    break;
-                mom -= f / fp;
-                iters++;
-            }
-            if (!ok) {
-                status = 1, fail_step = i, fail_res = res, fail_iters = iters;
+        double mom = p, f, fp, res;
+        int ok = 0;
+        for (;;) {
+            f = polyval(local, nj, mom) - p;
+            res = fabs(f);
+            if (!isfinite(res))
+                break;
+            if (res <= tol) {
+                ok = 1;
                 break;
             }
-            /* one polish update unless already at roundoff */
-            double pscale = fabs(p);
-            if (pscale < 1.0)
-                pscale = 1.0;
-            if (res > polish_floor * pscale) {
-                fp = 0.0;
-                for (int64_t j = nj - 1; j > 0; j--)
-                    fp = fp * mom + (double)j * local[j];
-                if (fp != 0.0) {
-                    double trial = mom - f / fp, f2 = 0.0;
-                    for (int64_t j = nj - 1; j >= 0; j--)
-                        f2 = f2 * trial + local[j];
-                    f2 -= p;
-                    if (isfinite(f2) && fabs(f2) < res) {
-                        mom = trial;
-                        res = fabs(f2);
-                        iters++;
-                    }
+            if (iters >= max_iter)
+                break;
+            fp = dpolyval(local, nj, mom);
+            if (fp == 0.0)
+                break;
+            mom -= f / fp;
+            iters++;
+        }
+        if (!ok) {
+            status = 1, fail_step = i, fail_res = res, fail_iters = iters;
+            break;
+        }
+        /* one polish update unless already at roundoff */
+        if (res > polish_floor * (fabs(p) < 1.0 ? 1.0 : fabs(p))) {
+            fp = dpolyval(local, nj, mom);
+            if (fp != 0.0) {
+                double trial = mom - f / fp, f2 = polyval(local, nj, trial) - p;
+                if (isfinite(f2) && fabs(f2) < res) {
+                    mom = trial;
+                    res = fabs(f2);
+                    iters++;
                 }
             }
-            double qn = 0.0;
-            for (int64_t j = ncpj - 1; j >= 0; j--)
-                qn = qn * mom + polyval(cp + j * ncp, ncp, q);
-            q = qn;
-            p = mom;
         }
+        /* Q = dG/dP(q, P) */
+        double qn = 0.0;
+        for (int64_t j = ncpj - 1; j >= 0; j--)
+            qn = qn * mom + polyval(cp + j * ncp, ncp, q);
+        q = qn;
+        p = mom;
         p -= half * polyval(vg, nvg, q);
         if (!(isfinite(q) && isfinite(p))) {
             status = 2, fail_step = i;

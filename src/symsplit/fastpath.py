@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
+from .hamiltonian import MAX_DERIVATIVE_ORDER, MassMatrix, PhasePoint, Potential, hamiltonian
 from .integrators import (KMK_VARIANTS, POLISH_FLOOR, NewtonDiverged,
                           NonFiniteState, SchemeConfig, integrate)
 from .operators import (
@@ -114,7 +114,7 @@ class _SymbolicContext:
 
     def __init__(self, vcoeffs, mval: Fraction):
         derivs = [list(vcoeffs)]
-        for _ in range(9):
+        for _ in range(MAX_DERIVATIVE_ORDER):
             prev = derivs[-1]
             derivs.append([prev[i] * i for i in range(1, len(prev))])
         self.vderiv = [_univariate(c) for c in derivs]
@@ -232,99 +232,90 @@ def _polyval(c, n, x):
     return acc
 
 
-def _python_kernel(state, mval, tau, n_steps, explicit_move, vg, nvg, cq, nj, ncq,
-                   cp, ncpj, ncp, vpot, nvpot, tol, max_iter, polish_floor,
-                   rec_start, rec_stop, out_q, out_p, out_h, out_iters, out_res,
-                   h0, a0, a1, b0, b1, local, counts):
+def _dpolyval(c, n, x):
+    """The derivative of ``_polyval(c, n, .)`` at x."""
+    acc = 0.0
+    for k in range(n - 1, 0, -1):
+        acc = acc * x + k * c[k]
+    return acc
+
+
+def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, ncp,
+                   vpot, nvpot, tol, max_iter, polish_floor, rec_start, rec_stop,
+                   out_q, out_p, out_h, out_iters, out_res, a0, a1, b0, b1,
+                   local, counts):
     """``symsplit_kernel`` of ``_kernel.c`` in Python, argument for argument.
 
-    ``state`` holds q, p on entry and q, p, fail_res, max_a, max_b on
-    return; ``counts`` receives fail_step, fail_iters.  Steps rec_start <=
-    i < rec_stop are recorded into the ``out_*`` buffers in place, and
+    Each step is half kick, implicit move, half kick.  The move solves
+    p = dG/dq(q, P) for P by Newton and reads Q = dG/dP(q, P); at order 2
+    the folded tables make the residual exactly P - p, so the solve stops
+    at 0 iterations and Q = (tau m) P + q is the drift.  ``state`` holds
+    q, p on entry and q, p, fail_res, max_a, max_b on return; ``counts``
+    receives fail_step, fail_iters.  max_a and max_b are the largest
+    |H - H0| over steps a0 <= i < a1 and b0 <= i < b1, with H0 the entry
+    state's energy by the formula of every step.  Steps rec_start <= i <
+    rec_stop are recorded into the ``out_*`` buffers in place, and
     ``local`` is the Newton scratch row, nj long.  Returns the status: 0,
     1 (the Newton solve failed) or 2 (the state became non-finite).  The C
     loop is this loop transliterated and must stay bit-identical.
     """
     q, p = float(state[0]), float(state[1])
-    max_a = 0.0
-    max_b = 0.0
-    status = 0
-    fail_step = 0
-    fail_res = 0.0
-    fail_iters = 0
+    h0 = 0.5 * mval * p * p + _polyval(vpot, nvpot, q)
+    max_a = max_b = fail_res = 0.0
+    status = fail_step = fail_iters = 0
     half = 0.5 * tau
     for i in range(1, n_steps + 1):
         p -= half * _polyval(vg, nvg, q)
         if not math.isfinite(p):
             status, fail_step = 2, i
             break
+        for j in range(nj):
+            local[j] = _polyval(cq[j], ncq, q)
         iters = 0
-        res = 0.0
-        if explicit_move:
-            q += tau * mval * p
-        else:
-            for j in range(nj):
-                local[j] = _polyval(cq[j], ncq, q)
-            mom = p
-            ok = False
-            while True:
-                f = 0.0
-                for j in range(nj - 1, -1, -1):
-                    f = f * mom + local[j]
-                f -= p
-                res = abs(f)
-                if not np.isfinite(res):
-                    break
-                if res <= tol:
-                    ok = True
-                    break
-                if iters >= max_iter:
-                    break
-                fp = 0.0
-                for j in range(nj - 1, 0, -1):
-                    fp = fp * mom + j * local[j]
-                if fp == 0.0:
-                    break
-                mom -= f / fp
-                iters += 1
-            if not ok:
-                status = 1
-                fail_step = i
-                fail_res = res
-                fail_iters = iters
+        mom = p
+        ok = False
+        while True:
+            f = _polyval(local, nj, mom) - p
+            res = abs(f)
+            if not math.isfinite(res):
                 break
-            # converged; one polish update unless already at roundoff,
-            # matching the slow path's refinement rule (f still holds the
-            # signed residual at mom)
-            pscale = abs(p)
-            if pscale < 1.0:
-                pscale = 1.0
-            if res > polish_floor * pscale:
-                fp = 0.0
-                for j in range(nj - 1, 0, -1):
-                    fp = fp * mom + j * local[j]
-                if fp != 0.0:
-                    trial = mom - f / fp
-                    f2 = 0.0
-                    for j in range(nj - 1, -1, -1):
-                        f2 = f2 * trial + local[j]
-                    f2 -= p
-                    if np.isfinite(f2) and abs(f2) < res:
-                        mom = trial
-                        res = abs(f2)
-                        iters += 1
-            qn = 0.0
-            for j in range(ncpj - 1, -1, -1):
-                qn = qn * mom + _polyval(cp[j], ncp, q)
-            q = qn
-            p = mom
+            if res <= tol:
+                ok = True
+                break
+            if iters >= max_iter:
+                break
+            fp = _dpolyval(local, nj, mom)
+            if fp == 0.0:
+                break
+            mom -= f / fp
+            iters += 1
+        if not ok:
+            status, fail_step, fail_res, fail_iters = 1, i, res, iters
+            break
+        # converged; one polish update unless already at roundoff, matching
+        # the slow path's refinement rule (f still holds the signed residual
+        # at mom)
+        if res > polish_floor * max(abs(p), 1.0):
+            fp = _dpolyval(local, nj, mom)
+            if fp != 0.0:
+                trial = mom - f / fp
+                f2 = _polyval(local, nj, trial) - p
+                if math.isfinite(f2) and abs(f2) < res:
+                    mom = trial
+                    res = abs(f2)
+                    iters += 1
+        qn = 0.0
+        for j in range(ncpj - 1, -1, -1):
+            qn = qn * mom + _polyval(cp[j], ncp, q)
+        q = qn
+        p = mom
         p -= half * _polyval(vg, nvg, q)
         if not (math.isfinite(q) and math.isfinite(p)):
             status, fail_step = 2, i
             break
-        in_a = (a0 <= i) and (i < a1)
-        in_b = (b0 <= i) and (i < b1)
-        in_rec = (rec_start <= i) and (i < rec_stop)
+        in_a = a0 <= i < a1
+        in_b = b0 <= i < b1
+        in_rec = rec_start <= i < rec_stop
         if in_a or in_b or in_rec:
             h = 0.5 * mval * p * p + _polyval(vpot, nvpot, q)
             dev = abs(h - h0)
@@ -352,9 +343,9 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _F64, _I64 = ctypes.c_double, ctypes.c_int64
 _ARR, _IARR = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
 _C_ARGTYPES = (
-    [_ARR, _F64, _F64, _I64, ctypes.c_int, _ARR, _I64, _ARR, _I64, _I64,
-     _ARR, _I64, _I64, _ARR, _I64, _F64, _I64, _F64, _I64, _I64]
-    + [_ARR] * 3 + [_IARR, _ARR, _F64] + [_I64] * 4 + [_ARR, _IARR]
+    [_ARR, _F64, _F64, _I64, _ARR, _I64, _ARR, _I64, _I64, _ARR, _I64, _I64,
+     _ARR, _I64, _F64, _I64, _F64, _I64, _I64]
+    + [_ARR] * 3 + [_IARR, _ARR] + [_I64] * 4 + [_ARR, _IARR]
 )
 # symsplit_format_rows(rows, nrows, ncols, int_cols, out)
 _FORMAT_ARGTYPES = [_ARR, _I64, _I64, ctypes.c_char_p, ctypes.c_char_p]
@@ -447,9 +438,12 @@ class FastRun:
 
     Row k of the ``rec_*`` arrays is step ``rec_start + k``; step 0 is x0
     with H(x0), no Newton iterations and residual 0.  ``rec_q`` and
-    ``rec_p`` are (rows, dim).  ``failure`` is None, or the
-    ``NewtonDiverged`` / ``NonFiniteState`` that ended the run after
-    ``completed_steps`` steps; the rows then stop there and ``final`` is None.
+    ``rec_p`` are (rows, dim).  ``max_a`` and ``max_b`` are the largest
+    |H - H(x0)| over the steps of ``range_a`` and ``range_b``; the kernel
+    computes each H of them, H(x0) included, by its one per-step formula.
+    ``failure`` is None, or the ``NewtonDiverged`` / ``NonFiniteState`` that
+    ended the run after ``completed_steps`` steps; the rows then stop there
+    and ``final`` is None.
     ``backend`` is the loop that ran it: "c", "python-fallback" (the 1-D
     kernel in C or in Python) or "generic" (``integrate``).
     """
@@ -504,7 +498,6 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         raise ValueError("configuration not eligible for the fast kernel")
     tables = tables_for(potential, mass, cfg.order)
     vg, cq, cp = tables.fold(cfg.tau)
-    vpot = tables.vpot
     rec_start, rec_stop = rec_range if rec_range is not None else (0, 0)
     n_rec = max(rec_stop - rec_start, 0)
     out_q = np.empty(n_rec)
@@ -517,15 +510,14 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         out_h[0] = hamiltonian(x0, potential, mass)
     a0, a1 = range_a if range_a is not None else (0, 0)
     b0, b1 = range_b if range_b is not None else (0, 0)
-    h0 = 0.5 * tables.mval * x0.p[0] ** 2 + _polyval(vpot, vpot.size, float(x0.q[0]))
     state = np.array([x0.q[0], x0.p[0], 0.0, 0.0, 0.0])
     counts = np.zeros(2, dtype=np.int64)
     status = _kernel(
-        state, tables.mval, cfg.tau, int(n_steps), cfg.order == 2,
-        vg, vg.size, cq, *cq.shape, cp, *cp.shape, vpot, vpot.size,
+        state, tables.mval, cfg.tau, int(n_steps), vg, vg.size, cq, *cq.shape,
+        cp, *cp.shape, tables.vpot, tables.vpot.size,
         cfg.newton_tol, int(cfg.newton_max_iter), POLISH_FLOOR,
         int(rec_start), int(rec_stop), out_q, out_p, out_h, out_iters, out_res,
-        h0, int(a0), int(a1), int(b0), int(b1), np.empty(cq.shape[0]), counts,
+        int(a0), int(a1), int(b0), int(b1), np.empty(cq.shape[0]), counts,
     )
     q, p, fail_res, max_a, max_b = state.tolist()
     fail_step, fail_iters = counts.tolist()

@@ -27,6 +27,7 @@ from .operators import (
     Workspace,
     generating_function_grad_p,
     generating_function_grad_q,
+    generating_orders,
     v_eff_grad,
 )
 
@@ -144,8 +145,8 @@ def kick(x: PhasePoint, h: float, potential: Potential, mass: MassMatrix,
 
 
 def move_explicit(x: PhasePoint, h: float, mass: MassMatrix) -> PhasePoint:
-    """Free drift q += h M p."""
-    return _state(x.q + h * (mass.mat @ x.p), x.p)
+    """Free drift q += (h M) p, rounded as the 1-D kernel's order-2 move."""
+    return _state(x.q + (h * mass.mat) @ x.p, x.p)
 
 
 def _fd_jacobian(ws, potential, mass, q, mom, tau, order):
@@ -167,51 +168,57 @@ def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
                     mass: MassMatrix, workspace=None):
     """Implicit move: solve p = dG/dq(q, P) for P, then read Q = dG/dP.
 
-    Newton iteration starts from P = p (the identity-map limit) and stops
-    on the max-norm residual.  The Jacobian is a finite-difference
-    approximation of d2G/dqdP; an approximate Jacobian only affects the
-    convergence path, not the solved map, so symplecticity is untouched.
-    ``workspace``, an ``operators.Workspace`` at x.q, shares the q-only
-    work with the kick there; by default the move makes its own.
+    At order 2, G = q.P + (tau/2) P^T M P has no correction terms and the
+    move is the drift ``move_explicit``, reported as a 0-iteration solve
+    with residual 0; this is the one place that knows it.  Otherwise Newton
+    iteration starts from P = p (the identity-map limit) and stops on the
+    max-norm residual.  The Jacobian is a finite-difference approximation
+    of d2G/dqdP; an approximate Jacobian only affects the convergence path,
+    not the solved map, so symplecticity is untouched.  ``workspace``, an
+    ``operators.Workspace`` at x.q, shares the q-only work with the kick
+    there; by default the move makes its own.
     """
     tau, order = cfg.tau, cfg.order
+    if not generating_orders(order):
+        return move_explicit(x, tau, mass), StepReport()
     ws = workspace if workspace is not None else Workspace(potential, mass, x.q)
-    target = x.p
+
+    def residual_at(mom):
+        r = generating_function_grad_q(potential, mass, x.q, mom, tau, order,
+                                       workspace=ws) - x.p
+        return r, float(np.abs(r).max())
+
+    def newton_update(mom, r):
+        """mom's Newton update, None when the Jacobian is singular."""
+        jac = _fd_jacobian(ws, potential, mass, x.q, mom, tau, order)
+        try:
+            return mom + np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            return None
+
     mom = x.p.copy()
     iterations = 0
     while True:
-        r = generating_function_grad_q(potential, mass, x.q, mom, tau, order,
-                                       workspace=ws) - target
-        residual = float(np.abs(r).max())
+        r, residual = residual_at(mom)
         if not math.isfinite(residual):
             raise NewtonDiverged(residual, iterations)
         if residual <= cfg.newton_tol:
             break
         if iterations >= cfg.newton_max_iter:
             raise NewtonDiverged(residual, iterations)
-        jac = _fd_jacobian(ws, potential, mass, x.q, mom, tau, order)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            raise NewtonDiverged(residual, iterations) from None
-        mom = mom + delta
+        mom = newton_update(mom, r)
+        if mom is None:
+            raise NewtonDiverged(residual, iterations)
         iterations += 1
     # One refinement past the acceptance tolerance when the residual is
     # still above roundoff.  The tolerance bounds each step's momentum
     # error, and those errors random-walk into a visible energy floor on
     # long runs; polishing to machine precision removes the floor for one
     # cheap extra iteration.  Kept only if it actually improves.
-    if residual > POLISH_FLOOR * max(1.0, float(np.abs(target).max())):
-        jac = _fd_jacobian(ws, potential, mass, x.q, mom, tau, order)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is not None:
-            trial = mom + delta
-            r2 = generating_function_grad_q(potential, mass, x.q, trial, tau,
-                                            order, workspace=ws) - target
-            residual2 = float(np.abs(r2).max())
+    if residual > POLISH_FLOOR * max(1.0, float(np.abs(x.p).max())):
+        trial = newton_update(mom, r)
+        if trial is not None:
+            _, residual2 = residual_at(trial)
             if math.isfinite(residual2) and residual2 < residual:
                 mom, residual = trial, residual2
                 iterations += 1
@@ -335,16 +342,6 @@ def _stiffness_for(potential: Potential, dim: int) -> np.ndarray:
     return k
 
 
-def _move(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-          mass: MassMatrix, workspace=None):
-    """Kick-move-kick move: the explicit drift at order 2, which keeps the
-    corrected order-2 scheme bit-identical to the baseline, else the
-    implicit generating-function move."""
-    if cfg.order == 2:
-        return move_explicit(x, cfg.tau, mass), StepReport()
-    return move_generating(x, cfg, potential, mass, workspace=workspace)
-
-
 def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
          mass: MassMatrix):
     """Advance one step; returns (new state, StepReport)."""
@@ -357,7 +354,7 @@ def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         x = kick(x, tau, potential, mass, tau, 2)
         return move_explicit(x, 0.5 * tau, mass), StepReport()
     x = kick(x, 0.5 * tau, potential, mass, tau, order)
-    x, report = _move(x, cfg, potential, mass)
+    x, report = move_generating(x, cfg, potential, mass)
     return kick(x, 0.5 * tau, potential, mass, tau, order), report
 
 
@@ -397,7 +394,7 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
                 x, report = step(x, cfg, potential, mass)
             else:
                 x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
-                x, report = _move(x, cfg, potential, mass, ws)
+                x, report = move_generating(x, cfg, potential, mass, ws)
                 ws = Workspace(potential, mass, x.q)
                 x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
         if observer is not None:

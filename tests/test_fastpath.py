@@ -4,10 +4,11 @@ The kernel must be a pure performance device: same map, same diagnostics,
 same failure behavior.  Above order 2 agreement with the general path is
 to accumulated roundoff, not bitwise: the kernel folds tau into exact
 rational tables once instead of re-evaluating word contractions.  At order 2
-with M = 1 both run the same half kicks and drift and agree bit for bit.
+both run the same half kicks and drift and agree bit for bit, at any mass.
 The C loop and the Python loop of the kernel agree bit for bit.
 """
 import ctypes
+import itertools
 import os
 import struct
 import subprocess
@@ -82,6 +83,9 @@ _KERNEL_CASES = {
     "order2": (_cfg("baseline_kmk", 0.1), Quartic(), _MASS1, _X_UNIT, 500, {}),
     **{f"order{n}": (_cfg("corrected_kmk", 0.1, n), Quartic(), _MASS1, _X_UNIT, 50, {})
        for n in (4, 6, 8)},
+    "order2_light_mass": (_cfg("baseline_kmk", 0.1), Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25]),
+                          MassMatrix(0.7), PhasePoint([0.4], [0.3]), 500,
+                          {"rec_range": (1, 501), "range_a": (1, 251), "range_b": (251, 501)}),
     "heavy_mass": (_cfg("corrected_kmk", 0.05, 6), Polynomial1D([0.0, 0.0, 0.5, 0.0, 0.25]),
                    MassMatrix(2.5), PhasePoint([0.4], [0.3]), 200, {}),
     "recorded_window": (_cfg("corrected_kmk", 0.1, 8), Quartic(), _MASS1, _X_UNIT, 40,
@@ -206,12 +210,15 @@ def test_eligibility(quartic, mass1, opaque_quartic):
                           MassMatrix.identity(2), 3)
 
 
-def test_order2_agrees_with_general_path(quartic, mass1, x_unit):
-    # at order 2 both paths run half kick, drift, half kick on V' alone
+def test_order2_agrees_with_general_path(quartic, x_unit):
+    # at order 2 both paths run half kick, drift, half kick on V' alone:
+    # the kernel's move solves to the drift (tau M) P + q in 0 iterations
     cfg = _cfg("baseline_kmk", 0.1)
-    for pot in (quartic, Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25])):
-        run = fastpath.fast_run(x_unit, cfg, pot, mass1, 500)
-        slow = integrate(x_unit, cfg, pot, mass1, 500)
+    for pot, mval in itertools.product((quartic, Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25])),
+                                       (1.0, 0.7)):
+        mass = MassMatrix(mval)
+        run = fastpath.fast_run(x_unit, cfg, pot, mass, 500)
+        slow = integrate(x_unit, cfg, pot, mass, 500)
         assert run.final.as_array().tobytes() == slow.as_array().tobytes()
         assert run.completed_steps == 500 and run.ok
 
@@ -274,15 +281,21 @@ def test_recorded_energy_is_consistent(quartic, mass1, x_unit):
     np.testing.assert_allclose(run.rec_h, recomputed, rtol=1e-14, atol=1e-16)
 
 
-def test_range_maxima_match_recorded_trace(quartic, mass1, x_unit):
-    cfg = _cfg("corrected_kmk", 0.1, 4)
-    run = fastpath.fast_run(x_unit, cfg, quartic, mass1, 100,
-                            rec_range=(1, 101), range_a=(1, 51),
-                            range_b=(51, 101))
-    h0 = hamiltonian(x_unit, quartic, mass1)
-    dev = np.abs(run.rec_h - h0)
-    assert run.max_a == pytest.approx(dev[:50].max(), rel=1e-15)
-    assert run.max_b == pytest.approx(dev[50:].max(), rel=1e-15)
+@pytest.mark.parametrize("cfg, mval, x0, n_steps", [
+    pytest.param(_cfg("corrected_kmk", 0.1, 4), 1.0, _X_UNIT, 100, id="unit_mass"),
+    pytest.param(_cfg("corrected_kmk", 0.05, 8), 2.2, PhasePoint([0.0], [1.7]), 300,
+                 id="mass_2.2"),
+])
+def test_range_maxima_match_recorded_trace(cfg, mval, x0, n_steps, quartic):
+    # the kernel measures from the entry energy by its per-step formula,
+    # which for a polynomial potential is hamiltonian()'s to the bit
+    mass, half = MassMatrix(mval), n_steps // 2
+    run = fastpath.fast_run(x0, cfg, quartic, mass, n_steps,
+                            rec_range=(1, n_steps + 1), range_a=(1, half + 1),
+                            range_b=(half + 1, n_steps + 1))
+    dev = np.abs(run.rec_h - hamiltonian(x0, quartic, mass))
+    assert run.max_a == dev[:half].max()
+    assert run.max_b == dev[half:].max()
 
 
 def test_failure_keeps_partial_trace(quartic, opaque_quartic, mass1, x_unit):

@@ -35,7 +35,7 @@ from symsplit.integrators import (
     move_generating,
     step,
 )
-from symsplit.operators import generating_function_grad_q
+from symsplit.operators import Workspace, generating_function_grad_q
 
 
 def _x(q, p):
@@ -96,6 +96,18 @@ def test_move_explicit():
     y = move_explicit(PhasePoint(np.zeros(2), np.ones(2)), 0.5, mass2)
     assert y.q.tolist() == [1.0, 0.5]
     assert y.p.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_move_generating_at_order2_is_the_drift(shared):
+    # G = q.P + (tau/2) P^T M P: no solve, the drift's bits
+    potential, mass = HenonHeiles(), MassMatrix([[1.5, 0.2], [0.2, 0.8]])
+    cfg = SchemeConfig("corrected_kmk", 0.13, order=2)
+    x = PhasePoint([0.3, -0.2], [0.4, 0.1])
+    ws = Workspace(potential, mass, x.q) if shared else None
+    y, report = move_generating(x, cfg, potential, mass, workspace=ws)
+    assert y.as_array().tobytes() == move_explicit(x, cfg.tau, mass).as_array().tobytes()
+    assert report == StepReport(0, 0.0)
 
 
 def test_move_generating_harmonic_order4_is_exact_free_flight(mass1):
