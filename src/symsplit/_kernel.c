@@ -4,18 +4,21 @@
  * Every floating-point operation happens in the order of the Python loop
  * `fastpath._python_kernel`, so the two agree bit for bit.  That needs a
  * build without FMA contraction (-ffp-contract=off) and without
- * -ffast-math.  Arrays are C-contiguous doubles (int64 for out_iters);
- * `fastpath` checks them before passing pointers.
+ * -ffast-math.  Arrays are C-contiguous doubles; `fastpath` checks them
+ * before passing pointers.
  *
  * Each step is half kick, implicit move, half kick: Newton solves
  * p = dG/dq(q, P) for P, then Q = dG/dP(q, P).  At order 2 the folded
  * tables make the residual exactly P - p, so the solve stops at 0
- * iterations and Q = (tau m) P + q is the drift.  max_a and max_b are the
- * largest |H - H0| over their step windows, with H0 the entry state's
- * energy by the formula of every step.
+ * iterations and Q = (tau m) P + q is the drift.  H0 is the entry state's
+ * energy by the formula of every step, and max_a and max_b are the largest
+ * |H - H0| over their step windows.
  *
- * state: in q, p; out q, p, fail_res, max_a, max_b.
- * counts: out fail_step, fail_iters.
+ * rec holds one row (q, p, H, Newton iterations, residual) per recorded
+ * step rec_start <= i < rec_stop, rec_start >= 0; step 0 is the entry
+ * state, H0, 0 and 0.0.
+ * state: in q, p; out q, p, fail_res, max_a, max_b, H0, fail_step,
+ * fail_iters.
  * Returns 0, 1 (the Newton solve failed) or 2 (the state became non-finite).
  *
  * symsplit_format_rows writes a (nrows, ncols) array of doubles as CSV
@@ -53,16 +56,17 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
                     int64_t ncq, const double *cp, int64_t ncpj, int64_t ncp,
                     const double *vpot, int64_t nvpot, double tol,
                     int64_t max_iter, double polish_floor,
-                    int64_t rec_start, int64_t rec_stop, double *out_q,
-                    double *out_p, double *out_h, int64_t *out_iters,
-                    double *out_res, int64_t a0, int64_t a1, int64_t b0,
-                    int64_t b1, double *local, int64_t *counts)
+                    int64_t rec_start, int64_t rec_stop, double *rec,
+                    int64_t a0, int64_t a1, int64_t b0, int64_t b1)
 {
     double q = state[0], p = state[1];
     double h0 = 0.5 * mval * p * p + polyval(vpot, nvpot, q);
     double max_a = 0.0, max_b = 0.0, fail_res = 0.0;
     int64_t fail_step = 0, fail_iters = 0;
     int status = 0;
+    double local[nj]; /* the Newton polynomial in P at this q */
+    if (rec_start == 0 && rec_stop > 0)
+        rec[0] = q, rec[1] = p, rec[2] = h0, rec[3] = 0.0, rec[4] = 0.0;
     double half = 0.5 * tau;
     for (int64_t i = 1; i <= n_steps; i++) {
         p -= half * polyval(vg, nvg, q);
@@ -131,17 +135,13 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
             if (in_b && dev > max_b)
                 max_b = dev;
             if (in_rec) {
-                int64_t k = i - rec_start;
-                out_q[k] = q;
-                out_p[k] = p;
-                out_h[k] = h;
-                out_iters[k] = iters;
-                out_res[k] = res;
+                double *row = rec + 5 * (i - rec_start);
+                row[0] = q, row[1] = p, row[2] = h, row[3] = (double)iters, row[4] = res;
             }
         }
     }
     state[0] = q, state[1] = p, state[2] = fail_res, state[3] = max_a, state[4] = max_b;
-    counts[0] = fail_step, counts[1] = fail_iters;
+    state[5] = h0, state[6] = (double)fail_step, state[7] = (double)fail_iters;
     return status;
 }
 

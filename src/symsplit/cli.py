@@ -37,7 +37,6 @@ from .hamiltonian import (
     PhasePoint,
     Quadratic,
     Quartic,
-    hamiltonian,
 )
 from .integrators import NewtonDiverged, NonFiniteState, SchemeConfig
 from .operators import SCHEME_ORDERS
@@ -387,7 +386,7 @@ def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
     run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
                             rec_range=(first, last + 1))
     steps = first + np.arange(len(run.rec_h))
-    scaled = (run.rec_h - hamiltonian(x0, potential, mass)) / cfg.tau**cfg.order
+    scaled = (run.rec_h - run.h0) / cfg.tau**cfg.order
     rows = np.column_stack((steps, steps * cfg.tau, run.rec_q, run.rec_p, run.rec_h,
                             scaled, run.rec_iters, run.rec_res))
     return rows, run.failure

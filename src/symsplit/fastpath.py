@@ -242,27 +242,29 @@ def _dpolyval(c, n, x):
 
 def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, ncp,
                    vpot, nvpot, tol, max_iter, polish_floor, rec_start, rec_stop,
-                   out_q, out_p, out_h, out_iters, out_res, a0, a1, b0, b1,
-                   local, counts):
+                   rec, a0, a1, b0, b1):
     """``symsplit_kernel`` of ``_kernel.c`` in Python, argument for argument.
 
     Each step is half kick, implicit move, half kick.  The move solves
     p = dG/dq(q, P) for P by Newton and reads Q = dG/dP(q, P); at order 2
     the folded tables make the residual exactly P - p, so the solve stops
     at 0 iterations and Q = (tau m) P + q is the drift.  ``state`` holds
-    q, p on entry and q, p, fail_res, max_a, max_b on return; ``counts``
-    receives fail_step, fail_iters.  max_a and max_b are the largest
-    |H - H0| over steps a0 <= i < a1 and b0 <= i < b1, with H0 the entry
-    state's energy by the formula of every step.  Steps rec_start <= i <
-    rec_stop are recorded into the ``out_*`` buffers in place, and
-    ``local`` is the Newton scratch row, nj long.  Returns the status: 0,
-    1 (the Newton solve failed) or 2 (the state became non-finite).  The C
-    loop is this loop transliterated and must stay bit-identical.
+    q, p on entry and q, p, fail_res, max_a, max_b, H0, fail_step,
+    fail_iters on return, with H0 the entry state's energy by the formula
+    of every step.  max_a and max_b are the largest |H - H0| over steps
+    a0 <= i < a1 and b0 <= i < b1.  Row i - rec_start of ``rec`` is step
+    rec_start <= i < rec_stop as (q, p, H, Newton iterations, residual);
+    step 0 is the entry state, H0, 0, 0.0.  Returns the status: 0, 1 (the
+    Newton solve failed) or 2 (the state became non-finite).  The C loop is
+    this loop transliterated and must stay bit-identical.
     """
     q, p = float(state[0]), float(state[1])
     h0 = 0.5 * mval * p * p + _polyval(vpot, nvpot, q)
     max_a = max_b = fail_res = 0.0
     status = fail_step = fail_iters = 0
+    local = [0.0] * nj  # the Newton polynomial in P at this q
+    if rec_start == 0 < rec_stop:
+        rec[0] = q, p, h0, 0, 0.0
     half = 0.5 * tau
     for i in range(1, n_steps + 1):
         p -= half * _polyval(vg, nvg, q)
@@ -324,29 +326,19 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
             if in_b and dev > max_b:
                 max_b = dev
             if in_rec:
-                k = i - rec_start
-                out_q[k] = q
-                out_p[k] = p
-                out_h[k] = h
-                out_iters[k] = iters
-                out_res[k] = res
-    state[:] = q, p, fail_res, max_a, max_b
-    counts[:] = fail_step, fail_iters
+                rec[i - rec_start] = q, p, h, iters, res
+    state[:] = q, p, fail_res, max_a, max_b, h0, fail_step, fail_iters
     return status
 
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # contraction into FMA would round differently from the Python loop
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-# symsplit_kernel's parameters; ctypes refuses an array that is not a
-# C-contiguous float64 (int64 for out_iters and counts) array
+# symsplit_kernel's parameters; ctypes refuses an array that is not C-contiguous float64
 _F64, _I64 = ctypes.c_double, ctypes.c_int64
-_ARR, _IARR = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
-_C_ARGTYPES = (
-    [_ARR, _F64, _F64, _I64, _ARR, _I64, _ARR, _I64, _I64, _ARR, _I64, _I64,
-     _ARR, _I64, _F64, _I64, _F64, _I64, _I64]
-    + [_ARR] * 3 + [_IARR, _ARR] + [_I64] * 4 + [_ARR, _IARR]
-)
+_ARR = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_C_ARGTYPES = [_ARR, _F64, _F64, _I64, _ARR, _I64, _ARR, _I64, _I64, _ARR, _I64, _I64,
+               _ARR, _I64, _F64, _I64, _F64, _I64, _I64, _ARR] + [_I64] * 4
 # symsplit_format_rows(rows, nrows, ncols, int_cols, out)
 _FORMAT_ARGTYPES = [_ARR, _I64, _I64, ctypes.c_char_p, ctypes.c_char_p]
 # the longest field symsplit_format_rows writes, plus its separator
@@ -437,15 +429,15 @@ class FastRun:
     """The record of a run on either backend.
 
     Row k of the ``rec_*`` arrays is step ``rec_start + k``; step 0 is x0
-    with H(x0), no Newton iterations and residual 0.  ``rec_q`` and
-    ``rec_p`` are (rows, dim).  ``max_a`` and ``max_b`` are the largest
-    |H - H(x0)| over the steps of ``range_a`` and ``range_b``; the kernel
-    computes each H of them, H(x0) included, by its one per-step formula.
-    ``failure`` is None, or the ``NewtonDiverged`` / ``NonFiniteState`` that
-    ended the run after ``completed_steps`` steps; the rows then stop there
-    and ``final`` is None.
-    ``backend`` is the loop that ran it: "c", "python-fallback" (the 1-D
-    kernel in C or in Python) or "generic" (``integrate``).
+    with ``h0``, no Newton iterations and residual 0.  ``rec_q`` and
+    ``rec_p`` are (rows, dim).  ``h0`` is x0's energy by the kernel's
+    per-step formula, or ``hamiltonian(x0)`` on the generic engine, and
+    ``max_a`` / ``max_b`` are the largest |H - h0| over the steps of
+    ``range_a`` / ``range_b``.  ``failure`` is None, or the
+    ``NewtonDiverged`` / ``NonFiniteState`` that ended the run after
+    ``completed_steps`` steps; the rows then stop there and ``final`` is
+    None.  ``backend`` is the loop that ran it: "c", "python-fallback" (the
+    1-D kernel in C or in Python) or "generic" (``integrate``).
     """
 
     final: PhasePoint | None
@@ -456,10 +448,21 @@ class FastRun:
     rec_h: np.ndarray
     rec_iters: np.ndarray
     rec_res: np.ndarray
+    h0: float
     max_a: float
     max_b: float
     failure: NewtonDiverged | NonFiniteState | None
     backend: str
+
+    @classmethod
+    def from_rows(cls, rows, final, completed_steps, rec_start, h0, max_a, max_b,
+                  failure, backend) -> "FastRun":
+        """The record whose rows are (q, p, H, Newton iterations, residual),
+        with q and p dim columns each."""
+        dim = (rows.shape[1] - 3) // 2
+        return cls(final, completed_steps, rec_start, rows[:, :dim], rows[:, dim:-3],
+                   rows[:, -3], rows[:, -2].astype(np.int64), rows[:, -1], h0, max_a,
+                   max_b, failure, backend)
 
     @property
     def ok(self) -> bool:
@@ -482,6 +485,15 @@ def eligible(cfg: SchemeConfig, potential: Potential, mass: MassMatrix,
     )
 
 
+def _windows(rec_range, range_a, range_b):
+    """The three step windows, (0, 0) for None; a record window that starts
+    before step 0 is a ``ValueError``."""
+    windows = [w or (0, 0) for w in (rec_range, range_a, range_b)]
+    if windows[0][0] < 0:
+        raise ValueError(f"record window starts at step {windows[0][0]}, before step 0")
+    return windows
+
+
 # an overflow is reported as a non-finite state, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
@@ -490,45 +502,32 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """Run n_steps with the 1-D kernel, in C or in Python (``BACKEND``).
 
     ``rec_range = (i0, i1)`` records state, energy and solve diagnostics for
-    steps i0 <= i < i1, counting x0 as step 0.  ``range_a`` / ``range_b``
-    accumulate max |H - H(x0)| over step ranges without storing anything,
-    which is how multi-million-step stability windows stay cheap.
+    steps i0 <= i < i1, counting x0 as step 0 (i0 >= 0).  ``range_a`` /
+    ``range_b`` accumulate max |H - H0| over step ranges without storing
+    anything, which is how multi-million-step stability windows stay cheap.
+    The kernel writes every row and H0 (``FastRun.h0``) by one formula.
     """
     if not eligible(cfg, potential, mass, x0.dim):
         raise ValueError("configuration not eligible for the fast kernel")
+    (rec_start, rec_stop), (a0, a1), (b0, b1) = _windows(rec_range, range_a, range_b)
     tables = tables_for(potential, mass, cfg.order)
     vg, cq, cp = tables.fold(cfg.tau)
-    rec_start, rec_stop = rec_range if rec_range is not None else (0, 0)
-    n_rec = max(rec_stop - rec_start, 0)
-    out_q = np.empty(n_rec)
-    out_p = np.empty(n_rec)
-    out_h = np.empty(n_rec)
-    out_iters = np.zeros(n_rec, dtype=np.int64)
-    out_res = np.zeros(n_rec)
-    if rec_start == 0 < n_rec:
-        out_q[0], out_p[0] = x0.q[0], x0.p[0]
-        out_h[0] = hamiltonian(x0, potential, mass)
-    a0, a1 = range_a if range_a is not None else (0, 0)
-    b0, b1 = range_b if range_b is not None else (0, 0)
-    state = np.array([x0.q[0], x0.p[0], 0.0, 0.0, 0.0])
-    counts = np.zeros(2, dtype=np.int64)
+    rec = np.empty((max(rec_stop - rec_start, 0), 5))
+    state = np.array([x0.q[0], x0.p[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     status = _kernel(
         state, tables.mval, cfg.tau, int(n_steps), vg, vg.size, cq, *cq.shape,
         cp, *cp.shape, tables.vpot, tables.vpot.size,
         cfg.newton_tol, int(cfg.newton_max_iter), POLISH_FLOOR,
-        int(rec_start), int(rec_stop), out_q, out_p, out_h, out_iters, out_res,
-        int(a0), int(a1), int(b0), int(b1), np.empty(cq.shape[0]), counts,
+        int(rec_start), int(rec_stop), rec, int(a0), int(a1), int(b0), int(b1),
     )
-    q, p, fail_res, max_a, max_b = state.tolist()
-    fail_step, fail_iters = counts.tolist()
+    q, p, fail_res, max_a, max_b, h0 = state[:6].tolist()
+    fail_step, fail_iters = int(state[6]), int(state[7])
     failure = (None if status == 0 else NonFiniteState(fail_step) if status == 2
                else NewtonDiverged(fail_res, fail_iters, step_index=fail_step))
     completed = fail_step - 1 if status else n_steps
-    n_kept = max(0, min(completed - rec_start + 1, n_rec))
-    return FastRun(
-        None if status else PhasePoint([q], [p]), completed, rec_start,
-        out_q[:n_kept, None], out_p[:n_kept, None], out_h[:n_kept],
-        out_iters[:n_kept], out_res[:n_kept], max_a, max_b, failure, BACKEND,
+    return FastRun.from_rows(
+        rec[:max(0, completed - rec_start + 1)], None if status else PhasePoint([q], [p]),
+        completed, rec_start, h0, max_a, max_b, failure, BACKEND,
     )
 
 
@@ -542,9 +541,9 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """
     if eligible(cfg, potential, mass, x0.dim):
         return fast_run(x0, cfg, potential, mass, n_steps, rec_range, range_a, range_b)
-    (r0, r1), (a0, a1), (b0, b1) = (r or (0, 0) for r in (rec_range, range_a, range_b))
+    (r0, r1), (a0, a1), (b0, b1) = _windows(rec_range, range_a, range_b)
     h0 = hamiltonian(x0, potential, mass)
-    rec = [(x0.q, x0.p, h0, 0, 0.0)] if r0 == 0 < r1 else []
+    rec = [[*x0.q, *x0.p, h0, 0, 0.0]] if r0 == 0 < r1 else []
     peak = [0.0, 0.0]
 
     def observer(i, t, x, report):
@@ -555,18 +554,16 @@ def simulate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
             if b0 <= i < b1:
                 peak[1] = max(peak[1], abs(h - h0))
             if r0 <= i < r1:
-                rec.append((x.q, x.p, h, report.newton_iterations,
-                            report.newton_residual))
+                rec.append([*x.q, *x.p, h, report.newton_iterations,
+                            report.newton_residual])
 
     final, failure = None, None
     try:
         final = integrate(x0, cfg, potential, mass, n_steps, observer=observer)
     except (NewtonDiverged, NonFiniteState) as err:
         failure = err
-    qs, ps, hs, iters, res = zip(*rec) if rec else ((),) * 5
-    return FastRun(
-        final, n_steps if failure is None else failure.step_index - 1, r0,
-        np.reshape(qs, (-1, x0.dim)), np.reshape(ps, (-1, x0.dim)),
-        np.array(hs, dtype=float), np.array(iters, dtype=np.int64),
-        np.array(res, dtype=float), peak[0], peak[1], failure, "generic",
+    return FastRun.from_rows(
+        np.array(rec, dtype=float).reshape(-1, 2 * x0.dim + 3), final,
+        n_steps if failure is None else failure.step_index - 1, r0, h0, peak[0],
+        peak[1], failure, "generic",
     )

@@ -353,8 +353,9 @@ def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         x = move_explicit(x, 0.5 * tau, mass)
         x = kick(x, tau, potential, mass, tau, 2)
         return move_explicit(x, 0.5 * tau, mass), StepReport()
-    x = kick(x, 0.5 * tau, potential, mass, tau, order)
-    x, report = move_generating(x, cfg, potential, mass)
+    ws = Workspace(potential, mass, x.q)  # shared by the opening kick and the move
+    x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
+    x, report = move_generating(x, cfg, potential, mass, ws)
     return kick(x, 0.5 * tau, potential, mass, tau, order), report
 
 

@@ -126,13 +126,12 @@ def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     windows from runs at different tau should then land on one curve.
     """
     tau, m = cfg.tau, cfg.order
-    h0 = hamiltonian(x0, potential, mass)
     i0, i1 = _window_steps(window, tau)
     run = fastpath.simulate(x0, cfg, potential, mass, i1,
                             rec_range=(i0, i1 + 1)).raise_if_failed()
     times = (i0 + np.arange(len(run.rec_h))) * tau
-    scaled = (run.rec_h - h0) / tau**m
-    return EnergyTrace(times, run.rec_h, scaled, h0, tau, m)
+    scaled = (run.rec_h - run.h0) / tau**m
+    return EnergyTrace(times, run.rec_h, scaled, run.h0, tau, m)
 
 
 def energy_deviation_maxima(x0: PhasePoint, cfg: SchemeConfig,

@@ -19,10 +19,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symsplit import fastpath
+from symsplit import cli, fastpath
 from symsplit.hamiltonian import (
     Harmonic,
     MassMatrix,
@@ -54,13 +54,20 @@ def _on_both_kernels(*args, **kwargs):
     return runs
 
 
+def _every_kernel(*args, **kwargs):
+    """``fast_run`` on each kernel loop this build has."""
+    if fastpath._c_kernel is None:
+        return [fastpath.fast_run(*args, **kwargs)]
+    return _on_both_kernels(*args, **kwargs)
+
+
 def _assert_bit_identical(c_run, py_run):
     assert (c_run.backend, py_run.backend) == ("c", "python-fallback")
     for name in ("rec_q", "rec_p", "rec_h", "rec_iters", "rec_res"):
         a, b = getattr(c_run, name), getattr(py_run, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert (c_run.completed_steps, c_run.max_a, c_run.max_b) == (
-        py_run.completed_steps, py_run.max_a, py_run.max_b)
+    assert (c_run.completed_steps, c_run.h0, c_run.max_a, c_run.max_b) == (
+        py_run.completed_steps, py_run.h0, py_run.max_a, py_run.max_b)
     if py_run.final is None:
         assert c_run.final is None
     else:
@@ -371,18 +378,34 @@ def test_recording_past_the_run_returns_completed_steps(quartic, opaque_quartic,
 
 
 def test_step_zero_is_row_zero(quartic, opaque_quartic, mass1, x_unit):
+    # every kernel loop and the generic engine; for the quartic the kernel's
+    # energy formula and hamiltonian() agree to the bit
     cfg = _cfg("corrected_kmk", 0.1, 8)
     x2 = PhasePoint([0.3, -0.1], [0.2, 0.4])
-    cases = [(x_unit, quartic, mass1), (x_unit, opaque_quartic, mass1),
-             (x2, Harmonic(), MassMatrix.identity(2))]
-    for x0, pot, mass in cases:
-        run = fastpath.simulate(x0, cfg, pot, mass, 3, rec_range=(0, 4))
-        assert run.backend == (fastpath.BACKEND if pot is quartic else "generic")
+    cases = [(x_unit, opaque_quartic, mass1), (x2, Harmonic(), MassMatrix.identity(2))]
+    runs = [(x_unit, quartic, mass1, run)
+            for run in _every_kernel(x_unit, cfg, quartic, mass1, 3, rec_range=(0, 4))]
+    runs += [(x0, pot, mass, fastpath.simulate(x0, cfg, pot, mass, 3, rec_range=(0, 4)))
+             for x0, pot, mass in cases]
+    for x0, pot, mass, run in runs:
+        assert (run.backend == "generic") == (pot is not quartic)
         assert run.rec_q.shape == run.rec_p.shape == (4, x0.dim)
         np.testing.assert_array_equal(run.rec_q[0], x0.q)
         np.testing.assert_array_equal(run.rec_p[0], x0.p)
-        assert run.rec_h[0] == hamiltonian(x0, pot, mass)
+        assert run.rec_h[0] == run.h0 == hamiltonian(x0, pot, mass)
         assert (run.rec_iters[0], run.rec_res[0]) == (0, 0.0)
+        assert run.rec_iters.dtype == np.int64
+
+
+def test_a_record_window_before_step_zero_is_refused(quartic, opaque_quartic, mass1,
+                                                     x_unit):
+    # the kernel would leave the rows before step 0 unwritten
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+    for pot in (quartic, opaque_quartic):
+        with pytest.raises(ValueError, match="starts at step -3, before step 0"):
+            fastpath.simulate(x_unit, cfg, pot, mass1, 2, rec_range=(-3, 3))
+    with pytest.raises(ValueError, match="before step 0"):
+        fastpath.fast_run(x_unit, cfg, quartic, mass1, 2, rec_range=(-1, 0))
 
 
 def test_newton_diagnostics_recorded(quartic, mass1, x_unit):
@@ -400,9 +423,7 @@ def test_large_momenta_converge_on_every_loop(p0, quartic, opaque_quartic, mass1
     # (they do at 1e3 and 1e4) while their states agree.
     cfg = _cfg("corrected_kmk", 1.0 / p0, 8)
     x0 = PhasePoint([0.0], [p0])
-    kernels = (_on_both_kernels if fastpath._c_kernel is not None
-               else lambda *a, **k: [fastpath.fast_run(*a, **k)])
-    runs = kernels(x0, cfg, quartic, mass1, 20, rec_range=(0, 21))
+    runs = _every_kernel(x0, cfg, quartic, mass1, 20, rec_range=(0, 21))
     generic = fastpath.simulate(x0, cfg, opaque_quartic, mass1, 20, rec_range=(0, 21))
     assert generic.backend == "generic"
     for run in [*runs, generic]:
@@ -424,9 +445,8 @@ def test_massless_coordinate_stays_put(quartic, opaque_quartic):
     generic = fastpath.simulate(x0, cfg, opaque_quartic, MassMatrix(0.0), 50,
                                 rec_range=(0, 51))
     assert generic.backend == "generic"
-    kernels = (_on_both_kernels if fastpath._c_kernel is not None
-               else lambda *a, **k: [fastpath.fast_run(*a, **k)])
-    for run in [generic, *kernels(x0, cfg, quartic, MassMatrix(0.0), 50, rec_range=(0, 51))]:
+    for run in [generic, *_every_kernel(x0, cfg, quartic, MassMatrix(0.0), 50,
+                                        rec_range=(0, 51))]:
         assert run.ok and run.completed_steps == 50
         assert (run.rec_q == 0.3).all() and run.final.q[0] == 0.3
         assert run.final.p[0] == pytest.approx(0.7 - 50 * 0.1 * 0.3**3, abs=1e-13)
@@ -464,6 +484,13 @@ def test_tables_that_overflow_are_refused(potential, mass1):
 
 class _OpaquePolynomial(Polynomial1D):
     """The same polynomial hiding its coefficients, forcing the generic engine."""
+
+    def poly1d_coefficients(self):
+        return None
+
+
+class _OpaqueHarmonic(Harmonic):
+    """The same harmonic well hiding its coefficients, forcing the generic engine."""
 
     def poly1d_coefficients(self):
         return None
@@ -532,3 +559,32 @@ def test_c_rows_integer_columns():
     for bad in (np.nan, np.inf, 2.0**63, -2.0**64):
         with pytest.raises(ValueError):
             fastpath._c_rows(np.array([[bad, 1.0]]), (0,))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(shape=st.one_of(st.floats(0.1, 3.0), st.lists(_unit, min_size=1, max_size=7)),
+       m=st.floats(0.25, 4.0), order=st.sampled_from([2, 4, 6, 8]), q=_unit, p=_unit)
+@example(shape=1.3, m=0.7, order=8, q=0.3, p=0.2)
+def test_one_h0_measures_rows_maxima_and_scaled_energy(shape, m, order, q, p):
+    # shape is a harmonic omega or polynomial coefficients.  Each backend
+    # writes row 0 with the H0 its maxima are measured from; the pinned
+    # example is one where hamiltonian() and the kernel's energy formula
+    # round H0 differently
+    if isinstance(shape, float):
+        pot, opaque = Harmonic(shape), _OpaqueHarmonic(shape)
+    else:
+        pot, opaque = Polynomial1D(shape), _OpaquePolynomial(shape)
+    cfg, mass, n = _cfg("corrected_kmk", 0.05, order), MassMatrix(m), 40
+    x0 = PhasePoint([q], [p])
+    windows = {"rec_range": (0, n + 1), "range_a": (0, n + 1), "range_b": (n // 2, n + 1)}
+    runs = [*_every_kernel(x0, cfg, pot, mass, n, **windows),
+            fastpath.simulate(x0, cfg, opaque, mass, n, **windows)]
+    assume(all(run.ok for run in runs))
+    for run in runs:
+        dev = np.abs(run.rec_h - run.rec_h[0])
+        assert run.rec_h[0] == run.h0
+        assert run.max_a == dev.max()
+        assert run.max_b == dev[n // 2:].max()
+    for potential in (pot, opaque):
+        rows, _ = cli._trace_rows(x0, cfg, potential, mass, n, 0, n)
+        assert rows[0, 5] == 0.0  # scaledH

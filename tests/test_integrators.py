@@ -436,9 +436,9 @@ def test_unobserved_integrate_is_bit_identical_to_observed(variant, order, quart
                                            ("corrected_kmk", 8)])
 @pytest.mark.parametrize("problem", ["quartic", "henon"])
 def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, problem):
-    # integrate shares one workspace per position; step makes a fresh one
-    # for every kick and move.  Observed or not, integrate runs the same
-    # half kick, move, half kick.
+    # integrate shares one workspace per position across steps; step makes
+    # one for its start and one for its end.  Observed or not, integrate
+    # runs the same half kick, move, half kick.
     if problem == "quartic":
         potential, mass, x = Quartic(), MassMatrix.identity(1), _x(0.0, 1.0)
     else:
@@ -457,22 +457,33 @@ def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, p
     assert unobserved.as_array().tobytes() == x.as_array().tobytes()
 
 
+class _CountingQuartic(Quartic):
+    """The quartic counting its ``gradient`` calls."""
+
+    calls = 0
+
+    def gradient(self, q):
+        self.calls += 1
+        return super().gradient(q)
+
+
 @pytest.mark.parametrize("variant,order", [("baseline_kmk", 2), ("corrected_kmk", 8)])
 @pytest.mark.parametrize("observed", [False, True])
 def test_integrate_evaluates_each_position_once(observed, variant, order, mass1, x_unit):
     # n steps visit n + 1 positions; each one's force and moves share V'
-    class Counting(Quartic):
-        calls = 0
-
-        def gradient(self, q):
-            type(self).calls += 1
-            return super().gradient(q)
-
-    pot = Counting()
+    pot = _CountingQuartic()
     observer = (lambda *args: None) if observed else None
     integrate(x_unit, SchemeConfig(variant, 0.05, order=order), pot, mass1, 10,
               observer=observer)
     assert pot.calls == 11
+
+
+@pytest.mark.parametrize("variant,order", [("baseline_kmk", 2), ("corrected_kmk", 8)])
+def test_step_evaluates_each_position_once(variant, order, mass1, x_unit):
+    # the opening kick and the move share the start position's V'
+    pot = _CountingQuartic()
+    step(x_unit, SchemeConfig(variant, 0.05, order=order), pot, mass1)
+    assert pot.calls == 2
 
 
 def test_integrate_attaches_step_index_on_divergence(quartic, mass1):
