@@ -437,7 +437,9 @@ class FastRun:
     ``NewtonDiverged`` / ``NonFiniteState`` that ended the run after
     ``completed_steps`` steps; the rows then stop there and ``final`` is
     None.  ``backend`` is the loop that ran it: "c", "python-fallback" (the
-    1-D kernel in C or in Python) or "generic" (``integrate``).
+    1-D kernel in C or in Python) or "generic" (``integrate``).  All
+    ``rec_*`` but ``rec_iters`` are views of one row array; keeping one
+    keeps it all, so copy a column that outlives the run.
     """
 
     final: PhasePoint | None

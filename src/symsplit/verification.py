@@ -131,7 +131,7 @@ def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
                             rec_range=(i0, i1 + 1)).raise_if_failed()
     times = (i0 + np.arange(len(run.rec_h))) * tau
     scaled = (run.rec_h - run.h0) / tau**m
-    return EnergyTrace(times, run.rec_h, scaled, run.h0, tau, m)
+    return EnergyTrace(times, run.rec_h.copy(), scaled, run.h0, tau, m)
 
 
 def energy_deviation_maxima(x0: PhasePoint, cfg: SchemeConfig,

@@ -387,6 +387,10 @@ def test_step_zero_is_row_zero(quartic, opaque_quartic, mass1, x_unit):
             for run in _every_kernel(x_unit, cfg, quartic, mass1, 3, rec_range=(0, 4))]
     runs += [(x0, pot, mass, fastpath.simulate(x0, cfg, pot, mass, 3, rec_range=(0, 4)))
              for x0, pot, mass in cases]
+    # simulate sends the eligible quartic to this build's kernel
+    dispatched = fastpath.simulate(x_unit, cfg, quartic, mass1, 3, rec_range=(0, 4))
+    assert dispatched.backend == fastpath.BACKEND
+    runs.append((x_unit, quartic, mass1, dispatched))
     for x0, pot, mass, run in runs:
         assert (run.backend == "generic") == (pot is not quartic)
         assert run.rec_q.shape == run.rec_p.shape == (4, x0.dim)
