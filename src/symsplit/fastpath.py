@@ -2,11 +2,11 @@
 
 For a 1-D polynomial V every quantity the kick-move-kick schemes need
 (effective-potential gradient, the implicit move residual dG/dq - p, the
-new-position map dG/dP) is a bivariate polynomial in (q, P) whose
-coefficients are exact rationals.  This module evaluates the word
-expansions from :mod:`symsplit.operators` over that polynomial ring once
-per (potential, mass, order), folds the step-size powers in, and hands the
-resulting coefficient matrices to a C loop (``_kernel.c``).  Long runs
+new-position map dG/dP) is a polynomial in (q, P, tau) whose coefficients
+are exact rationals.  This module evaluates the word expansions from
+:mod:`symsplit.operators` over that polynomial ring once per (potential,
+mass, order), folds a step size into each table, and hands the resulting
+coefficient matrices to a C loop (``_kernel.c``).  Long runs
 (hundreds of thousands of periods) then cost nanoseconds per step instead
 of milliseconds, while agreeing with the generic engine to roundoff because
 both paths evaluate the same expansions.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,68 +57,50 @@ __all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_
 
 
 # ---------------------------------------------------------------------------
-# Exact bivariate polynomials: {(q_power, P_power): Fraction}.
+# Exact polynomials: {exponent tuple: Fraction}.  The symbolic context works
+# in (q power, P power); the kernel tables add the tau power as a third.
 
 
-def _poly_add(a, b, scale=Fraction(1)):
+def _poly_add(a, b, scale):
+    """a + scale * b, without zero coefficients."""
     out = dict(a)
     for key, c in b.items():
-        out[key] = out.get(key, Fraction(0)) + scale * c
+        c *= scale
+        out[key] = out[key] + c if key in out else c
     return {k: v for k, v in out.items() if v}
 
 
 def _poly_mul(a, b):
     out = {}
-    for (qa, pa), ca in a.items():
-        for (qb, pb), cb in b.items():
-            key = (qa + qb, pa + pb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key, c = tuple(map(operator.add, ka, kb)), ca * cb
+            out[key] = out[key] + c if key in out else c
     return out
 
 
-def _poly_dq(a):
-    return {(iq - 1, ip): c * iq for (iq, ip), c in a.items() if iq > 0}
+def _poly_d(a, var):
+    """The derivative of a in the variable at exponent position var."""
+    return {k[:var] + (k[var] - 1,) + k[var + 1:]: c * k[var] for k, c in a.items() if k[var]}
 
 
-def _poly_dp(a):
-    return {(iq, ip - 1): c * ip for (iq, ip), c in a.items() if ip > 0}
-
-
-def _univariate(coeffs):
-    return {(i, 0): c for i, c in enumerate(coeffs) if c}
-
-
-def _poly_matrix(poly) -> np.ndarray:
-    """Dense float coefficient matrix indexed [P power, q power]."""
-    if not poly:
-        return np.zeros((1, 1))
-    jmax = max(ip for (_, ip) in poly)
-    mmax = max(iq for (iq, _) in poly)
-    mat = np.zeros((jmax + 1, mmax + 1))
-    for (iq, ip), c in poly.items():
-        mat[ip, iq] = float(c)
-    return mat
-
-
-def _stacked(table):
-    """(tau powers, their matrices zero-padded into one (n, rows, cols) array)."""
-    rows = max(m.shape[0] for m in table.values())
-    cols = max(m.shape[1] for m in table.values())
-    stack = np.zeros((len(table), rows, cols))
-    for i, m in enumerate(table.values()):
-        stack[i, : m.shape[0], : m.shape[1]] = m
-    return tuple(table), stack
+def _dense(poly) -> np.ndarray:
+    """Dense float coefficients of a (q, P, tau) polynomial, indexed
+    [tau power, P power, q power]."""
+    arr = np.zeros([max((k[var] for k in poly), default=0) + 1 for var in (2, 1, 0)])
+    for (iq, ip, n), c in poly.items():
+        arr[n, ip, iq] = float(c)
+    return arr
 
 
 class _SymbolicContext:
-    """Evaluates expansion trees over the exact (q, P) polynomial ring."""
+    """Evaluates expansion trees over the exact (q, P) polynomial ring, and
+    sums them into series in tau."""
 
     def __init__(self, vcoeffs, mval: Fraction):
-        derivs = [list(vcoeffs)]
+        self.vderiv = [{(i, 0): c for i, c in enumerate(vcoeffs) if c}]
         for _ in range(MAX_DERIVATIVE_ORDER):
-            prev = derivs[-1]
-            derivs.append([prev[i] * i for i in range(1, len(prev))])
-        self.vderiv = [_univariate(c) for c in derivs]
+            self.vderiv.append(_poly_d(self.vderiv[-1], 0))
         self.mval = mval
         self._memo = {}
 
@@ -136,33 +119,37 @@ class _SymbolicContext:
             poly = _poly_mul(poly, self.node_poly(sub))
         return poly
 
-    def table_poly(self, entries):
-        total = {}
-        for children, coeff in _table_expansion(entries).items():
-            total = _poly_add(total, self.term_poly(children), coeff)
-        return total
+    def series(self, start, table, orders):
+        """The (q, P, tau) polynomial start + sum over n in orders of tau^n
+        times table[n]'s expansion; start's tau powers are below orders'."""
+        out = dict(start)
+        for n in orders:
+            total = {}
+            for children, coeff in _table_expansion(table[n]).items():
+                total = _poly_add(total, self.term_poly(children), coeff)
+            out.update({(iq, ip, n): c for (iq, ip), c in total.items()})
+        return out
 
 
 @dataclass
 class FastTables:
     """tau-independent exact tables for one (potential, mass, order).
 
-    ``kick``, ``gq`` and ``gp`` are each a pair (tau powers, stack): row k
-    of the stack is the float coefficient matrix, indexed [P power,
-    q power], of tau^powers[k], zero-padded to one shape.  The kernel's
-    table is the sum over k of tau^powers[k] times stack[k]:
+    ``kick``, ``gq`` and ``gp`` are the float coefficients of a polynomial
+    in (q, P, tau), each one array indexed [tau power, P power, q power];
+    the kernel's table at step size tau is the sum over n of tau^n T[n]:
 
-    * ``kick``: dV_eff/dq; V' at n = 0, the gradient of the potential
-      correction V_n at n = 2, 4, 6.  It has one row (no P).
-    * ``gq``: dG/dq; P at n = 0, dG_n/dq at n >= 3 (zero at n = 1).
-    * ``gp``: dG/dP; q at n = 0, M P at n = 1, dG_n/dP at n >= 3.
+    * ``kick``: dV_eff/dq with V_eff = V + sum_n tau^n V_n.  It has one P
+      row (no P).
+    * ``gq``, ``gp``: dG/dq and dG/dP with
+      G = q.P + (tau/2) M P^2 + sum_n tau^n G_n.
     """
 
     mval: float
     vpot: np.ndarray  # V coefficients, ascending
-    kick: tuple
-    gq: tuple
-    gp: tuple
+    kick: np.ndarray
+    gq: np.ndarray
+    gp: np.ndarray
     _folded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def fold(self, tau: float):
@@ -172,8 +159,8 @@ class FastTables:
         """
         folded = self._folded.get(tau)
         if folded is None:
-            vg, cq, cp = ((np.array([tau**n for n in powers])[:, None, None] * stack).sum(axis=0)
-                          for powers, stack in (self.kick, self.gq, self.gp))
+            vg, cq, cp = ((np.array([tau**n for n in range(len(table))])[:, None, None]
+                           * table).sum(axis=0) for table in (self.kick, self.gq, self.gp))
             folded = self._folded[tau] = (vg[0], cq, cp)
             for arr in folded:
                 arr.flags.writeable = False
@@ -196,28 +183,23 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
     vfrac = [Fraction(float(c)) for c in coeffs]
     mval = Fraction(float(mass.mat[0, 0]))
     ctx = _SymbolicContext(vfrac, mval)
+    # V_eff = V + sum_n tau^n V_n and G = q.P + (tau/2) M P^2 + sum_n tau^n G_n;
+    # V keeps its zero coefficients, so the kick table is as long as V'
+    v_eff = ctx.series({(i, 0, 0): c for i, c in enumerate(vfrac)},
+                       POTENTIAL_GENERATORS, correction_orders(scheme_order))
+    gen = ctx.series({(1, 1, 0): Fraction(1), (0, 2, 1): mval / 2},
+                     GENERATING_TERMS, generating_orders(scheme_order))
     try:
-        kick = {0: np.array([[float(c * i) for i, c in enumerate(vfrac) if i] or [0.0]])}
-        for n in correction_orders(scheme_order):
-            kick[n] = _poly_matrix(_poly_dq(ctx.table_poly(POTENTIAL_GENERATORS[n])))
-            if kick[n].shape[0] != 1:
-                raise ValueError("potential correction unexpectedly momentum dependent")
-        # G = q.P + (tau/2) M P^2 + sum_n tau^n G_n
-        gen = {0: {(1, 1): Fraction(1)}, 1: {(0, 2): mval / 2}}
-        for n in generating_orders(scheme_order):
-            gen[n] = ctx.table_poly(GENERATING_TERMS[n])
-        tables = FastTables(
-            mval=float(mval),
-            vpot=np.array(coeffs, dtype=float),
-            kick=_stacked(kick),
-            gq=_stacked({n: _poly_matrix(_poly_dq(g)) for n, g in gen.items()}),
-            gp=_stacked({n: _poly_matrix(_poly_dp(g)) for n, g in gen.items()}),
-        )
+        kick, gq, gp = _dense(_poly_d(v_eff, 0)), _dense(_poly_d(gen, 0)), _dense(_poly_d(gen, 1))
     except OverflowError:
         # float(Fraction) of an exact coefficient beyond the double range
         raise ValueError(f"the order-{scheme_order} kernel tables of this potential "
                          "and mass overflow the float range") from None
-    _TABLE_CACHE[key] = tables
+    if kick.shape[1] != 1:
+        # fold reads only the P^0 row of the kick table
+        raise ValueError("potential correction unexpectedly momentum dependent")
+    tables = _TABLE_CACHE[key] = FastTables(float(mval), np.array(coeffs, dtype=float),
+                                            kick, gq, gp)
     return tables
 
 
@@ -511,6 +493,8 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """
     if not eligible(cfg, potential, mass, x0.dim):
         raise ValueError("configuration not eligible for the fast kernel")
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
     (rec_start, rec_stop), (a0, a1), (b0, b1) = _windows(rec_range, range_a, range_b)
     tables = tables_for(potential, mass, cfg.order)
     vg, cq, cp = tables.fold(cfg.tau)

@@ -8,6 +8,7 @@ both run the same half kicks and drift and agree bit for bit, at any mass.
 The C loop and the Python loop of the kernel agree bit for bit.
 """
 import ctypes
+import hashlib
 import itertools
 import os
 import struct
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symsplit import cli, fastpath
+from symsplit import cli, fastpath, operators, verification
 from symsplit.hamiltonian import (
     Harmonic,
     MassMatrix,
@@ -403,11 +404,17 @@ def test_step_zero_is_row_zero(quartic, opaque_quartic, mass1, x_unit):
 
 def test_a_record_window_before_step_zero_is_refused(quartic, opaque_quartic, mass1,
                                                      x_unit):
-    # the kernel would leave the rows before step 0 unwritten
+    # the kernel would leave the rows before step 0 unwritten; a negative
+    # step count, also the one a window before t = 0 asks for, is refused
+    # by the kernel as by the generic engine
     cfg = _cfg("corrected_kmk", 0.1, 8)
     for pot in (quartic, opaque_quartic):
         with pytest.raises(ValueError, match="starts at step -3, before step 0"):
             fastpath.simulate(x_unit, cfg, pot, mass1, 2, rec_range=(-3, 3))
+        with pytest.raises(ValueError, match="n_steps must be non-negative"):
+            fastpath.simulate(x_unit, cfg, pot, mass1, -3)
+        with pytest.raises(ValueError, match="n_steps must be non-negative"):
+            verification.energy_error_trace(x_unit, cfg, pot, mass1, (-1.0, -0.5))
     with pytest.raises(ValueError, match="before step 0"):
         fastpath.fast_run(x_unit, cfg, quartic, mass1, 2, rec_range=(-1, 0))
 
@@ -477,6 +484,23 @@ def test_tables_are_cached(quartic, mass1):
     assert not any(arr.flags.writeable for arr in folded)
 
 
+# sha256 over the shape and bytes of every folded table of
+# test_folded_tables_are_pinned
+_FOLDED_TABLES_SHA256 = "ef46ac3d163d798c53f93f6645edf3f78c67297dbfe97d0fb75912184da0f613"
+
+
+def test_folded_tables_are_pinned():
+    # beyond the quartic at M = 1, the only tables the CSV pins reach
+    digest = hashlib.sha256()
+    for pot, m, order, tau in itertools.product(
+            (Quartic(), Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25]), Harmonic(1.3)),
+            (1.0, 0.7, 2.5), (2, 4, 6, 8), (0.05, 0.1, 0.2)):
+        for arr in fastpath.tables_for(pot, MassMatrix(m), order).fold(tau):
+            digest.update(repr(arr.shape).encode())
+            digest.update(arr.astype("<f8").tobytes())
+    assert digest.hexdigest() == _FOLDED_TABLES_SHA256
+
+
 @pytest.mark.parametrize("potential", [Harmonic(1e100), Quadratic([[1e200]])])
 def test_tables_that_overflow_are_refused(potential, mass1):
     # finite V'' = 1e200, but the exact order-8 table coefficients leave the
@@ -525,6 +549,27 @@ def test_fast_equals_generic_on_random_polynomials(order, coeffs, m, tau, q, p):
         _assert_bit_identical(*_on_both_kernels(
             x0, cfg, Polynomial1D(coeffs), mass, 8, rec_range=(0, 9),
             range_a=(1, 5), range_b=(4, 9)))
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(coeffs=st.lists(_unit, min_size=1, max_size=7), m=st.floats(0.25, 4.0),
+       tau=st.floats(0.005, 0.2), q=_unit, p=_unit)
+def test_folded_tables_equal_the_generic_engine(order, coeffs, m, tau, q, p):
+    # the kick force, dG/dq and dG/dP at one (q, P), from the folded tables
+    # and from the generic engine's word contractions
+    pot, mass = Polynomial1D(coeffs), MassMatrix(m)
+    vg, cq, cp = fastpath.tables_for(pot, mass, order).fold(tau)
+    pairs = [
+        (np.polynomial.polynomial.polyval(q, vg),
+         operators.v_eff_grad(pot, mass, [q], tau, order)),
+        (np.polynomial.polynomial.polyval2d(p, q, cq),
+         operators.generating_function_grad_q(pot, mass, [q], [p], tau, order)),
+        (np.polynomial.polynomial.polyval2d(p, q, cp),
+         operators.generating_function_grad_p(pot, mass, [q], [p], tau, order)),
+    ]
+    for got, (ref,) in pairs:
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 # where the C formatter's digit count, layout or fallback changes:
