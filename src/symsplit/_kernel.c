@@ -1,4 +1,4 @@
-/* The compiled loops of symsplit.fastpath: two entry points.
+/* The compiled loops of symsplit.fastpath: three entry points.
  *
  * symsplit_kernel is the 1-D stepping loop, transliterated line for line.
  * Every floating-point operation happens in the order of the Python loop
@@ -28,6 +28,10 @@
  * below 2^63 in magnitude.  `out` holds at least 25 bytes per field, the
  * longest "-d.dddddddddddddddde-308" and its separator (21 for an integer
  * column: "-9223372036854775807,").
+ *
+ * symsplit_cubic_roots refines zero crossings for
+ * verification.period_estimate: the bisection of `fastpath._python_cubic_roots`,
+ * operation for operation.
  */
 #include <math.h>
 #include <stdint.h>
@@ -68,8 +72,10 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
     if (rec_start == 0 && rec_stop > 0)
         rec[0] = q, rec[1] = p, rec[2] = h0, rec[3] = 0.0, rec[4] = 0.0;
     double half = 0.5 * tau;
+    /* the force at q, shared by the closing and the next opening half kick */
+    double force = polyval(vg, nvg, q);
     for (int64_t i = 1; i <= n_steps; i++) {
-        p -= half * polyval(vg, nvg, q);
+        p -= half * force;
         if (!isfinite(p)) {
             status = 2, fail_step = i;
             break;
@@ -119,7 +125,8 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
             qn = qn * mom + polyval(cp + j * ncp, ncp, q);
         q = qn;
         p = mom;
-        p -= half * polyval(vg, nvg, q);
+        force = polyval(vg, nvg, q);
+        p -= half * force;
         if (!(isfinite(q) && isfinite(p))) {
             status = 2, fail_step = i;
             break;
@@ -167,13 +174,27 @@ static int log10_pow2(int n)
 
 /* floor(m 2^e 10^s) into *fl and whether round-half-even lifts it by one;
  * 0 when s is outside [0, 32], or when a k off by more than one would
- * overflow a shift */
+ * overflow a shift.  "Lifts" is rem + (q & 1) > half: above half, or at
+ * half with q odd. */
 static int scaled(uint64_t m, int e, int s, const u128 *pow5, uint64_t *fl, int *up)
 {
     if (s < 0 || s > 32)
         return 0;
-    u128 n = (u128)m * pow5[s];
     int sh = e + s;
+    if (s <= 27 && sh < 0 && sh > -64) {
+        /* the common field: 5^s < 2^64 takes one 64x64 -> 128 product, and
+         * the right shift by r < 64 joins its two halves */
+        u128 n = (u128)m * (uint64_t)pow5[s];
+        uint64_t hi = (uint64_t)(n >> 64), lo = (uint64_t)n;
+        int r = -sh;
+        if (hi >> r)
+            return 0;
+        uint64_t q = hi << (64 - r) | lo >> r, rem = lo & ((1ULL << r) - 1);
+        *fl = q;
+        *up = rem + (q & 1) > 1ULL << (r - 1);
+        return 1;
+    }
+    u128 n = (u128)m * pow5[s];
     if (sh >= 0) {
         /* |x| 10^s is an integer; only a wrong k can make it this large */
         if (sh >= 64 || n >> (64 - sh))
@@ -183,11 +204,11 @@ static int scaled(uint64_t m, int e, int s, const u128 *pow5, uint64_t *fl, int 
     }
     if (-sh >= 128)
         return 0;
-    u128 q = n >> -sh, rem = n - (q << -sh), half = (u128)1 << (-sh - 1);
+    u128 q = n >> -sh, rem = n - (q << -sh);
     if (q >> 64)
         return 0;
     *fl = (uint64_t)q;
-    *up = rem > half || (rem == half && (q & 1));
+    *up = rem + (q & 1) > (u128)1 << (-sh - 1);
     return 1;
 }
 
@@ -203,15 +224,24 @@ static const char PAIRS[] =
     "80818283848586878889"
     "90919293949596979899";
 
-/* the 17 digits of 10^16 <= d < 10^17, two at a time from two halves */
+/* the 8 digits of x < 10^8, as four digit pairs that do not wait on
+ * each other */
+static void digits8(char *dig, uint32_t x)
+{
+    uint32_t a = x / 10000, b = x % 10000;
+    memcpy(dig, PAIRS + 2 * (a / 100), 2);
+    memcpy(dig + 2, PAIRS + 2 * (a % 100), 2);
+    memcpy(dig + 4, PAIRS + 2 * (b / 100), 2);
+    memcpy(dig + 6, PAIRS + 2 * (b % 100), 2);
+}
+
+/* the 17 digits of 10^16 <= d < 10^17: the leading one, then two halves */
 static void digits17(char *dig, uint64_t d)
 {
-    uint32_t hi = (uint32_t)(d / 100000000), lo = (uint32_t)(d % 100000000);
-    for (int i = 15; i >= 9; i -= 2, lo /= 100)
-        memcpy(dig + i, PAIRS + 2 * (lo % 100), 2);
-    for (int i = 7; i >= 1; i -= 2, hi /= 100)
-        memcpy(dig + i, PAIRS + 2 * (hi % 100), 2);
-    dig[0] = (char)('0' + hi);
+    uint64_t rest = d % E16;
+    dig[0] = (char)('0' + d / E16);
+    digits8(dig + 1, (uint32_t)(rest / 100000000));
+    digits8(dig + 9, (uint32_t)(rest % 100000000));
 }
 
 static char *put_uint(char *s, uint64_t v)
@@ -331,4 +361,29 @@ int64_t symsplit_format_rows(const double *rows, int64_t nrows, int64_t ncols,
         }
     }
     return s - out;
+}
+
+
+/* ------------------------------------------------------------------------
+ * Row i of coeffs is a cubic c0 t^3 + c1 t^2 + c2 t + c3, np.polyfit's
+ * order, with a sign change on [0, widths[i]].  Bisect it 80 times,
+ * evaluating it as np.polyval does (y = y t + c from y = 0), and write the
+ * last bracket's midpoint to out[i].  a only moves to points of f(a)'s
+ * sign, so that sign is fixed.
+ */
+void symsplit_cubic_roots(const double *coeffs, const double *widths, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *c = coeffs + 4 * i;
+        double a = 0.0, b = widths[i];
+        int neg = (((0.0 * a + c[0]) * a + c[1]) * a + c[2]) * a + c[3] < 0;
+        for (int k = 0; k < 80; k++) {
+            double mid = 0.5 * (a + b);
+            if (((((0.0 * mid + c[0]) * mid + c[1]) * mid + c[2]) * mid + c[3] < 0) == neg)
+                a = mid;
+            else
+                b = mid;
+        }
+        out[i] = 0.5 * (a + b);
+    }
 }

@@ -392,15 +392,22 @@ def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
     return rows, run.failure
 
 
-def _write_csv(path: Path, meta, header: str, body: str) -> None:
-    """The ``#`` metadata block with its config hash, the header, then
-    ``body``, whole newline-terminated lines.  A path that cannot be
-    written is a ``ConfigError``."""
+def _write_csv(path: Path, meta, header: str, *chunks) -> None:
+    """The ``#`` metadata block with its config hash and the header, then
+    each bytes-like chunk as it is, whole newline-terminated lines.  A path
+    that cannot be written is a ``ConfigError``.
+
+    The file is opened in binary mode, so the bytes are the same on every
+    platform, and no chunk is copied.
+    """
     block = [f"# symsplit {__version__}", *(f"# {key}: {value}" for key, value in meta),
-             f"# config_hash: {config_hash(meta)}", header]
+             f"# config_hash: {config_hash(meta)}", header, ""]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(block) + "\n" + body)
+        with path.open("wb") as out:
+            out.write("\n".join(block).encode())
+            for chunk in chunks:
+                out.write(chunk)
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err}") from None
 
@@ -411,9 +418,8 @@ def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
     pcols = ",".join(f"p{i}" for i in range(dim))
     # step and newton_iters are integers
     body = fastpath.format_rows(rows, (0, 2 * dim + 4))
-    if truncated is not None:
-        body += f"# truncated: {truncated}\n"
-    _write_csv(path, meta, TRACE_COLUMNS.format(q=qcols, p=pcols), body)
+    footer = () if truncated is None else (f"# truncated: {truncated}\n".encode(),)
+    _write_csv(path, meta, TRACE_COLUMNS.format(q=qcols, p=pcols), body, *footer)
 
 
 def _failure_reason(failure) -> str:
@@ -468,6 +474,7 @@ def cmd_figure(args) -> int:
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(args.out) if args.out else default_out_dir()
     lo, hi = FIGURE_WINDOWS[n]
+    x0, potential, mass = PhasePoint([0.0], [1.0]), Quartic(), MassMatrix.identity(1)
     worst = 0
     for label in FIGURE_SCHEMES[n]:
         variant, order = parse_scheme(label)
@@ -476,10 +483,8 @@ def cmd_figure(args) -> int:
                 # the source figure drops this series as off-scale
                 continue
             cfg = SchemeConfig(variant, tau, order=order)
-            x0 = PhasePoint([0.0], [1.0])
             try:
-                period = measure_period(x0, cfg, Quartic(), MassMatrix.identity(1),
-                                        8.0 * quartic_period())
+                period = measure_period(x0, cfg, potential, mass, 8.0 * quartic_period())
             except (NewtonDiverged, NonFiniteState) as err:
                 sys.stderr.write(f"{scheme_label(variant, order)} tau={tau:g}: "
                                  f"period measurement failed: {err}\n")
@@ -533,7 +538,7 @@ def cmd_order(args) -> int:
                              _fmt(report.error_fine), _fmt(report.measured_order))) + "\n"
                    for label, report in rows)
     _write_csv(out_dir / "orders.csv", meta,
-               "scheme,tau_coarse,tau_fine,error_norm,measured_order", body)
+               "scheme,tau_coarse,tau_fine,error_norm,measured_order", body.encode())
     return 0 if all_good else 3
 
 

@@ -20,7 +20,9 @@ dtype or layout, and when the compiler or the load fails,
 plain Python, bit for bit.  ``BACKEND`` names the loop that runs and
 ``BACKEND_REASON`` says why.  The same library formats trace CSV rows:
 ``format_rows`` is ``symsplit_format_rows`` on the C backend and the
-``%``-template ``_template_rows`` otherwise, with the same bytes.
+``%``-template ``_template_rows`` otherwise, with the same bytes.  And it
+refines period crossings: ``cubic_roots`` is ``symsplit_cubic_roots`` or
+its Python twin ``_python_cubic_roots``, with the same bits.
 
 ``simulate`` is the single point that decides which backend runs: the
 kernel through ``fast_run`` when ``eligible`` allows it, the generic
@@ -53,7 +55,7 @@ from .operators import (
 )
 
 __all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for",
-           "format_rows"]
+           "format_rows", "cubic_roots"]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +250,10 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
     if rec_start == 0 < rec_stop:
         rec[0] = q, p, h0, 0, 0.0
     half = 0.5 * tau
+    # the force at q, shared by the closing and the next opening half kick
+    force = _polyval(vg, nvg, q)
     for i in range(1, n_steps + 1):
-        p -= half * _polyval(vg, nvg, q)
+        p -= half * force
         if not math.isfinite(p):
             status, fail_step = 2, i
             break
@@ -293,7 +297,8 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
             qn = qn * mom + _polyval(cp[j], ncp, q)
         q = qn
         p = mom
-        p -= half * _polyval(vg, nvg, q)
+        force = _polyval(vg, nvg, q)
+        p -= half * force
         if not (math.isfinite(q) and math.isfinite(p)):
             status, fail_step = 2, i
             break
@@ -316,13 +321,38 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # contraction into FMA would round differently from the Python loop
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+class _Array:
+    """The ctypes argtype of a C-contiguous float64 array, passed as its
+    address.
+
+    It refuses what ``np.ctypeslib.ndpointer(np.float64,
+    flags="C_CONTIGUOUS")`` refuses, with that class's messages, but
+    builds none of its ctypes objects.
+    """
+
+    _FLOAT64 = np.dtype(np.float64)
+
+    @classmethod
+    def from_param(cls, obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError("argument must be an ndarray")
+        if obj.dtype != cls._FLOAT64:
+            raise TypeError("array must have data type float64")
+        if not obj.flags.c_contiguous:
+            raise TypeError("array must have flags ['C_CONTIGUOUS']")
+        return ctypes.c_void_p(obj.ctypes.data)
+
+
 # symsplit_kernel's parameters; ctypes refuses an array that is not C-contiguous float64
 _F64, _I64 = ctypes.c_double, ctypes.c_int64
-_ARR = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_C_ARGTYPES = [_ARR, _F64, _F64, _I64, _ARR, _I64, _ARR, _I64, _I64, _ARR, _I64, _I64,
-               _ARR, _I64, _F64, _I64, _F64, _I64, _I64, _ARR] + [_I64] * 4
-# symsplit_format_rows(rows, nrows, ncols, int_cols, out)
-_FORMAT_ARGTYPES = [_ARR, _I64, _I64, ctypes.c_char_p, ctypes.c_char_p]
+_C_ARGTYPES = [_Array, _F64, _F64, _I64, _Array, _I64, _Array, _I64, _I64, _Array, _I64,
+               _I64, _Array, _I64, _F64, _I64, _F64, _I64, _I64, _Array] + [_I64] * 4
+# symsplit_format_rows(rows, nrows, ncols, int_cols, out), out a uint8 buffer's address
+_FORMAT_ARGTYPES = [_Array, _I64, _I64, ctypes.c_char_p, ctypes.c_void_p]
+# symsplit_cubic_roots(coeffs, widths, n, out)
+_ROOTS_ARGTYPES = [_Array, _Array, _I64, _Array]
 # the longest field symsplit_format_rows writes, plus its separator
 _FIELD_BYTES, _INT_FIELD_BYTES = 25, 21
 
@@ -362,46 +392,77 @@ def _load_c_kernel(cc: str, cache: Path):
     try:
         dll = ctypes.CDLL(str(lib))
         kernel, format_c = dll.symsplit_kernel, dll.symsplit_format_rows
+        roots = dll.symsplit_cubic_roots
     except (OSError, AttributeError) as err:
         return None, f"cannot load {lib.name}: {err}"
     kernel.argtypes = _C_ARGTYPES
     kernel.restype = ctypes.c_int
     format_c.argtypes = _FORMAT_ARGTYPES
     format_c.restype = ctypes.c_int64
+    roots.argtypes = _ROOTS_ARGTYPES
+    roots.restype = None
     return dll, f"{lib.name} built by {cc}"
 
 
-def _template_rows(rows, int_cols) -> str:
+def _template_rows(rows, int_cols) -> bytes:
     """CSV lines of a 2-D float array: ``"%d"`` for the columns listed in
     ``int_cols``, ``"%.17g"`` for the others, each line ending in a newline.
 
     The reference the C formatter must match byte for byte.
     """
     row = ",".join("%d" if j in int_cols else "%.17g" for j in range(rows.shape[1])) + "\n"
-    return "".join(row % tuple(values) for values in rows.tolist())
+    return "".join(row % tuple(values) for values in rows.tolist()).encode("ascii")
 
 
-def _c_rows(rows, int_cols) -> str:
-    """``_template_rows`` by ``symsplit_format_rows``, the same bytes."""
+def _c_rows(rows, int_cols) -> memoryview:
+    """``_template_rows`` by ``symsplit_format_rows``, the same bytes, as a
+    view of the written prefix of one uninitialised buffer."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     nrows, ncols = rows.shape
     flags = bytes(j in int_cols for j in range(ncols))
-    out = ctypes.create_string_buffer(
-        nrows * sum(_INT_FIELD_BYTES if f else _FIELD_BYTES for f in flags))
-    size = _c_lib.symsplit_format_rows(rows, nrows, ncols, flags, out)
+    out = np.empty(nrows * sum(_INT_FIELD_BYTES if f else _FIELD_BYTES for f in flags),
+                   np.uint8)
+    size = _c_lib.symsplit_format_rows(rows, nrows, ncols, flags, out.ctypes.data)
     if size < 0:
         raise ValueError("an integer column holds a non-finite value or one "
                          "of magnitude 2**63 or more")
-    return str(memoryview(out)[:size], "ascii")
+    return out.data[:size]
+
+
+def _python_cubic_roots(coeffs, widths, n, out):
+    """``symsplit_cubic_roots`` of ``_kernel.c`` in Python, argument for
+    argument, bit for bit.
+
+    Row i of the (n, 4) ``coeffs`` is a cubic in ``np.polyfit``'s order
+    with a sign change on [0, widths[i]].  It is bisected 80 times,
+    evaluated with ``np.polyval``'s Horner operations in their order, and
+    out[i] is the last bracket's midpoint.
+    """
+    rows, ends = coeffs.tolist(), widths.tolist()
+    for i in range(n):
+        c0, c1, c2, c3 = rows[i]
+        a, b = 0.0, ends[i]
+        # y = y * x + c from y = 0, one float operation at a time; a only
+        # moves to points of f(a)'s sign, so that sign is fixed
+        neg = (((0.0 * a + c0) * a + c1) * a + c2) * a + c3 < 0
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if ((((0.0 * mid + c0) * mid + c1) * mid + c2) * mid + c3 < 0) == neg:
+                a = mid
+            else:
+                b = mid
+        out[i] = 0.5 * (a + b)
 
 
 _c_lib, BACKEND_REASON = _load_c_kernel(os.environ.get("CC") or "cc",
                                         _SOURCE.parent / "__pycache__")
 _c_kernel = _c_lib.symsplit_kernel if _c_lib is not None else None
 BACKEND = "c" if _c_lib is not None else "python-fallback"
-# the one stepping loop fast_run calls, and the one row formatter of traces
+# the one stepping loop fast_run calls, the one row formatter of traces and
+# the one crossing refinement of verification.period_estimate
 _kernel = _c_kernel or _python_kernel
 format_rows = _c_rows if _c_lib is not None else _template_rows
+cubic_roots = _c_lib.symsplit_cubic_roots if _c_lib is not None else _python_cubic_roots
 # numba is gone; perfbench/workloads.py still reads this flag for its label
 HAVE_NUMBA = False
 

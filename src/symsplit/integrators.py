@@ -213,8 +213,10 @@ def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     # One refinement past the acceptance tolerance when the residual is
     # still above roundoff.  The tolerance bounds each step's momentum
     # error, and those errors random-walk into a visible energy floor on
-    # long runs; polishing to machine precision removes the floor for one
-    # cheap extra iteration.  Kept only if it actually improves.
+    # long runs; polishing toward machine precision lowers that floor for
+    # one cheap extra iteration, but does not remove it: the residual is
+    # formed at the size of p, so each step can still leave a few ulps in
+    # P.  Kept only if it actually improves.
     if residual > POLISH_FLOOR * max(1.0, float(np.abs(x.p).max())):
         trial = newton_update(mom, r)
         if trial is not None:

@@ -232,9 +232,9 @@ def period_estimate(times, q) -> float:
     around the sign change, so densely sampled smooth signals give many
     more digits than the sampling interval.  The root of the cubic is
     bisected on floats with ``np.polyval``'s Horner operations in its
-    order, so the result matches a bisection by ``np.polyval`` bit for
-    bit.  ``times`` must be finite and strictly increasing, and ``q``
-    finite.  Needs at least two crossings.
+    order (``fastpath.cubic_roots``), so the result matches a bisection by
+    ``np.polyval`` bit for bit.  ``times`` must be finite and strictly
+    increasing, and ``q`` finite.  Needs at least two crossings.
     """
     times = np.asarray(times, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -244,25 +244,16 @@ def period_estimate(times, q) -> float:
         raise ValueError("times must be finite and strictly increasing")
     if not np.isfinite(q).all():
         raise ValueError("q must be finite")
-    t = times.tolist()
-    crossings = []
-    for i in np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0)).tolist():
-        lo = max(0, min(i - 1, len(t) - 4))
-        c0, c1, c2, c3 = np.polyfit(times[lo:lo + 4] - t[i], q[lo:lo + 4], 3).tolist()
-        a, b = 0.0, t[i + 1] - t[i]
-        # np.polyval's y = y * x + c from y = 0, one float operation at a
-        # time; a only moves to points of f(a)'s sign, so that sign is fixed
-        neg = (((0.0 * a + c0) * a + c1) * a + c2) * a + c3 < 0
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if ((((0.0 * mid + c0) * mid + c1) * mid + c2) * mid + c3 < 0) == neg:
-                a = mid
-            else:
-                b = mid
-        crossings.append(t[i] + 0.5 * (a + b))
-    if len(crossings) < 2:
+    ups = np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0))
+    coeffs = np.empty((len(ups), 4))
+    for k, i in enumerate(ups.tolist()):
+        lo = max(0, min(i - 1, len(times) - 4))
+        coeffs[k] = np.polyfit(times[lo:lo + 4] - times[i], q[lo:lo + 4], 3)
+    offsets = np.empty(len(ups))
+    fastpath.cubic_roots(coeffs, times[ups + 1] - times[ups], len(ups), offsets)
+    if len(ups) < 2:
         raise ValueError("trajectory shows fewer than two upward zero crossings")
-    return float(np.mean(np.diff(crossings)))
+    return float(np.mean(np.diff(times[ups] + offsets)))
 
 
 def measure_period(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,

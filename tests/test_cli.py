@@ -768,13 +768,17 @@ def test_write_trace_of_special_values(tmp_path):
     specials = [np.nan, neg_nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
     rows = np.array([[i, 0.1 * i, x, -x, x, 2.0 * x, i % 3, abs(x)]
                      for i, x in enumerate(specials)])
-    written = {}
+    written, bodies = {}, {}
     for label, fmt in _FORMATTERS.items():
         with mock.patch.object(fastpath, "format_rows", fmt):
             write_trace(tmp_path / f"{label}.csv", [("scheme", "test")], 1, rows,
                         truncated="test")
         written[label] = (tmp_path / f"{label}.csv").read_bytes()
+        bodies[label] = bytes(fmt(rows, (0, 6)))
     assert written["c"] == written["template"]
+    # the file holds the formatter's bytes as they are, then the footer
+    assert bodies["c"] == bodies["template"]
+    assert written["c"].endswith(bodies["c"] + b"# truncated: test\n")
     assert [ln.split(",")[2] for ln in _data_rows(tmp_path / "c.csv")] == [
         "nan", "nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1.0000000000000001e+300"]
     assert _lines(tmp_path / "c.csv")[-1] == "# truncated: test"

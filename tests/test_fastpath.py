@@ -109,6 +109,12 @@ _KERNEL_CASES = {
     **{f"blowup_{name}": (cfg, Quartic(), _MASS1, _X_UNIT, 10, {"rec_range": (1, 11)})
        for name, cfg in (("baseline", _cfg("baseline_kmk", 3.0)),
                          ("order2", _cfg("corrected_kmk", 3.0, 2)))},
+    # the force at x0 is computed before the first step: unused, and
+    # non-finite at the first half kick
+    "zero_steps": (_cfg("corrected_kmk", 0.1, 8), Quartic(), _MASS1, _X_UNIT, 0,
+                   {"rec_range": (0, 1)}),
+    "first_kick_overflows": (_cfg("corrected_kmk", 0.1, 8), Quartic(), _MASS1,
+                             PhasePoint([1e110], [0.0]), 5, {"rec_range": (0, 6)}),
 }
 
 
@@ -159,6 +165,25 @@ def test_c_kernel_refuses_a_bad_array(bad, message, quartic, mass1, x_unit):
             mock.patch.object(fastpath, "_kernel", fastpath._c_kernel):
         with pytest.raises(ctypes.ArgumentError, match=message):
             fastpath.fast_run(x_unit, cfg, quartic, mass1, 3)
+
+
+@pytest.mark.parametrize("obj", [
+    np.zeros(3), np.zeros((3, 2)), np.zeros(0), [0.0, 1.0], np.zeros(3, np.float32),
+    np.zeros((3, 2), order="F"), np.zeros((3, 2))[:, 0], np.zeros(3, np.int64),
+])
+def test_array_argtype_is_ndpointer_at_the_address(obj):
+    # the kernel's argtype refuses what ndpointer refuses, with its message,
+    # and passes what it passes as the same address
+    ndpointer = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    outcomes = []
+    for argtype in (ndpointer, fastpath._Array):
+        try:
+            param = argtype.from_param(obj)
+        except TypeError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append(getattr(param, "_as_parameter_", param).value)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_without_a_compiler_the_python_loop_runs(tmp_path):
@@ -573,16 +598,20 @@ def test_folded_tables_equal_the_generic_engine(order, coeffs, m, tau, q, p):
 
 
 # where the C formatter's digit count, layout or fallback changes:
-# 9.9999999999999998e-17 is the largest double below 1e-16
+# 9.9999999999999998e-17 is the largest double below 1e-16.  Then exact
+# ties at the 18th digit, kept at an even 17th digit and lifted at an odd one
 _FORMAT_EDGES = [9.9999999999999998e-17, 1e-16, 9.999999999999999e16, 1e16, 1e17,
-                 1e-4, 1e-5, 2.0**63, 1e22, 1e23, 5e-324, sys.float_info.max, 0.0]
+                 1e-4, 1e-5, 2.0**63, 1e22, 1e23, 5e-324, sys.float_info.max, 0.0,
+                 1.00000762939453125, 1.00002288818359375, 1234567890123456.25,
+                 1234567890123456.75]
 
 
 @needs_c
 @pytest.mark.parametrize("x", _FORMAT_EDGES + [-x for x in _FORMAT_EDGES])
 def test_c_rows_edges(x):
     rows = np.array([[x]])
-    assert fastpath._c_rows(rows, ()) == fastpath._template_rows(rows, ()) == "%.17g\n" % x
+    assert bytes(fastpath._c_rows(rows, ())) == fastpath._template_rows(rows, ()) == (
+        b"%.17g\n" % x)
 
 
 @needs_c
@@ -593,7 +622,7 @@ def test_c_rows_equal_the_template_on_raw_doubles(bits):
     # subnormals and both zeros included
     rows = np.array(struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)))
     rows = rows.reshape(-1, 1) if len(bits) % 2 else rows.reshape(-1, 2)
-    assert fastpath._c_rows(rows, ()) == fastpath._template_rows(rows, ())
+    assert bytes(fastpath._c_rows(rows, ())) == fastpath._template_rows(rows, ())
 
 
 @needs_c
@@ -601,10 +630,10 @@ def test_c_rows_integer_columns():
     # "%d" truncates toward zero, as int() does
     rows = np.array([[0.0, 0.5], [7.0, -0.0], [-3.0, 1e-300], [2.0**53, 2.5],
                      [-2.7, -1.0], [1e18, 3.0]])
-    text = fastpath._c_rows(rows, (0,))
+    text = bytes(fastpath._c_rows(rows, (0,)))
     assert text == fastpath._template_rows(rows, (0,))
-    assert [line.split(",")[0] for line in text.splitlines()] == [
-        "0", "7", "-3", "9007199254740992", "-2", "1000000000000000000"]
+    assert [line.split(b",")[0] for line in text.splitlines()] == [
+        b"0", b"7", b"-3", b"9007199254740992", b"-2", b"1000000000000000000"]
     for bad in (np.nan, np.inf, 2.0**63, -2.0**64):
         with pytest.raises(ValueError):
             fastpath._c_rows(np.array([[bad, 1.0]]), (0,))

@@ -1,6 +1,7 @@
 """Reference solutions, convergence measurement, symplecticity probes and
 period extraction."""
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsplit import fastpath
 from symsplit.hamiltonian import (
     Harmonic,
     MassMatrix,
@@ -329,21 +331,29 @@ def _outcome(estimate, t, q):
         return str(err)
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
-@given(n=st.integers(4, 300), dt=st.floats(1e-3, 1.0), t0=st.floats(-10.0, 10.0),
-       omega=st.floats(0.0, 4.0), phase=st.floats(0.0, 2 * math.pi),
-       noise=st.floats(0.0, 1.0), exponent=st.integers(-300, 8),
-       zeros=st.lists(st.tuples(st.integers(0, 299), st.booleans()), max_size=12),
-       seed=st.integers(0, 2**32 - 1))
-def test_period_estimate_matches_polyval_bisection(n, dt, t0, omega, phase, noise,
-                                                   exponent, zeros, seed):
-    # sines with noise from flat to pure noise, amplitudes 1e-300 to 1e8,
-    # +-0.0 samples; omega near 0 gives fewer than two crossings
+def _signal(n, dt, t0, omega, phase, noise, exponent, zeros, seed):
     t = t0 + dt * np.arange(n)
     noisy = np.sin(omega * t + phase) + noise * np.random.default_rng(seed).standard_normal(n)
     q = 10.0 ** exponent * noisy
     for i, negative in zeros:
         q[i % n] = -0.0 if negative else 0.0
+    return t, q
+
+
+# (t, q): sines with noise from flat to pure noise, amplitudes 1e-300 to
+# 1e8, +-0.0 samples; omega near 0 gives fewer than two crossings
+_SIGNALS = st.builds(
+    _signal, n=st.integers(4, 300), dt=st.floats(1e-3, 1.0), t0=st.floats(-10.0, 10.0),
+    omega=st.floats(0.0, 4.0), phase=st.floats(0.0, 2 * math.pi),
+    noise=st.floats(0.0, 1.0), exponent=st.integers(-300, 8),
+    zeros=st.lists(st.tuples(st.integers(0, 299), st.booleans()), max_size=12),
+    seed=st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(signal=_SIGNALS)
+def test_period_estimate_matches_polyval_bisection(signal):
+    t, q = signal
     expected = _outcome(_period_estimate_polyval, t, q)
     got = _outcome(period_estimate, t, q)
     assert type(got) is type(expected)
@@ -351,6 +361,27 @@ def test_period_estimate_matches_polyval_bisection(n, dt, t0, omega, phase, nois
         assert got == expected
     else:
         assert got.hex() == expected.hex()
+
+
+@pytest.mark.skipif(fastpath._c_lib is None, reason=f"no C kernel: {fastpath.BACKEND_REASON}")
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(signal=_SIGNALS)
+def test_crossing_refinement_is_the_same_in_c_and_python(signal):
+    # every refined crossing, not only their mean spacing
+    outcomes, offsets = [], []
+    for roots in (fastpath._c_lib.symsplit_cubic_roots, fastpath._python_cubic_roots):
+        def spy(coeffs, widths, n, out, roots=roots):
+            roots(coeffs, widths, n, out)
+            offsets.append(out.tobytes())
+
+        with mock.patch.object(fastpath, "cubic_roots", spy):
+            outcomes.append(_outcome(period_estimate, *signal))
+    assert len(offsets) == 2 and offsets[0] == offsets[1]
+    assert type(outcomes[0]) is type(outcomes[1])
+    if isinstance(outcomes[0], str):
+        assert outcomes[0] == outcomes[1]
+    else:
+        assert outcomes[0].hex() == outcomes[1].hex()
 
 
 def test_measure_period_harmonic_two_dee():
