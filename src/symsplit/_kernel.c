@@ -29,9 +29,9 @@
  * longest "-d.dddddddddddddddde-308" and its separator (21 for an integer
  * column: "-9223372036854775807,").
  *
- * symsplit_cubic_roots refines zero crossings for
- * verification.period_estimate: the bisection of `fastpath._python_cubic_roots`,
- * operation for operation.
+ * symsplit_cubic_roots refines the zero crossings of
+ * verification.period_estimate, operation for operation as
+ * `fastpath._python_cubic_roots` does.
  */
 #include <math.h>
 #include <stdint.h>
