@@ -249,10 +249,10 @@ def period_estimate(times, q) -> float:
     for k, i in enumerate(ups.tolist()):
         lo = max(0, min(i - 1, len(times) - 4))
         coeffs[k] = np.polyfit(times[lo:lo + 4] - times[i], q[lo:lo + 4], 3)
-    offsets = np.empty(len(ups))
-    fastpath.cubic_roots(coeffs, times[ups + 1] - times[ups], len(ups), offsets)
     if len(ups) < 2:
         raise ValueError("trajectory shows fewer than two upward zero crossings")
+    offsets = np.empty(len(ups))
+    fastpath.cubic_roots(coeffs, times[ups + 1] - times[ups], len(ups), offsets)
     return float(np.mean(np.diff(times[ups] + offsets)))
 
 
