@@ -204,9 +204,11 @@ class ExperimentConfig:
 
     def _potential(self):
         name = self.potential
+        if self.omega is not None and name != "harmonic":
+            raise ConfigError("omega only applies to the harmonic potential")
+        if self.k_file is not None and name != "quadratic":
+            raise ConfigError("k_file only applies to the quadratic potential")
         if name == "quartic":
-            if self.omega is not None:
-                raise ConfigError("omega only applies to the harmonic potential")
             return Quartic(), (np.array([0.0]), np.array([1.0])), None
         if name == "harmonic":
             try:
@@ -354,6 +356,13 @@ _PARSERS = {
 
 def merge_config(args, file_values: dict) -> tuple:
     """Flags win over file values; returns (ExperimentConfig, out value)."""
+
+    # the duration is one input: a flag displaces the file's one duration
+    # key; a file that sets both still fails in ExperimentConfig.duration
+    duration = [key for key in ("periods", "t_final") if key in file_values]
+    if len(duration) == 1 and any(getattr(args, key, None) is not None
+                                  for key in ("periods", "t_final")):
+        file_values = {k: v for k, v in file_values.items() if k not in duration}
 
     def pick(key):
         flag = getattr(args, key, None)
@@ -553,6 +562,11 @@ def _sweep_entry(payload):
 
 def cmd_sweep(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
+    for key in ("scheme", "tau"):
+        # every grid entry sets its own scheme and tau
+        if key in file_values:
+            raise ConfigError(f"{args.config}: sweep takes no {key!r} key; "
+                              f"use --schemes and --tau-list")
     base, out = merge_config(args, file_values)
     labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
@@ -560,13 +574,16 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    entries = []
+    entries = {}
     for label in labels:
         variant, order = parse_scheme(label)  # validate before spawning
         for tau in taus:
-            exp = replace(base, scheme=label, tau=tau)
-            name = f"sweep_{scheme_label(variant, order)}_tau{tau:g}.csv"
-            entries.append((exp, str(out_dir / name)))
+            path = str(out_dir / f"sweep_{scheme_label(variant, order)}_tau{tau:g}.csv")
+            if path in entries:
+                raise ConfigError(f"schemes {entries[path][0].scheme!r} and {label!r} "
+                                  f"at tau {tau:g} would both write {path}")
+            entries[path] = (replace(base, scheme=label, tau=tau), path)
+    entries = list(entries.values())
     # the pool starts all its workers at once; never more than there is work
     jobs = min(jobs, len(entries))
     if jobs == 1:
@@ -592,6 +609,10 @@ def _tau_list(text: str):
     if not all(math.isfinite(tau) and tau > 0 for tau in taus):
         raise argparse.ArgumentTypeError(
             f"tau values must be positive and finite, got {text!r}")
+    # each series' file is named by its tau's %g text
+    if len({f"{tau:g}" for tau in taus}) < len(taus):
+        raise argparse.ArgumentTypeError(
+            f"tau values must differ in their %g text, which names each file, got {text!r}")
     return taus
 
 
@@ -612,10 +633,6 @@ def build_parser() -> _Parser:
         p.add_argument("--omega", help="harmonic frequency")
         p.add_argument("--k-file", help="stiffness matrix file (N header + rows)")
         p.add_argument("--m-file", help="mass matrix file (same format)")
-        p.add_argument("--scheme", help=SCHEME_USAGE)
-        p.add_argument("--order", type=int,
-                       help="shorthand: --scheme corrected_kmk --order N")
-        p.add_argument("--tau", help="timestep")
         p.add_argument("--q0", help="comma-separated")
         p.add_argument("--p0", help="comma-separated")
         p.add_argument("--periods", help="duration in periods")
@@ -627,6 +644,11 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="output file (run) or directory")
 
     run_p = sub.add_parser("run", help="integrate once and write trace.csv")
+    scheme = run_p.add_mutually_exclusive_group()
+    scheme.add_argument("--scheme", help=SCHEME_USAGE)
+    scheme.add_argument("--order", dest="scheme", type="corrected_kmk:{}".format,
+                        metavar="N", help="shorthand for --scheme corrected_kmk:N")
+    run_p.add_argument("--tau", help="timestep")
     add_physics(run_p)
     run_p.set_defaults(handler=cmd_run)
 
@@ -656,21 +678,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_order_shorthand(args) -> None:
-    order = getattr(args, "order", None)
-    if order is None:
-        return
-    scheme = getattr(args, "scheme", None)
-    if scheme is not None and not scheme.startswith("corrected_kmk"):
-        raise ConfigError(f"--order does not apply to {scheme!r}")
-    args.scheme = f"corrected_kmk:{order}"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_order_shorthand(args)
         return args.handler(args)
     except ConfigError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -344,21 +344,32 @@ def _stiffness_for(potential: Potential, dim: int) -> np.ndarray:
     return k
 
 
-def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-         mass: MassMatrix):
-    """Advance one step; returns (new state, StepReport)."""
+def _step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
+          mass: MassMatrix, ws):
+    """``step`` given ``ws``, an ``operators.Workspace`` at x.q or None;
+    returns (new state, StepReport, Workspace at the new position or None)."""
     tau = cfg.tau
     order = cfg.order
     if cfg.variant == "exact_quadratic":
-        return exact_quadratic_step(x, tau, mass, _stiffness_for(potential, x.dim)), StepReport()
+        x = exact_quadratic_step(x, tau, mass, _stiffness_for(potential, x.dim))
+        return x, StepReport(), None
     if cfg.variant == "baseline_mkm":
         x = move_explicit(x, 0.5 * tau, mass)
         x = kick(x, tau, potential, mass, tau, 2)
-        return move_explicit(x, 0.5 * tau, mass), StepReport()
-    ws = Workspace(potential, mass, x.q)  # shared by the opening kick and the move
+        return move_explicit(x, 0.5 * tau, mass), StepReport(), None
+    if ws is None:
+        ws = Workspace(potential, mass, x.q)
     x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
     x, report = move_generating(x, cfg, potential, mass, ws)
-    return kick(x, 0.5 * tau, potential, mass, tau, order), report
+    ws = Workspace(potential, mass, x.q)
+    return kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws), report, ws
+
+
+def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
+         mass: MassMatrix):
+    """Advance one step; returns (new state, StepReport)."""
+    x, report, _ = _step(x, cfg, potential, mass, None)
+    return x, report
 
 
 @contextmanager
@@ -379,27 +390,18 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """Run n_steps of the scheme from x0; returns the final state.
 
     ``observer(i, t, x, report)`` is called after each completed step with
-    the 1-based step index and t = i * tau.  Every kick-move-kick step is
-    half kick, move, half kick, so a run gives the bits of repeated ``step``
-    calls whether or not it is observed.  One ``operators.Workspace`` per
-    position is shared by both kicks there and the implicit move from it,
-    so each position's force and q-only derivative work is evaluated once.
+    the 1-based step index and t = i * tau.  Each step is ``step``'s own
+    ``_step``, so a run gives the bits of repeated ``step`` calls whether or
+    not it is observed.  One ``operators.Workspace`` per position is shared
+    by both kicks there and the implicit move from it, so each position's
+    force and q-only derivative work is evaluated once.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    tau, order = cfg.tau, cfg.order
-    kmk = cfg.variant in KMK_VARIANTS
-    x = x0
-    ws = Workspace(potential, mass, x.q)
+    x, ws = x0, None
     for i in range(1, n_steps + 1):
         with _failing_at(i):
-            if not kmk:
-                x, report = step(x, cfg, potential, mass)
-            else:
-                x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
-                x, report = move_generating(x, cfg, potential, mass, ws)
-                ws = Workspace(potential, mass, x.q)
-                x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
+            x, report, ws = _step(x, cfg, potential, mass, ws)
         if observer is not None:
-            observer(i, i * tau, x, report)
+            observer(i, i * cfg.tau, x, report)
     return x

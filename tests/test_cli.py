@@ -1,6 +1,7 @@
 """Command-line harness: argument handling, CSV contract, exit codes."""
 import argparse
 import hashlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -553,6 +554,83 @@ def test_sweep_pool_never_exceeds_grid(jobs, tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert sizes == [2]
     assert capsys.readouterr().out.count("ok:") == 2
+
+
+def test_sweep_takes_no_run_only_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert {"--schemes", "--tau-list"} <= flags
+    assert not flags & {"--scheme", "--order", "--tau"}
+
+
+def test_sweep_scheme_and_tau_select_one_entry(tmp_path, capsys):
+    # argparse reads them as prefixes of --schemes and --tau-list
+    assert main(["sweep", "--scheme", "baseline_mkm", "--tau", "0.1", "--periods", "1",
+                 "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["sweep_baseline_mkm_tau0.1.csv"]
+    meta = _meta(tmp_path / "sweep_baseline_mkm_tau0.1.csv")
+    assert (meta["scheme"], meta["tau"]) == ("baseline_mkm", "0.10000000000000001")
+    assert capsys.readouterr().out.count("ok:") == 1
+
+
+# ---------------------------------------------------------------------------
+# inputs a run would ignore or override are refused
+
+
+_SWEEP_ONE = ["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.1", "--periods", "1",
+              "--jobs", "1"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["run", "--scheme", "corrected_kmk:4", "--order", "6"], None,
+     "argument --order: not allowed with argument --scheme"),
+    (["sweep", "--order", "4"], None, "unrecognized arguments: --order 4"),
+    (_SWEEP_ONE, "tau = 0.3\n", "sweep takes no 'tau' key; use --schemes and --tau-list"),
+    (_SWEEP_ONE, "scheme = baseline_mkm\n", "sweep takes no 'scheme' key"),
+    (["run", "--potential", "quadratic", "--k-file", "{out}/K.mat", "--omega", "3",
+      "--q0", "1", "--p0", "0", "--t-final", "1"], None,
+     "omega only applies to the harmonic potential"),
+    (["run", "--k-file", "{out}/K.mat"], None,
+     "k_file only applies to the quadratic potential"),
+    (["sweep", "--schemes", "corrected_kmk,corrected_kmk:8", "--tau-list", "0.1",
+      "--periods", "1", "--jobs", "2"], None,
+     "schemes 'corrected_kmk' and 'corrected_kmk:8' at tau 0.1 would both write "
+     "{out}/sweep_corrected_kmk8_tau0.1.csv"),
+    (["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.1,0.1000001",
+      "--periods", "1", "--jobs", "1"], None,
+     "tau values must differ in their %g text, which names each file, "
+     "got '0.1,0.1000001'"),
+    (["figure", "3", "--tau-list", "0.1,0.1"], None, "tau values must differ"),
+    # a flag displaces the file's duration, not a file that already sets two
+    (["run", "--periods", "1"], "periods = 1\nt_final = 5\n",
+     "set exactly one of --periods / --t-final"),
+], ids=["order-and-scheme", "sweep-order", "sweep-tau-key", "sweep-scheme-key",
+        "omega-on-quadratic", "k-file-on-quartic", "sweep-same-scheme-twice",
+        "sweep-same-tau-text", "figure-same-tau", "file-sets-both-durations"])
+def test_unread_inputs_are_refused(argv, config, message, tmp_path, capsys):
+    (tmp_path / "K.mat").write_text("1\n4.0\n")
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "exp.cfg")]
+    out = tmp_path / "trace.csv" if argv[0] == "run" else tmp_path
+    assert main([arg.format(out=tmp_path) for arg in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(out=tmp_path) in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("file_key, flag, kept", [
+    ("t_final", "--periods", "periods"),
+    ("periods", "--t-final", "t_final"),
+])
+def test_duration_flag_displaces_the_files(file_key, flag, kept, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tau = 0.1\n{file_key} = 5\n")
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(cfg), flag, "1", "--out", str(out)]) == 0
+    meta = _meta(out)
+    assert meta[kept] == "1" and file_key not in meta
 
 
 # ---------------------------------------------------------------------------
