@@ -23,7 +23,6 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
@@ -45,6 +44,7 @@ from .verification import (
     measure_convergence_order,
     measure_period,
     quartic_period,
+    reference_solution,
 )
 
 TRACE_COLUMNS = "step,time,{q},{p},H,scaledH,newton_iters,newton_residual"
@@ -513,29 +513,41 @@ def cmd_order(args) -> int:
     labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     tau_pair = _parse_pair(args.tau_pair) if args.tau_pair else (0.2, 0.1)
     t_final = 5.0 if args.t_final is None else _scalar(float, "t_final")(args.t_final)
+    if not t_final > 0:
+        raise ConfigError(f"t_final must be positive, got {t_final:g}")
     out_dir = Path(args.out) if args.out else default_out_dir()
+    schemes = {}
+    for label in labels:
+        variant, order = parse_scheme(label)
+        if variant == "exact_quadratic":
+            raise ConfigError("exact_quadratic has no convergence order to measure")
+        name = scheme_label(variant, order)
+        if name in schemes:
+            raise ConfigError(f"schemes {schemes[name][0]!r} and {label!r} "
+                              f"both name {name}")
+        schemes[name] = label, variant, order
     x0 = PhasePoint([0.0], [1.0])
     potential = Quartic()
     mass = MassMatrix.identity(1)
     rows = []
     all_good = True
-    for label in labels:
-        variant, order = parse_scheme(label)
-        if variant == "exact_quadratic":
-            raise ConfigError("exact_quadratic has no convergence order to measure")
+    ref = None
+    for name, (_, variant, order) in schemes.items():
         try:
+            # one reference serves every scheme
+            if ref is None:
+                ref = reference_solution(x0, potential, mass, t_final)
             report = measure_convergence_order(
-                x0, potential, mass, variant, order, tau_pair, t_final)
+                x0, potential, mass, variant, order, tau_pair, t_final, reference=ref)
         except ValueError as err:
             raise ConfigError(str(err))
         except (NewtonDiverged, NonFiniteState) as err:
-            sys.stderr.write(f"{scheme_label(variant, order)}: {err}\n")
+            sys.stderr.write(f"{name}: {err}\n")
             return 2
         ok = abs(report.measured_order - order) <= 0.8
         all_good = all_good and ok
-        rows.append((scheme_label(variant, order), report))
-        print(f"{scheme_label(variant, order)}: measured order "
-              f"{report.measured_order:.3f} (nominal {order})"
+        rows.append((name, report))
+        print(f"{name}: measured order {report.measured_order:.3f} (nominal {order})"
               f"{'' if ok else '  MISMATCH'}")
     meta = [
         ("scheme", ",".join(label for label, _ in rows)),
@@ -568,6 +580,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{args.config}: sweep takes no {key!r} key; "
                               f"use --schemes and --tau-list")
     base, out = merge_config(args, file_values)
+    # what every grid entry shares is checked once, before any pool starts
+    _, _, potential, _ = base.build()
+    base.duration(potential)
     labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(out) if out else default_out_dir()
@@ -589,6 +604,8 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_sweep_entry(entry) for entry in entries]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_entry, entries))
     codes = [code for code, _ in results]

@@ -109,8 +109,11 @@ class MassMatrix:
         self.mat = m
 
     @classmethod
+    @cache
     def identity(cls, dim: int) -> "MassMatrix":
-        return cls(np.eye(dim))
+        """The identity mass of size dim, checked once: every call returns
+        one instance per size, whose matrix is read-only."""
+        return cls(_basis(dim))
 
     @classmethod
     def diagonal(cls, values) -> "MassMatrix":

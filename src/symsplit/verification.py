@@ -11,9 +11,15 @@ zero crossings of the position signal.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    from numpy.exceptions import RankWarning
+except ImportError:  # numpy < 1.25
+    from numpy import RankWarning
 
 from . import fastpath
 from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
@@ -149,13 +155,16 @@ _MEASUREMENT_FLOOR = 100 * np.finfo(float).eps
 def measure_convergence_order(x0: PhasePoint, potential: Potential,
                               mass: MassMatrix, variant: str, order: int,
                               tau_pair, t_final: float,
-                              metric: str = "state") -> OrderReport:
+                              metric: str = "state",
+                              reference: PhasePoint | None = None) -> OrderReport:
     """Measured order from errors at two step sizes against a reference.
 
     Step counts are rounded so both taus divide t_final exactly; the
     reported ratio uses the adjusted values.  ``metric`` is either "state"
     (phase-space max-norm at the final time) or "energy" (max energy
-    deviation along the run).
+    deviation along the run).  ``reference`` is
+    ``reference_solution(x0, potential, mass, t_final)``, computed here
+    when not given; callers measuring several schemes pass it once.
     """
     if metric not in ("state", "energy"):
         raise ValueError("metric must be 'state' or 'energy'")
@@ -164,7 +173,8 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
         raise ValueError("tau_pair must be (coarse, fine) with coarse > fine > 0")
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final:g}")
-    ref = reference_solution(x0, potential, mass, t_final)
+    ref = (reference_solution(x0, potential, mass, t_final)
+           if reference is None else reference)
     h0 = hamiltonian(x0, potential, mass)
 
     taus = []
@@ -225,6 +235,36 @@ def symplecticity_defect(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     return float(np.abs(jac.T @ omega @ jac - omega).max())
 
 
+# np.polyfit's rcond for four samples
+_FIT_RCOND = 4 * np.finfo(float).eps
+
+
+def _crossing_cubics(times, q, ups) -> np.ndarray:
+    """Row k is ``np.polyfit(times[w] - times[i], q[w], 3)`` for i = ups[k]
+    and w the four samples around that crossing, bit for bit.
+
+    Every system is built in one pass with ``np.polyfit``'s operations in
+    its order: ``+ 0.0``, ``np.vander``'s columns x^3 = (x x) x, x^2, x, 1,
+    column scales from the sums of squares, rcond = 4 eps.  Each scaled
+    system then goes to LAPACK through its own ``np.linalg.lstsq`` call,
+    which warns on a rank below 4 as ``np.polyfit`` does.
+    """
+    lo = np.clip(ups - 1, 0, len(times) - 4)
+    window = lo[:, None] + np.arange(4)
+    x = (times[window] - times[ups, None]) + 0.0
+    y = q[window] + 0.0
+    x2 = x * x
+    lhs = np.stack((x2 * x, x2, x, np.ones_like(x)), axis=2)
+    scale = np.sqrt((lhs * lhs).sum(axis=1))
+    lhs /= scale[:, None, :]
+    coeffs = np.empty((len(ups), 4))
+    for k in range(len(ups)):
+        coeffs[k], _, rank, _ = np.linalg.lstsq(lhs[k], y[k], _FIT_RCOND)
+        if rank != 4:
+            warnings.warn("Polyfit may be poorly conditioned", RankWarning, stacklevel=2)
+    return coeffs / scale
+
+
 def period_estimate(times, q) -> float:
     """Mean spacing of upward zero crossings of a sampled coordinate.
 
@@ -245,10 +285,7 @@ def period_estimate(times, q) -> float:
     if not np.isfinite(q).all():
         raise ValueError("q must be finite")
     ups = np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0))
-    coeffs = np.empty((len(ups), 4))
-    for k, i in enumerate(ups.tolist()):
-        lo = max(0, min(i - 1, len(times) - 4))
-        coeffs[k] = np.polyfit(times[lo:lo + 4] - times[i], q[lo:lo + 4], 3)
+    coeffs = _crossing_cubics(times, q, ups)
     if len(ups) < 2:
         raise ValueError("trajectory shows fewer than two upward zero crossings")
     offsets = np.empty(len(ups))

@@ -1,5 +1,6 @@
 """Command-line harness: argument handling, CSV contract, exit codes."""
 import argparse
+import concurrent.futures
 import hashlib
 import re
 import subprocess
@@ -490,6 +491,42 @@ def test_order_and_figure_report_divergence(tmp_path, capsys):
     assert [f.name for f in tmp_path.glob("*.csv")] == ["fig3_corrected_kmk4_tau0.2.csv"]
 
 
+def test_order_refuses_a_repeated_scheme(tmp_path, capsys):
+    # plain corrected_kmk is corrected_kmk:8
+    rc = main(["order", "--schemes", "baseline_kmk,corrected_kmk,corrected_kmk:8",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: schemes 'corrected_kmk' and 'corrected_kmk:8' "
+                   "both name corrected_kmk8\n")
+    assert not (tmp_path / "orders.csv").exists()
+
+
+def test_order_measures_every_scheme_against_one_reference(tmp_path, monkeypatch,
+                                                           capsys):
+    import symsplit.cli as cli
+    import symsplit.verification as verification
+
+    original = verification.reference_solution
+    t_finals = []
+
+    def counting(x0, potential, mass, t_final, *args, **kwargs):
+        t_finals.append(t_final)
+        return original(x0, potential, mass, t_final, *args, **kwargs)
+
+    # every module binding of the function, as perfbench's tracer finds them
+    for module in (cli, verification):
+        monkeypatch.setattr(module, "reference_solution", counting, raising=False)
+    assert main(["order", "--out", str(tmp_path)]) == 0
+    assert len(_data_rows(tmp_path / "orders.csv")) == 4
+    assert t_finals == [5.0]
+    t_finals.clear()
+    rc, digest = _pinned_run("order", tmp_path)
+    capsys.readouterr()
+    assert (rc, digest, t_finals) == (0, _PINNED_SHA256["order"], [5.0])
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -547,13 +584,30 @@ def test_sweep_pool_never_exceeds_grid(jobs, tmp_path, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     rc = main(["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.2,0.1",
                "--periods", "1", "--out", str(tmp_path)] + jobs)
     assert rc == 0
     assert sizes == [2]
     assert capsys.readouterr().out.count("ok:") == 2
+
+
+def test_sweep_checks_its_shared_config_once(tmp_path, monkeypatch, capsys):
+    """A bad input that every grid entry shares is one error, before any pool."""
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("the pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    rc = main(["sweep", "--potential", "cubic", "--schemes", "baseline_kmk,corrected_kmk:4",
+               "--tau-list", "0.1,0.2", "--jobs", "2", "--out", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: unknown potential 'cubic'; "
+                   "choose from quartic, harmonic, quadratic\n")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_sweep_takes_no_run_only_flags(capsys):
@@ -646,6 +700,17 @@ def test_console_script_end_to_end(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    # only sweep with more than one job imports the pool
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, symsplit.cli; print(sorted(name for name in "
+         "sys.modules if name.startswith(('concurrent', 'multiprocessing'))))"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,17 @@ def test_phase_point_arrays_are_frozen():
         PhasePoint.from_array(np.array([1.0, 2.0, 3.0]))
 
 
+def test_identity_mass_is_one_read_only_instance_per_size():
+    mass = MassMatrix.identity(2)
+    assert MassMatrix.identity(2) is mass
+    assert MassMatrix.identity(np.int64(2)) is mass
+    assert MassMatrix.identity(3) is not mass
+    assert mass.mat.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        mass.mat[0, 1] = 5.0
+    assert MassMatrix.identity(2).mat.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_raise_index_identity():
     mass = MassMatrix.identity(2)
     v = mass.raise_index(np.array([3.0, -1.0]))

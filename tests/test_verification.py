@@ -385,6 +385,43 @@ def test_crossing_refinement_is_the_same_in_c_and_python(signal):
         assert outcomes[0].hex() == outcomes[1].hex()
 
 
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(signal=_SIGNALS)
+def test_crossing_cubics_are_polyfit_row_by_row(signal):
+    # each crossing's coefficients, not only the mean spacing they lead to
+    t, q = signal
+    roots, seen = fastpath.cubic_roots, []
+
+    def spy(coeffs, widths, n, out):
+        seen.append(coeffs.copy())
+        roots(coeffs, widths, n, out)
+
+    with mock.patch.object(fastpath, "cubic_roots", spy):
+        _outcome(period_estimate, t, q)
+    ups = np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0)).tolist()
+    if len(ups) < 2:
+        assert seen == []
+        return
+    los = [max(0, min(i - 1, len(t) - 4)) for i in ups]
+    expected = [np.polyfit(t[lo:lo + 4] - t[i], q[lo:lo + 4], 3) for lo, i in zip(los, ups)]
+    assert len(seen) == 1 and seen[0].shape == (len(ups), 4)
+    for row, fit in zip(seen[0], expected):
+        assert row.tobytes() == fit.tobytes()
+
+
+def test_rank_deficient_crossing_fits_warn_as_polyfit():
+    # at both crossings three of the four samples lie within 2e-9
+    t = np.array([0.0, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 5.0, 6.0, 6.0 + 1e-9, 6.0 + 2e-9])
+    q = np.array([1.0, -1.0, 1.0, 2.0, 1.0, -1.0, 1.0, 2.0])
+    with pytest.warns(np.exceptions.RankWarning) as polyfit_warnings:
+        expected = _period_estimate_polyval(t, q)
+    with pytest.warns(np.exceptions.RankWarning) as warnings:
+        got = period_estimate(t, q)
+    assert ([str(w.message) for w in warnings] == [str(w.message) for w in polyfit_warnings]
+            == ["Polyfit may be poorly conditioned"] * 2)
+    assert got.hex() == expected.hex()
+
+
 def test_measure_period_harmonic_two_dee():
     harm = Harmonic()
     mass = MassMatrix.identity(2)
