@@ -36,9 +36,9 @@ from .hamiltonian import (
     PhasePoint,
     Quadratic,
     Quartic,
+    hamiltonian,
 )
-from .integrators import NewtonDiverged, NonFiniteState, SchemeConfig
-from .operators import SCHEME_ORDERS
+from .integrators import SCHEME_USAGE, NewtonDiverged, NonFiniteState, SchemeConfig
 from .verification import (
     _window_steps,
     measure_convergence_order,
@@ -68,11 +68,6 @@ FIGURE_SCHEMES = {
     5: ["corrected_kmk:8"],
 }
 DEFAULT_TAUS = (0.2, 0.1, 0.05)
-
-SCHEME_USAGE = (
-    "schemes are baseline_kmk, baseline_mkm, corrected_kmk:{2|4|6|8} "
-    "(plain corrected_kmk means order 8), exact_quadratic"
-)
 
 
 class ConfigError(ValueError):
@@ -147,28 +142,12 @@ def _load_matrix(path: str) -> np.ndarray:
     return mat
 
 
-def parse_scheme(label: str):
-    """'corrected_kmk:6' -> (variant, order); plain corrected_kmk is order 8."""
-    name, sep, suffix = label.partition(":")
-    if name in ("baseline_kmk", "baseline_mkm", "exact_quadratic"):
-        if sep:
-            raise ConfigError(f"{name} does not take an order; {SCHEME_USAGE}")
-        return name, 2
-    if name == "corrected_kmk":
-        if not sep:
-            return name, 8
-        try:
-            order = int(suffix)
-        except ValueError:
-            raise ConfigError(f"bad order {suffix!r} in {label!r}; {SCHEME_USAGE}")
-        if order not in SCHEME_ORDERS:
-            raise ConfigError(f"bad order {suffix!r} in {label!r}; {SCHEME_USAGE}")
-        return name, order
-    raise ConfigError(f"unknown scheme {label!r}; {SCHEME_USAGE}")
-
-
-def scheme_label(variant: str, order: int) -> str:
-    return f"{variant}{order}" if variant == "corrected_kmk" else variant
+def _scheme(label: str, tau: float, **solver) -> SchemeConfig:
+    """``SchemeConfig.parse``, its refusal a ``ConfigError``."""
+    try:
+        return SchemeConfig.parse(label, tau, **solver)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -190,13 +169,8 @@ class ExperimentConfig:
     newton_max_iter: int = 25
 
     def build(self):
-        variant, order = parse_scheme(self.scheme)
-        try:
-            cfg = SchemeConfig(variant, self.tau, order=order,
-                               newton_tol=self.newton_tol,
-                               newton_max_iter=self.newton_max_iter)
-        except ValueError as err:
-            raise ConfigError(str(err))
+        cfg = _scheme(self.scheme, self.tau, newton_tol=self.newton_tol,
+                      newton_max_iter=self.newton_max_iter)
         potential, default_x0, kdim = self._potential()
         x0 = self._initial_state(default_x0, kdim)
         mass = self._mass(x0.dim)
@@ -259,7 +233,8 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(str(err))
 
-    def duration(self, potential) -> float:
+    def duration(self, x0, potential, mass) -> float:
+        """The run's length; ``periods`` counts periods of x0's own orbit."""
         if (self.periods is None) == (self.t_final is None):
             raise ConfigError("set exactly one of --periods / --t-final")
         if self.t_final is not None:
@@ -268,13 +243,27 @@ class ExperimentConfig:
             return self.t_final
         if self.periods <= 0:
             raise ConfigError("periods must be positive")
-        if self.potential == "quartic":
-            base = quartic_period()
-        elif self.potential == "harmonic":
+        if self.potential == "quadratic":
+            raise ConfigError("a quadratic potential has no single period; use --t-final")
+        # the period at unit mass, scaled by m^(-1/2) for a mass m I
+        lam = mass.mat[0, 0]
+        if self.potential == "harmonic":
+            if not np.array_equal(mass.mat, lam * np.eye(mass.dim)):
+                raise ConfigError("a harmonic potential under a mass with unequal "
+                                  "eigenvalues has no single period; use --t-final")
             base = 2.0 * math.pi / potential.omega
         else:
-            raise ConfigError("a quadratic potential has no single period; use --t-final")
-        return self.periods * base
+            # V = q^4/4 scales its period as (2H)^(-1/4)
+            try:
+                energy = hamiltonian(x0, potential, mass)
+            except ValueError as err:
+                raise ConfigError(str(err))
+            if energy == 0.0:
+                raise ConfigError("a quartic start at rest has no period; use --t-final")
+            base = quartic_period() * (2.0 * energy) ** -0.25
+        if lam == 0.0:
+            raise ConfigError("a zero mass has no period; use --t-final")
+        return self.periods * base / math.sqrt(lam)
 
     def describe(self):
         """Stable key/value pairs for the metadata block and config hash."""
@@ -440,7 +429,7 @@ def _failure_reason(failure) -> str:
 
 def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
     x0, cfg, potential, mass = exp.build()
-    t_final = exp.duration(potential)
+    t_final = exp.duration(x0, potential, mass)
     n_steps = math.ceil(t_final / cfg.tau - 1e-9)
     if exp.window is None:
         first, last = 0, n_steps
@@ -454,6 +443,9 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
         rows, failure = _trace_rows(x0, cfg, potential, mass, n_steps, first, last)
     except ValueError as err:
         raise ConfigError(str(err))
+    except MemoryError:
+        raise ConfigError(f"a trace of steps {first} to {last} does not fit in memory; "
+                          f"record fewer with --window") from None
     meta = list(extra_meta) + exp.describe() + [("steps", str(n_steps))]
     reason = None if failure is None else _failure_reason(failure)
     write_trace(out_path, meta, x0.dim, rows, truncated=reason)
@@ -486,22 +478,20 @@ def cmd_figure(args) -> int:
     x0, potential, mass = PhasePoint([0.0], [1.0]), Quartic(), MassMatrix.identity(1)
     worst = 0
     for label in FIGURE_SCHEMES[n]:
-        variant, order = parse_scheme(label)
         for tau in taus:
-            if n == 1 and variant == "baseline_kmk" and abs(tau - 0.2) < 1e-12:
+            cfg = _scheme(label, tau)
+            if n == 1 and cfg.name == "baseline_kmk" and abs(tau - 0.2) < 1e-12:
                 # the source figure drops this series as off-scale
                 continue
-            cfg = SchemeConfig(variant, tau, order=order)
             try:
                 period = measure_period(x0, cfg, potential, mass, 8.0 * quartic_period())
             except (NewtonDiverged, NonFiniteState) as err:
-                sys.stderr.write(f"{scheme_label(variant, order)} tau={tau:g}: "
-                                 f"period measurement failed: {err}\n")
+                sys.stderr.write(f"{cfg.name} tau={tau:g}: period measurement failed: {err}\n")
                 worst = 2
                 continue
             exp = ExperimentConfig(scheme=label, tau=tau, t_final=hi * period,
                                    window=(lo * period, hi * period))
-            name = f"fig{n}_{scheme_label(variant, order)}_tau{tau:g}.csv"
+            name = f"fig{n}_{cfg.name}_tau{tau:g}.csv"
             extra = [("figure", str(n)),
                      ("window_periods", f"{_fmt(lo)}:{_fmt(hi)}"),
                      ("measured_period", _fmt(period))]
@@ -518,36 +508,35 @@ def cmd_order(args) -> int:
     out_dir = Path(args.out) if args.out else default_out_dir()
     schemes = {}
     for label in labels:
-        variant, order = parse_scheme(label)
-        if variant == "exact_quadratic":
+        cfg = _scheme(label, tau_pair[0])
+        if cfg.variant == "exact_quadratic":
             raise ConfigError("exact_quadratic has no convergence order to measure")
-        name = scheme_label(variant, order)
-        if name in schemes:
-            raise ConfigError(f"schemes {schemes[name][0]!r} and {label!r} "
-                              f"both name {name}")
-        schemes[name] = label, variant, order
+        if cfg.name in schemes:
+            raise ConfigError(f"schemes {schemes[cfg.name][0]!r} and {label!r} "
+                              f"both name {cfg.name}")
+        schemes[cfg.name] = label, cfg
     x0 = PhasePoint([0.0], [1.0])
     potential = Quartic()
     mass = MassMatrix.identity(1)
     rows = []
     all_good = True
     ref = None
-    for name, (_, variant, order) in schemes.items():
+    for name, (_, cfg) in schemes.items():
         try:
             # one reference serves every scheme
             if ref is None:
                 ref = reference_solution(x0, potential, mass, t_final)
             report = measure_convergence_order(
-                x0, potential, mass, variant, order, tau_pair, t_final, reference=ref)
+                x0, potential, mass, cfg.variant, cfg.order, tau_pair, t_final, reference=ref)
         except ValueError as err:
             raise ConfigError(str(err))
         except (NewtonDiverged, NonFiniteState) as err:
             sys.stderr.write(f"{name}: {err}\n")
             return 2
-        ok = abs(report.measured_order - order) <= 0.8
+        ok = abs(report.measured_order - cfg.order) <= 0.8
         all_good = all_good and ok
         rows.append((name, report))
-        print(f"{name}: measured order {report.measured_order:.3f} (nominal {order})"
+        print(f"{name}: measured order {report.measured_order:.3f} (nominal {cfg.order})"
               f"{'' if ok else '  MISMATCH'}")
     meta = [
         ("scheme", ",".join(label for label, _ in rows)),
@@ -581,8 +570,8 @@ def cmd_sweep(args) -> int:
                               f"use --schemes and --tau-list")
     base, out = merge_config(args, file_values)
     # what every grid entry shares is checked once, before any pool starts
-    _, _, potential, _ = base.build()
-    base.duration(potential)
+    x0, _, potential, mass = base.build()
+    base.duration(x0, potential, mass)
     labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(out) if out else default_out_dir()
@@ -591,9 +580,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     entries = {}
     for label in labels:
-        variant, order = parse_scheme(label)  # validate before spawning
         for tau in taus:
-            path = str(out_dir / f"sweep_{scheme_label(variant, order)}_tau{tau:g}.csv")
+            # validated before any pool starts
+            path = str(out_dir / f"sweep_{_scheme(label, tau).name}_tau{tau:g}.csv")
             if path in entries:
                 raise ConfigError(f"schemes {entries[path][0].scheme!r} and {label!r} "
                                   f"at tau {tau:g} would both write {path}")

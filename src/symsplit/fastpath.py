@@ -551,12 +551,19 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     ``range_b`` accumulate max |H - H0| over step ranges without storing
     anything, which is how multi-million-step stability windows stay cheap.
     The kernel writes every row and H0 (``FastRun.h0``) by one formula.
+    A step count, window bound or ``newton_max_iter`` outside int64 is a
+    ``ValueError`` on both loops.
     """
     if not eligible(cfg, potential, mass, x0.dim):
         raise ValueError("configuration not eligible for the fast kernel")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     (rec_start, rec_stop), (a0, a1), (b0, b1) = _windows(rec_range, range_a, range_b)
+    # ctypes wraps a larger integer silently; both loops refuse it alike
+    for value in (n_steps, cfg.newton_max_iter, rec_start, rec_stop, a0, a1, b0, b1):
+        if not -2**63 <= value < 2**63:
+            raise ValueError("step counts, window bounds and newton_max_iter must "
+                             f"fit in int64, got {value}")
     tables = tables_for(potential, mass, cfg.order)
     vg, cq, cp = tables.fold(cfg.tau)
     rec = np.empty((max(rec_stop - rec_start, 0), 5))

@@ -47,7 +47,14 @@ __all__ = [
     "integrate",
 ]
 
-VARIANTS = ("baseline_kmk", "baseline_mkm", "corrected_kmk", "exact_quadratic")
+# the scheme catalogue: each variant and the accuracy orders it takes
+ORDERS = {"baseline_kmk": (2,), "baseline_mkm": (2,), "corrected_kmk": SCHEME_ORDERS,
+          "exact_quadratic": (2,)}
+VARIANTS = tuple(ORDERS)
+# the labels SchemeConfig.parse reads, for help and error text
+SCHEME_USAGE = "schemes are " + ", ".join(
+    v if len(o) == 1 else f"{v}:{{{'|'.join(map(str, o))}}} (plain {v} means order {max(o)})"
+    for v, o in ORDERS.items())
 # the variants whose step is half kick, move, half kick
 KMK_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
@@ -91,26 +98,45 @@ class DegenerateMass(ValueError):
 class SchemeConfig:
     """Integrator selection plus step size and implicit-solve knobs.
 
-    ``order`` is the global accuracy order, 2 for every variant but
-    corrected_kmk (for exact_quadratic a label only)."""
+    ``order`` is the global accuracy order, one of the variant's
+    ``ORDERS`` (for exact_quadratic a label only); left out, it is the
+    variant's highest."""
 
     variant: str
     tau: float
-    order: int = 2
+    order: int | None = None
     newton_tol: float = 1e-13
     newton_max_iter: int = 25
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in ORDERS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        orders = ORDERS[self.variant]
+        if self.order is None:
+            object.__setattr__(self, "order", max(orders))
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
-        if self.variant == "corrected_kmk" and self.order not in SCHEME_ORDERS:
-            raise ValueError(f"corrected order must be one of {SCHEME_ORDERS}")
-        if self.variant != "corrected_kmk" and self.order != 2:
-            raise ValueError(f"variant {self.variant!r} does not take an order")
+        if self.order not in orders:
+            if len(orders) == 1:
+                raise ValueError(f"variant {self.variant!r} does not take an order")
+            raise ValueError(f"{self.variant.partition('_')[0]} order must be one of {orders}")
         if self.newton_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("newton_tol must be positive, newton_max_iter >= 1")
+
+    @classmethod
+    def parse(cls, label: str, tau: float, **solver) -> "SchemeConfig":
+        """The config of a label ``variant`` or ``variant:order`` (``corrected_kmk:6``)."""
+        variant, sep, suffix = label.partition(":")
+        try:
+            order = int(suffix) if sep else None
+        except ValueError:
+            raise ValueError(f"bad order {suffix!r} in {label!r}; {SCHEME_USAGE}") from None
+        return cls(variant, tau, order, **solver)
+
+    @property
+    def name(self) -> str:
+        """``corrected_kmk6``, or the plain variant when it has one order."""
+        return self.variant if len(ORDERS[self.variant]) == 1 else f"{self.variant}{self.order}"
 
 
 @dataclass(frozen=True)

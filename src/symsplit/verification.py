@@ -185,7 +185,7 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
                          f"over t_final = {t_final:g}; use a wider pair")
     for n in counts:
         tau = t_final / n
-        cfg = SchemeConfig(variant, tau, order=order if variant == "corrected_kmk" else 2)
+        cfg = SchemeConfig(variant, tau, order=order)
         if metric == "state":
             x = fastpath.simulate(x0, cfg, potential, mass, n).raise_if_failed().final
             err = float(np.abs(x.as_array() - ref.as_array()).max())
@@ -285,9 +285,9 @@ def period_estimate(times, q) -> float:
     if not np.isfinite(q).all():
         raise ValueError("q must be finite")
     ups = np.flatnonzero((q[:-1] < 0.0) & (q[1:] >= 0.0))
-    coeffs = _crossing_cubics(times, q, ups)
     if len(ups) < 2:
         raise ValueError("trajectory shows fewer than two upward zero crossings")
+    coeffs = _crossing_cubics(times, q, ups)
     offsets = np.empty(len(ups))
     fastpath.cubic_roots(coeffs, times[ups + 1] - times[ups], len(ups), offsets)
     return float(np.mean(np.diff(times[ups] + offsets)))

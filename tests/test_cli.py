@@ -2,6 +2,7 @@
 import argparse
 import concurrent.futures
 import hashlib
+import math
 import re
 import subprocess
 import sys
@@ -17,12 +18,12 @@ from symsplit.cli import (
     _trace_rows,
     build_parser,
     main,
-    parse_scheme,
+    merge_config,
     read_config_file,
-    scheme_label,
     write_trace,
 )
 from symsplit.integrators import SchemeConfig
+from symsplit.verification import measure_period
 
 
 def _lines(path):
@@ -47,17 +48,17 @@ def _meta(path):
 
 
 def test_parse_scheme():
-    assert parse_scheme("baseline_kmk") == ("baseline_kmk", 2)
-    assert parse_scheme("corrected_kmk") == ("corrected_kmk", 8)
-    assert parse_scheme("corrected_kmk:4") == ("corrected_kmk", 4)
-    assert scheme_label("corrected_kmk", 6) == "corrected_kmk6"
-    assert scheme_label("baseline_mkm", 2) == "baseline_mkm"
-    with pytest.raises(ConfigError):
-        parse_scheme("corrected_kmk:5")
-    with pytest.raises(ConfigError):
-        parse_scheme("baseline_kmk:4")
-    with pytest.raises(ConfigError):
-        parse_scheme("rk4")
+    assert SchemeConfig.parse("baseline_kmk", 0.1).order == 2
+    assert SchemeConfig.parse("corrected_kmk", 0.1).order == 8
+    assert SchemeConfig.parse("corrected_kmk:4", 0.1).order == 4
+    assert SchemeConfig.parse("corrected_kmk:6", 0.1).name == "corrected_kmk6"
+    assert SchemeConfig.parse("baseline_mkm", 0.1).name == "baseline_mkm"
+    with pytest.raises(ValueError):
+        SchemeConfig.parse("corrected_kmk:5", 0.1)
+    with pytest.raises(ValueError):
+        SchemeConfig.parse("baseline_kmk:4", 0.1)
+    with pytest.raises(ValueError):
+        SchemeConfig.parse("rk4", 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,69 @@ def test_each_config_error_names_itself_and_writes_nothing(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, argv
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("argv, m_file", [
+    # V = q^2/2 under a mass of 4: period pi, half the unit-mass one
+    (["--potential", "harmonic", "--scheme", "exact_quadratic"], "1\n4.0\n"),
+    # H = 2 on the quartic: period 2^(-1/2) of the H = 1/2 one
+    (["--q0", "0", "--p0", "2"], None),
+])
+def test_periods_count_the_start_states_own_orbit(argv, m_file, tmp_path):
+    if m_file is not None:
+        (tmp_path / "m.mat").write_text(m_file)
+        argv = [*argv, "--m-file", str(tmp_path / "m.mat")]
+    args = build_parser().parse_args(["run", *argv, "--tau", "0.01", "--periods", "1"])
+    exp, _ = merge_config(args, {})
+    x0, _, potential, mass = exp.build()
+    measured = measure_period(x0, SchemeConfig("corrected_kmk", 0.01), potential, mass, 25.0)
+    assert exp.duration(x0, potential, mass) == pytest.approx(measured, rel=1e-12)
+    out = tmp_path / "trace.csv"
+    assert main(["run", *argv, "--tau", "0.01", "--periods", "1", "--out", str(out)]) == 0
+    assert _meta(out)["steps"] == str(math.ceil(measured / 0.01))
+
+
+def test_orbits_without_one_period_are_refused(tmp_path, capsys):
+    (tmp_path / "m2.mat").write_text("2\n1.0 0.0\n0.0 4.0\n")
+    (tmp_path / "m0.mat").write_text("1\n0.0\n")
+    out = tmp_path / "trace.csv"
+    cases = [
+        (["--potential", "harmonic", "--m-file", str(tmp_path / "m2.mat"),
+          "--q0", "1,0", "--p0", "0,1"],
+         "a harmonic potential under a mass with unequal eigenvalues has no single "
+         "period; use --t-final"),
+        (["--q0", "0", "--p0", "0"], "a quartic start at rest has no period; use --t-final"),
+        (["--m-file", str(tmp_path / "m0.mat"), "--q0", "1", "--p0", "0"],
+         "a zero mass has no period; use --t-final"),
+        (["--potential", "harmonic", "--m-file", str(tmp_path / "m0.mat")],
+         "a zero mass has no period; use --t-final"),
+    ]
+    for argv, message in cases:
+        assert main(["run", *argv, "--periods", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", argv
+        assert not out.exists(), argv
+        # a duration in time units runs
+        assert main(["run", *argv, "--t-final", "0.1", "--out", str(out)]) == 0
+        out.unlink()
+
+
+def test_a_trace_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--periods", "1e14", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a trace of steps 0 to ") and "--window" in err
+    assert not out.exists()
+
+
+def test_a_newton_limit_beyond_int64_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--newton-max-iter", str(2**64), "--periods", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: step counts, window bounds and newton_max_iter must fit "
+                   f"in int64, got {2**64}\n")
+    assert not out.exists()
 
 
 def test_run_out_may_name_a_directory(tmp_path):

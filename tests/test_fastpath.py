@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -442,6 +443,29 @@ def test_a_record_window_before_step_zero_is_refused(quartic, opaque_quartic, ma
             verification.energy_error_trace(x_unit, cfg, pot, mass1, (-1.0, -0.5))
     with pytest.raises(ValueError, match="before step 0"):
         fastpath.fast_run(x_unit, cfg, quartic, mass1, 2, rec_range=(-1, 0))
+
+
+def test_integers_outside_int64_are_refused_on_both_loops(quartic, mass1, x_unit):
+    # ctypes would pass 2**63 to the C loop as -2**63; the Python loop
+    # would take it as it is
+    cfg = _cfg("corrected_kmk", 0.1, 8)
+    cases = [
+        (cfg, 2**63, {}),
+        (cfg, 1.2e32, {"rec_range": (0, 3)}),
+        (replace(cfg, newton_max_iter=2**64), 2, {}),
+        (cfg, 2, {"rec_range": (0, 2**63)}),
+        (cfg, 2, {"range_a": (0, 2**63)}),
+        (cfg, 2, {"range_b": (-2**63 - 1, 0)}),
+    ]
+    for kernel in filter(None, (fastpath._c_kernel, fastpath._python_kernel)):
+        with mock.patch.object(fastpath, "_kernel", kernel):
+            for c, n_steps, windows in cases:
+                with pytest.raises(ValueError, match="must fit in int64"):
+                    fastpath.fast_run(x_unit, c, quartic, mass1, n_steps, **windows)
+            # the largest int64 is taken
+            run = fastpath.fast_run(x_unit, replace(cfg, newton_max_iter=2**63 - 1),
+                                    quartic, mass1, 2)
+            assert run.ok and run.completed_steps == 2
 
 
 def test_newton_diagnostics_recorded(quartic, mass1, x_unit):

@@ -22,6 +22,7 @@ from symsplit.hamiltonian import (
     hamiltonian,
 )
 from symsplit.integrators import (
+    ORDERS,
     DegenerateMass,
     NewtonDiverged,
     ResonantStep,
@@ -61,6 +62,32 @@ def test_scheme_config_validation():
         SchemeConfig("baseline_kmk", 0.1, order=4)
     with pytest.raises(ValueError, match="newton"):
         SchemeConfig("corrected_kmk", 0.1, order=4, newton_tol=0.0)
+
+
+def test_a_left_out_order_is_the_variants_highest():
+    assert (SchemeConfig("corrected_kmk", 0.1) == SchemeConfig.parse("corrected_kmk", 0.1)
+            == SchemeConfig("corrected_kmk", 0.1, order=8))
+    assert SchemeConfig("baseline_mkm", 0.1) == SchemeConfig("baseline_mkm", 0.1, order=2)
+
+
+def test_every_catalogued_label_parses_to_its_config():
+    for variant, orders in ORDERS.items():
+        for order in orders:
+            cfg = SchemeConfig.parse(f"{variant}:{order}", 0.1, newton_max_iter=7)
+            assert cfg == SchemeConfig(variant, 0.1, order=order, newton_max_iter=7)
+            assert cfg.name == (variant if len(orders) == 1 else f"{variant}{order}")
+
+
+@pytest.mark.parametrize("label, message", [
+    ("rk4", "unknown variant 'rk4'; choose from ("),
+    ("baseline_kmk:4", "variant 'baseline_kmk' does not take an order"),
+    ("corrected_kmk:5", "corrected order must be one of (2, 4, 6, 8)"),
+    ("corrected_kmk:x", "bad order 'x' in 'corrected_kmk:x'; schemes are baseline_kmk, "),
+])
+def test_parse_leaves_its_refusals_to_the_config(label, message):
+    with pytest.raises(ValueError) as err:
+        SchemeConfig.parse(label, 0.1)
+    assert str(err.value).startswith(message)
 
 
 def test_scheme_order_property():

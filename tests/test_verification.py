@@ -205,6 +205,14 @@ def test_measured_order_rejects_bad_input(quartic, mass1, x_unit):
                                   2, (0.1, 0.2), 5.0)
 
 
+def test_measured_order_refuses_an_order_the_variant_lacks(quartic, mass1, x_unit):
+    # a baseline scheme measured as order 8 would report order 8 beside its
+    # measured 2
+    with pytest.raises(ValueError, match="does not take an order"):
+        measure_convergence_order(x_unit, quartic, mass1, "baseline_kmk",
+                                  8, (0.2, 0.1), 5.0)
+
+
 # ---------------------------------------------------------------------------
 # symplecticity
 
@@ -266,6 +274,14 @@ def test_period_estimate_needs_two_crossings():
     t = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError):
         period_estimate(t, np.sin(t))
+
+
+def test_period_estimate_refuses_before_it_fits():
+    t = np.arange(0.0, 5.0, 0.01)
+    with mock.patch("symsplit.verification._crossing_cubics") as fit:
+        with pytest.raises(ValueError, match="fewer than two upward zero crossings"):
+            period_estimate(t, np.sin(t))
+    fit.assert_not_called()
 
 
 def _bad_time_axis(kind):
