@@ -6,10 +6,12 @@ Subcommands
     order   measure convergence orders and write orders.csv
     sweep   run a scheme x tau grid concurrently, one trace per entry
 
-Exit codes: 0 success, 1 configuration error, 2 implicit solve divergence
-or a state that became non-finite (the partial trace is kept, with a
-``# truncated`` footer), 3 measured order outside tolerance (``order``
-command only).
+Exit codes: 0 success, 1 a refused input (any bad configuration, a
+duration or step size that gives more steps than int64 holds, or a run
+too large for memory), reported by ``main`` as one ``error:`` line,
+2 implicit solve divergence or a state that became non-finite (the
+partial trace is kept, with a ``# truncated`` footer), 3 measured order
+outside tolerance (``order`` command only).
 
 All CSVs start with a ``#`` metadata block (scheme, tau, potential, code
 version, config hash) and use 17-significant-digit floats, so identical
@@ -45,6 +47,7 @@ from .verification import (
     measure_period,
     quartic_period,
     reference_solution,
+    step_count,
 )
 
 TRACE_COLUMNS = "step,time,{q},{p},H,scaledH,newton_iters,newton_residual"
@@ -74,14 +77,10 @@ class ConfigError(ValueError):
     """Bad configuration; reported on stderr with exit code 1."""
 
 
-class _UsageError(ConfigError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; 2 is taken, so reroute
     def error(self, message):
-        raise _UsageError(f"{self.format_usage()}error: {message}")
+        raise ConfigError(f"{self.format_usage()}error: {message}")
 
 
 def _fmt(value: float) -> str:
@@ -142,14 +141,6 @@ def _load_matrix(path: str) -> np.ndarray:
     return mat
 
 
-def _scheme(label: str, tau: float, **solver) -> SchemeConfig:
-    """``SchemeConfig.parse``, its refusal a ``ConfigError``."""
-    try:
-        return SchemeConfig.parse(label, tau, **solver)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully merged run configuration (flags over config file)."""
@@ -169,8 +160,8 @@ class ExperimentConfig:
     newton_max_iter: int = 25
 
     def build(self):
-        cfg = _scheme(self.scheme, self.tau, newton_tol=self.newton_tol,
-                      newton_max_iter=self.newton_max_iter)
+        cfg = SchemeConfig.parse(self.scheme, self.tau, newton_tol=self.newton_tol,
+                                 newton_max_iter=self.newton_max_iter)
         potential, default_x0, kdim = self._potential()
         x0 = self._initial_state(default_x0, kdim)
         mass = self._mass(x0.dim)
@@ -185,20 +176,13 @@ class ExperimentConfig:
         if name == "quartic":
             return Quartic(), (np.array([0.0]), np.array([1.0])), None
         if name == "harmonic":
-            try:
-                pot = Harmonic(1.0 if self.omega is None else self.omega)
-            except ValueError as err:
-                raise ConfigError(str(err))
+            pot = Harmonic(1.0 if self.omega is None else self.omega)
             return pot, (np.array([1.0]), np.array([0.0])), None
         if name == "quadratic":
             if self.k_file is None:
                 raise ConfigError("quadratic potential needs --k-file")
             k = _load_matrix(self.k_file)
-            try:
-                pot = Quadratic(k)
-            except ValueError as err:
-                raise ConfigError(str(err))
-            return pot, None, k.shape[0]
+            return Quadratic(k), None, k.shape[0]
         raise ConfigError(
             f"unknown potential {name!r}; choose from quartic, harmonic, quadratic"
         )
@@ -212,10 +196,7 @@ class ExperimentConfig:
             q, p = default_x0
         else:
             q, p = self.q0, self.p0
-        try:
-            x0 = PhasePoint(q, p)
-        except ValueError as err:
-            raise ConfigError(str(err))
+        x0 = PhasePoint(q, p)
         if kdim is not None and x0.dim != kdim:
             raise ConfigError(
                 f"initial state has dimension {x0.dim}, stiffness is {kdim}x{kdim}"
@@ -228,10 +209,7 @@ class ExperimentConfig:
         m = _load_matrix(self.m_file)
         if m.shape[0] != dim:
             raise ConfigError(f"mass is {m.shape[0]}x{m.shape[1]}, state dimension {dim}")
-        try:
-            return MassMatrix(m)
-        except ValueError as err:
-            raise ConfigError(str(err))
+        return MassMatrix(m)
 
     def duration(self, x0, potential, mass) -> float:
         """The run's length; ``periods`` counts periods of x0's own orbit."""
@@ -254,10 +232,7 @@ class ExperimentConfig:
             base = 2.0 * math.pi / potential.omega
         else:
             # V = q^4/4 scales its period as (2H)^(-1/4)
-            try:
-                energy = hamiltonian(x0, potential, mass)
-            except ValueError as err:
-                raise ConfigError(str(err))
+            energy = hamiltonian(x0, potential, mass)
             if energy == 0.0:
                 raise ConfigError("a quartic start at rest has no period; use --t-final")
             base = quartic_period() * (2.0 * energy) ** -0.25
@@ -430,7 +405,7 @@ def _failure_reason(failure) -> str:
 def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
     x0, cfg, potential, mass = exp.build()
     t_final = exp.duration(x0, potential, mass)
-    n_steps = math.ceil(t_final / cfg.tau - 1e-9)
+    n_steps = step_count(t_final, cfg.tau)
     if exp.window is None:
         first, last = 0, n_steps
     else:
@@ -441,8 +416,6 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
                               f"run, which spans t = 0 to {_fmt(n_steps * cfg.tau)}")
     try:
         rows, failure = _trace_rows(x0, cfg, potential, mass, n_steps, first, last)
-    except ValueError as err:
-        raise ConfigError(str(err))
     except MemoryError:
         raise ConfigError(f"a trace of steps {first} to {last} does not fit in memory; "
                           f"record fewer with --window") from None
@@ -479,7 +452,7 @@ def cmd_figure(args) -> int:
     worst = 0
     for label in FIGURE_SCHEMES[n]:
         for tau in taus:
-            cfg = _scheme(label, tau)
+            cfg = SchemeConfig.parse(label, tau)
             if n == 1 and cfg.name == "baseline_kmk" and abs(tau - 0.2) < 1e-12:
                 # the source figure drops this series as off-scale
                 continue
@@ -508,7 +481,7 @@ def cmd_order(args) -> int:
     out_dir = Path(args.out) if args.out else default_out_dir()
     schemes = {}
     for label in labels:
-        cfg = _scheme(label, tau_pair[0])
+        cfg = SchemeConfig.parse(label, tau_pair[0])
         if cfg.variant == "exact_quadratic":
             raise ConfigError("exact_quadratic has no convergence order to measure")
         if cfg.name in schemes:
@@ -528,8 +501,6 @@ def cmd_order(args) -> int:
                 ref = reference_solution(x0, potential, mass, t_final)
             report = measure_convergence_order(
                 x0, potential, mass, cfg.variant, cfg.order, tau_pair, t_final, reference=ref)
-        except ValueError as err:
-            raise ConfigError(str(err))
         except (NewtonDiverged, NonFiniteState) as err:
             sys.stderr.write(f"{name}: {err}\n")
             return 2
@@ -554,11 +525,7 @@ def cmd_order(args) -> int:
 
 def _sweep_entry(payload):
     exp, out_path = payload
-    try:
-        return execute_run(exp, Path(out_path)), str(out_path)
-    except ConfigError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1, str(out_path)
+    return _refused(execute_run, exp, Path(out_path)), str(out_path)
 
 
 def cmd_sweep(args) -> int:
@@ -582,7 +549,7 @@ def cmd_sweep(args) -> int:
     for label in labels:
         for tau in taus:
             # validated before any pool starts
-            path = str(out_dir / f"sweep_{_scheme(label, tau).name}_tau{tau:g}.csv")
+            path = str(out_dir / f"sweep_{SchemeConfig.parse(label, tau).name}_tau{tau:g}.csv")
             if path in entries:
                 raise ConfigError(f"schemes {entries[path][0].scheme!r} and {label!r} "
                                   f"at tau {tau:g} would both write {path}")
@@ -684,14 +651,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _refused(run, *args) -> int:
+    """``run(*args)``, or 1 after one ``error:`` line if it raises a
+    ``ValueError`` (a refused input) or a ``MemoryError``."""
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except ConfigError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
+        return run(*args)
+    except ValueError as err:
+        reason = str(err)
+    except MemoryError as err:
+        # a bare MemoryError has no text
+        reason = "the run does not fit in memory" + (f": {err}" if str(err) else "")
+    sys.stderr.write(f"error: {reason}\n")
+    return 1
+
+
+def _handle(argv) -> int:
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+def main(argv=None) -> int:
+    return _refused(_handle, argv)
 
 
 if __name__ == "__main__":

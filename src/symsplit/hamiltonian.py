@@ -268,12 +268,11 @@ class Polynomial1D(Potential):
         return self.coefficients
 
     def quadratic_matrix(self, dim):
+        # zero coefficients above degree 2 are absent
         c = self.coefficients
-        if dim != 1 or c.size > 3:
+        if dim != 1 or c[:2].any() or c[3:].any():
             return None
-        if any(abs(c[i]) > 0.0 for i in range(min(2, c.size))):
-            return None
-        k = 2.0 * c[2] if c.size == 3 else 0.0
+        k = 2.0 * c[2] if c.size > 2 else 0.0
         return np.array([[k]])
 
     def __repr__(self):

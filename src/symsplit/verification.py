@@ -29,6 +29,7 @@ __all__ = [
     "EnergyTrace",
     "OrderReport",
     "quartic_period",
+    "step_count",
     "reference_solution",
     "energy_error_trace",
     "energy_deviation_maxima",
@@ -76,6 +77,21 @@ def quartic_period() -> float:
     return 2.0 ** 0.25 * math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75)
 
 
+def _runnable(steps: float, t: float, tau: float) -> float:
+    """``steps``, t / tau as a float, if it fits the kernel's int64 count;
+    a larger count, inf or nan is a ``ValueError``."""
+    if not abs(steps) < 2**63:
+        raise ValueError(f"t = {t:g} at tau = {tau:g} is {t / tau:g} steps; "
+                         "at most 2**63 - 1 can run")
+    return steps
+
+
+def step_count(duration: float, tau: float) -> int:
+    """The steps of tau that cover ``duration``, less 1e-9 of a step of
+    slack; a count beyond int64 is a ``ValueError``."""
+    return math.ceil(_runnable(duration / tau - 1e-9, duration, tau))
+
+
 def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
                        t_final: float, order: int = 8) -> PhasePoint:
     """High-accuracy final state at t_final via the order-8 scheme.
@@ -96,7 +112,7 @@ def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
         return fastpath.simulate(x0, cfg, potential, mass, n).raise_if_failed().final
 
     tol = 1e-13
-    n = max(1, math.ceil(t_final / 0.05))
+    n = max(1, step_count(t_final, 0.05))
     prev = run(n)
     for _ in range(14):
         n *= 2
@@ -116,11 +132,11 @@ def _window_steps(window, tau, n_max=None):
     if t1 < t0:
         raise ValueError("window end before start")
     eps = 1e-9 * tau
-    i0 = max(0, math.ceil((t0 - eps) / tau))
-    i1 = math.floor((t1 + eps) / tau)
+    # a bound outside the run is clipped to it before it is rounded
+    first, last = max(0.0, (t0 - eps) / tau), max(-1.0, (t1 + eps) / tau)
     if n_max is not None:
-        i1 = min(i1, n_max)
-    return i0, i1
+        last = min(last, n_max)
+    return math.ceil(_runnable(first, t0, tau)), math.floor(_runnable(last, t1, tau))
 
 
 def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
@@ -179,7 +195,7 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
 
     taus = []
     errors = []
-    counts = [max(1, round(t_final / tau_nominal)) for tau_nominal in (tau_c, tau_f)]
+    counts = [max(1, round(_runnable(t_final / tau, t_final, tau))) for tau in (tau_c, tau_f)]
     if counts[0] == counts[1]:
         raise ValueError(f"tau pair {tau_c:g}:{tau_f:g} rounds to one step size "
                          f"over t_final = {t_final:g}; use a wider pair")
@@ -296,7 +312,7 @@ def period_estimate(times, q) -> float:
 def measure_period(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
                    mass: MassMatrix, t_span: float) -> float:
     """Period of the scheme's own trajectory from x0, sampled every step."""
-    n_steps = math.ceil(t_span / cfg.tau)
+    n_steps = step_count(t_span, cfg.tau)
     run = fastpath.simulate(x0, cfg, potential, mass, n_steps,
                             rec_range=(0, n_steps + 1)).raise_if_failed()
     return period_estimate(np.arange(len(run.rec_q)) * cfg.tau, run.rec_q[:, 0])

@@ -450,6 +450,45 @@ def test_a_trace_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["figure", "1", "--tau-list", "1e-300"],
+     "t = 49.8907 at tau = 1e-300 is 4.98907e+301 steps; at most 2**63 - 1 can run"),
+    # 8 periods at 1e-15 would record 1.7 EiB, more than any address space
+    (["figure", "1", "--tau-list", "1e-15"], "the run does not fit in memory: "),
+    (["run", "--t-final", "1e308", "--tau", "1e-10"],
+     "t = 1e+308 at tau = 1e-10 is inf steps; at most 2**63 - 1 can run"),
+    (["order", "--t-final", "1e308"],
+     "t = 1e+308 at tau = 0.05 is inf steps; at most 2**63 - 1 can run"),
+], ids=["figure-steps", "figure-memory", "run", "order"])
+def test_a_run_too_long_to_take_is_one_error_line(argv, message, tmp_path):
+    # in a child process, so a traceback would show on its stderr
+    proc = subprocess.run([sys.executable, "-m", "symsplit.cli", *argv, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_a_sweep_entry_too_long_to_take_exits_1(tmp_path, capsys):
+    rc = main(["sweep", "--jobs", "1", "--t-final", "1e308", "--tau-list", "1e-10",
+               "--schemes", "baseline_kmk", "--out", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == f"exit 1: {tmp_path / 'sweep_baseline_kmk_tau1e-10.csv'}\n"
+    assert err == "error: t = 1e+308 at tau = 1e-10 is inf steps; at most 2**63 - 1 can run\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_window_past_the_run_records_the_whole_run(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--window", "0:1e308", "--tau", "0.1", "--periods", "1",
+                 "--out", str(out)]) == 0
+    steps = int(_meta(out)["steps"])
+    assert [int(row.split(",")[0]) for row in _data_rows(out)] == list(range(steps + 1))
+
+
 def test_a_newton_limit_beyond_int64_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main(["run", "--newton-max-iter", str(2**64), "--periods", "1",

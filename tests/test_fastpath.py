@@ -9,8 +9,10 @@ The C loop and the Python loop of the kernel agree bit for bit.
 """
 import ctypes
 import hashlib
+import inspect
 import itertools
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -224,6 +226,60 @@ def test_c_kernel_builds_once_into_its_cache(tmp_path):
     assert fastpath._load_c_kernel(cc, tmp_path)[0] is not None
     assert list(tmp_path.iterdir()) == built and built[0].stat().st_mtime_ns == mtime
     assert fastpath._kernel is fastpath._c_kernel and fastpath.BACKEND == "c"
+
+
+# a C parameter or return type, without its name, to its ctypes type
+_CTYPE_OF = {
+    "double *": fastpath._Array,
+    "const double *": fastpath._Array,
+    "double": ctypes.c_double,
+    "int64_t": ctypes.c_int64,
+    "const unsigned char *": ctypes.c_char_p,
+    "char *": ctypes.c_void_p,
+    "int": ctypes.c_int,
+    "void": None,
+}
+
+
+def _c_prototypes():
+    """{function name: (return ctype, [parameter ctypes])} of the exported
+    functions of ``_kernel.c``."""
+    source = fastpath._SOURCE.read_text()
+    found = {}
+    for ret, name, params in re.findall(r"^(\w+) (symsplit_\w+)\(([^)]*)\)", source, re.M):
+        # each parameter's kind is its text without the trailing name
+        kinds = [re.sub(r"\s*\w+$", "", param.strip()) for param in params.split(",")]
+        found[name] = _CTYPE_OF[ret], [_CTYPE_OF[kind] for kind in kinds]
+    return found
+
+
+def test_ctypes_signatures_match_the_c_prototypes(tmp_path):
+    # ctypes never compares argtypes with the C function: a list one entry
+    # short, or an int64_t where C reads a double, runs on garbage.  The
+    # prototypes are read as text and the library is never built or loaded.
+    protos = _c_prototypes()
+    assert sorted(protos) == ["symsplit_cubic_roots", "symsplit_format_rows",
+                              "symsplit_kernel"]
+    assert protos["symsplit_kernel"][1] == fastpath._C_ARGTYPES
+    assert protos["symsplit_format_rows"][1] == fastpath._FORMAT_ARGTYPES
+    assert protos["symsplit_cubic_roots"][1] == fastpath._ROOTS_ARGTYPES
+
+    def fake_cc(cmd, **_):
+        Path(cmd[cmd.index("-o") + 1]).write_bytes(b"")
+        return subprocess.CompletedProcess(cmd, 0)
+
+    def fake_dll(_):
+        return mock.NonCallableMock(spec=list(protos))
+
+    with mock.patch("subprocess.run", fake_cc), mock.patch.object(ctypes, "CDLL", fake_dll):
+        dll, _ = fastpath._load_c_kernel("cc", tmp_path)
+    for name, (restype, argtypes) in protos.items():
+        assert getattr(dll, name).argtypes == argtypes, name
+        assert getattr(dll, name).restype is restype, name
+    # the Python loops take the C functions' parameters one for one
+    for loop, name, count in ((fastpath._python_kernel, "symsplit_kernel", 24),
+                              (fastpath._python_cubic_roots, "symsplit_cubic_roots", 4)):
+        assert len(inspect.signature(loop).parameters) == len(protos[name][1]) == count
 
 
 def test_eligibility(quartic, mass1, opaque_quartic):

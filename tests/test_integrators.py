@@ -413,6 +413,17 @@ def test_exact_quadratic_takes_a_quadratic_polynomial(mass1):
     assert runs[0].as_array().tobytes() == runs[1].as_array().tobytes()
 
 
+def test_exact_quadratic_ignores_trailing_zero_coefficients(mass1):
+    # [0, 0, 0.5, 0.0] is the quadratic [0, 0, 0.5] written one degree longer
+    cfg = SchemeConfig("exact_quadratic", 0.1)
+    x = _x(1.0, 0.0)
+    short, padded = Polynomial1D([0, 0, 0.5]), Polynomial1D([0, 0, 0.5, 0.0, -0.0])
+    assert padded.quadratic_matrix(1).tobytes() == short.quadratic_matrix(1).tobytes()
+    steps = [step(x, cfg, pot, mass1)[0] for pot in (short, padded)]
+    assert steps[0].as_array().tobytes() == steps[1].as_array().tobytes()
+    assert Polynomial1D([0.0, 0.0, 0.5, 1e-300]).quadratic_matrix(1) is None
+
+
 def test_exact_quadratic_conserves_energy_per_step():
     pot = Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
     mass = MassMatrix([[1.5, 0.2], [0.2, 0.8]])
