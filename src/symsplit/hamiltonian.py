@@ -147,9 +147,9 @@ class Potential:
     directions and linear in each of them.
 
     A subclass may also override the optional hook :meth:`_gradient_rows`,
-    which returns the vectors D^{k+1} V(q)[u_1, ..., u_k, .] of a batch of
-    direction lists as the rows of one array; the default builds each row
-    from d calls to :meth:`_contract`.
+    which returns the vectors D^{k+1} V(q)[u_1, ..., u_k, .], k >= 1, of a
+    batch of direction lists as the rows of one array; the default builds
+    each row from d calls to :meth:`_contract`.
     """
 
     def value(self, q: np.ndarray) -> float:
@@ -176,8 +176,9 @@ class Potential:
         raise NotImplementedError
 
     def _gradient_rows(self, q: np.ndarray, orders, dirs: np.ndarray,
-                       memo=None) -> np.ndarray:
-        """Row i is D^{orders[i]}V(q)[dirs[i, :orders[i] - 1], .].
+                       memo: dict) -> np.ndarray:
+        """Row i is D^{orders[i]}V(q)[dirs[i, :orders[i] - 1], .], every
+        order at least 2.
 
         ``dirs`` has shape (n, kmax, d): row i's directions come first and
         its remaining slots hold 1.0.  ``memo`` is a dict the caller keeps
@@ -250,15 +251,14 @@ class Polynomial1D(Potential):
             acc *= u[0]
         return acc
 
-    def _gradient_rows(self, q, orders, dirs, memo=None):
+    def _gradient_rows(self, q, orders, dirs, memo):
         # _contract's product without its factor e_0[0] = 1.0, times the
         # 1.0 pad slots: both exact; the derivative values are taken once
         # per memo
-        values = None if memo is None else memo.get("poly")
+        values = memo.get("poly")
         if values is None:
-            values = np.array([self._poly(q, k) for k in range(MAX_DERIVATIVE_ORDER + 1)])
-            if memo is not None:
-                memo["poly"] = values
+            values = memo["poly"] = np.array(
+                [self._poly(q, k) for k in range(MAX_DERIVATIVE_ORDER + 1)])
         acc = values[orders]
         for u in dirs[:, :, 0].T:
             acc *= u
@@ -350,7 +350,7 @@ class Quadratic(Potential):
             return float(dirs[0] @ (self.stiffness @ dirs[1]))
         return 0.0
 
-    def _gradient_rows(self, q, orders, dirs, memo=None):
+    def _gradient_rows(self, q, orders, dirs, memo):
         # e_a . (K u) is (K u)[a]: matmul never yields -0.0, so the rows
         # _contract would give are these bits for finite directions;
         # D^{k+1}V vanishes for k >= 2
@@ -359,9 +359,6 @@ class Quadratic(Potential):
         first = (orders == 2).nonzero()[0]
         if first.size:
             out[first] = np.matmul(self.stiffness, dirs[first, 0, :, None])[..., 0]
-        root = (orders == 1).nonzero()[0]
-        if root.size:
-            out[root] = self.stiffness @ q
         return out
 
     def poly1d_coefficients(self):

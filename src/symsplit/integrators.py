@@ -238,8 +238,8 @@ def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         iterations += 1
     # One refinement past the acceptance tolerance when the residual is
     # still above roundoff.  The tolerance bounds each step's momentum
-    # error, and those errors random-walk into a visible energy floor on
-    # long runs; polishing toward machine precision lowers that floor for
+    # error, and those errors add up to a visible energy drift on long
+    # runs; polishing toward machine precision lowers that drift for
     # one cheap extra iteration, but does not remove it: the residual is
     # formed at the size of p, so each step can still leave a few ulps in
     # P.  Kept only if it actually improves.
@@ -270,33 +270,23 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x
 
 
-def _check_resonance(x: float) -> None:
-    # distance of x to the nearest odd multiple of pi, where tan(x/2) blows up
-    dist = math.pi - abs(math.remainder(x, 2.0 * math.pi))
-    if dist < 1e-8:
-        raise ResonantStep(
-            f"mode phase omega*tau = {x:.12g} is within 1e-8 of an odd multiple of pi"
-        )
-
-
-def harmonic_modified_coeffs(tau: float, omega: float, convention: str = "kmk"):
+def harmonic_modified_coeffs(tau: float, omega: float):
     """Closed-form modified mass/spring factors for one harmonic mode.
 
-    Returns (m, k) such that the kick-move-kick (or move-kick-move) leapfrog
-    with drift coefficient m and spring constant k reproduces the exact
-    rotation of the mode with frequency omega over one step tau.  As tau
-    approaches 0, m -> 1 and k -> omega^2.
+    Returns (m, k) such that the kick-move-kick leapfrog with drift
+    coefficient m and spring constant k reproduces the exact rotation of
+    the mode with frequency omega over one step tau.  As tau approaches 0,
+    m -> 1 and k -> omega^2.
     """
     if omega < 0:
         raise ValueError("omega must be non-negative")
     x = omega * tau
-    if convention == "kmk":
-        _check_resonance(x)
-        return _sinc(x), omega * omega * _tan_half_ratio(x)
-    if convention == "mkm":
-        _check_resonance(x)
-        return _tan_half_ratio(x), omega * omega * _sinc(x)
-    raise ValueError(f"convention must be 'kmk' or 'mkm', got {convention!r}")
+    # distance of x to the nearest odd multiple of pi, where tan(x/2) blows up
+    if math.pi - abs(math.remainder(x, 2.0 * math.pi)) < 1e-8:
+        raise ResonantStep(
+            f"mode phase omega*tau = {x:.12g} is within 1e-8 of an odd multiple of pi"
+        )
+    return _sinc(x), omega * omega * _tan_half_ratio(x)
 
 
 def _sinhc(x: float) -> float:
@@ -346,7 +336,7 @@ def exact_quadratic_step(x: PhasePoint, tau: float, mass: MassMatrix,
     for j, lj in enumerate(lam):
         if lj > 1e-14 * scale:
             omega = math.sqrt(lj)
-            mj, kj = harmonic_modified_coeffs(tau, omega, "kmk")
+            mj, kj = harmonic_modified_coeffs(tau, omega)
         elif lj < -1e-14 * scale:
             alpha = math.sqrt(-lj)
             xa = alpha * tau

@@ -1,4 +1,5 @@
 """Shared fixtures."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,27 @@ class HenonHeiles(Potential):
             return (2.0 * (u[0] * v[0] * w[1] + u[0] * v[1] * w[0] + u[1] * v[0] * w[0])
                     - 2.0 * u[1] * v[1] * w[1])
         return 0.0
+
+
+def quartic_exact(x0, mass, t):
+    """The exact state at time t of H = lam p^2 / 2 + q^4 / 4 from x0, for a
+    1x1 mass [[lam]], in Jacobi elliptic functions at parameter 1/2
+    (Abramowitz and Stegun ch. 16), evaluated to 30 digits.
+
+    q = a cn(u0 + a sqrt(lam) t | 1/2) and p = -a^2 sn dn / sqrt(lam), with
+    a = (4H)^(1/4) the turning point and u0 = -+F(arccos(q0 / a) | 1/2),
+    its sign opposite to p0's.
+    """
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(float(mass.mat[0, 0]))
+        q0, p0 = mpmath.mpf(float(x0.q[0])), mpmath.mpf(float(x0.p[0]))
+        a = (2 * lam * p0**2 + q0**4) ** mpmath.mpf(0.25)
+        half = mpmath.mpf(0.5)
+        u0 = mpmath.ellipf(mpmath.acos(max(-1, min(1, q0 / a))), half)
+        u = (-u0 if p0 > 0 else u0) + a * mpmath.sqrt(lam) * mpmath.mpf(t)
+        cn, sn, dn = (mpmath.ellipfun(kind, u, m=half) for kind in ("cn", "sn", "dn"))
+        q, p = a * cn, -a**2 * sn * dn / mpmath.sqrt(lam)
+        return PhasePoint([float(q)], [float(p)])
 
 
 @pytest.fixture

@@ -457,8 +457,10 @@ def test_a_trace_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
     (["figure", "1", "--tau-list", "1e-15"], "the run does not fit in memory: "),
     (["run", "--t-final", "1e308", "--tau", "1e-10"],
      "t = 1e+308 at tau = 1e-10 is inf steps; at most 2**63 - 1 can run"),
+    # the reference's own starting step is no input, so the message names
+    # only t_final
     (["order", "--t-final", "1e308"],
-     "t = 1e+308 at tau = 0.05 is inf steps; at most 2**63 - 1 can run"),
+     "a reference solution to t = 1e+308 would take more than 2**63 - 1 steps"),
 ], ids=["figure-steps", "figure-memory", "run", "order"])
 def test_a_run_too_long_to_take_is_one_error_line(argv, message, tmp_path):
     # in a child process, so a traceback would show on its stderr
@@ -487,6 +489,19 @@ def test_a_window_past_the_run_records_the_whole_run(tmp_path):
                  "--out", str(out)]) == 0
     steps = int(_meta(out)["steps"])
     assert [int(row.split(",")[0]) for row in _data_rows(out)] == list(range(steps + 1))
+
+
+def test_a_window_starting_past_the_run_holds_no_step(tmp_path, capsys):
+    # the start is clipped to the run before it is rounded, so no step count
+    # of the window itself is refused
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--window", "1e308:1e308", "--tau", "1e-10", "--periods", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window 1e+308:1e+308 holds no step of the run, "
+                          "which spans t = 0 to "), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_newton_limit_beyond_int64_is_a_config_error(tmp_path, capsys):

@@ -274,13 +274,13 @@ def test_harmonic_corrected8_matches_its_linear_map(mass1):
 
 
 def test_harmonic_modified_coeffs_values():
-    m, k = harmonic_modified_coeffs(0.2, 1.0, "kmk")
+    m, k = harmonic_modified_coeffs(0.2, 1.0)
     assert m == pytest.approx(0.9933466539753061, rel=1e-15)
     assert k == pytest.approx(1.0033467208545055, rel=1e-15)
 
 
 def test_harmonic_modified_coeffs_small_step_limit():
-    m, k = harmonic_modified_coeffs(1e-9, 2.0, "kmk")
+    m, k = harmonic_modified_coeffs(1e-9, 2.0)
     assert m == pytest.approx(1.0, abs=1e-12)
     assert k == pytest.approx(4.0, rel=1e-12)
 
@@ -289,29 +289,23 @@ def test_harmonic_modified_coeffs_series():
     """The truncation residuals equal the next series terms,
     tau^8/362880 for m and 31 tau^8/362880 for k."""
     tau = 0.1
-    m, k = harmonic_modified_coeffs(tau, 1.0, "kmk")
+    m, k = harmonic_modified_coeffs(tau, 1.0)
     m_series = 1 - tau**2 / 6 + tau**4 / 120 - tau**6 / 5040
     k_series = 1 + tau**2 / 12 + tau**4 / 120 + 17 * tau**6 / 20160
     assert abs(m - m_series) == pytest.approx(tau**8 / 362880, rel=0.02)
     assert abs(k - k_series) == pytest.approx(31 * tau**8 / 362880, rel=0.02)
 
 
-def test_harmonic_modified_coeffs_mkm():
-    tau = 0.4
-    m, k = harmonic_modified_coeffs(tau, 1.0, "mkm")
-    assert m == pytest.approx(math.tan(tau / 2) / (tau / 2), rel=1e-15)
-    assert k == pytest.approx(math.sin(tau) / tau, rel=1e-15)
-    with pytest.raises(ValueError):
-        harmonic_modified_coeffs(0.1, 1.0, "xyz")
-    with pytest.raises(ValueError):
+def test_harmonic_modified_coeffs_refuses_a_negative_omega():
+    with pytest.raises(ValueError, match="non-negative"):
         harmonic_modified_coeffs(0.1, -1.0)
 
 
 def test_harmonic_modified_coeffs_resonance():
     with pytest.raises(ResonantStep):
-        harmonic_modified_coeffs(math.pi, 1.0, "kmk")
+        harmonic_modified_coeffs(math.pi, 1.0)
     with pytest.raises(ResonantStep):
-        harmonic_modified_coeffs(3 * math.pi, 1.0, "mkm")
+        harmonic_modified_coeffs(3 * math.pi, 1.0)
 
 
 def test_exact_quadratic_step_refuses_a_resonant_mode():

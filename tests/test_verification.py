@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quartic_exact
 from symsplit import fastpath
 from symsplit.hamiltonian import (
     Harmonic,
@@ -78,10 +79,14 @@ def test_reference_quartic_full_period(quartic, mass1, x_unit):
     assert abs(x6.q[0]) < 1e-5 and abs(x6.p[0] - 1.0) < 1e-5
 
 
-def test_reference_cross_order_agreement(quartic, mass1, x_unit):
-    a = reference_solution(x_unit, quartic, mass1, 5.0, order=8)
-    b = reference_solution(x_unit, quartic, mass1, 5.0, order=6)
-    assert np.abs(a.as_array() - b.as_array()).max() < 1e-11
+# the last two starts take the oracle's other sign of u0
+@pytest.mark.parametrize("q0, p0, lam, t", [(0.0, 1.0, 1.0, 5.0), (0.3, 0.9, 1.0, 5.0),
+                                            (-0.7, 0.2, 0.7, 3.0), (0.3, -0.9, 1.3, 4.0),
+                                            (0.5, 0.0, 1.0, 2.0)])
+def test_reference_matches_the_exact_quartic_solution(quartic, q0, p0, lam, t):
+    x0, mass = PhasePoint([q0], [p0]), MassMatrix([[lam]])
+    x = reference_solution(x0, quartic, mass, t)
+    assert np.abs(x.as_array() - quartic_exact(x0, mass, t).as_array()).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +179,12 @@ def test_measured_order_baseline(quartic, mass1, x_unit):
                                     2, (0.2, 0.1), 5.0)
     assert 1.6 < rep.measured_order < 2.4, rep
     assert rep.error_coarse > rep.error_fine > 0
-    assert rep.metric == "state"
 
 
 def test_measured_order_corrected4(quartic, mass1, x_unit):
     rep = measure_convergence_order(x_unit, quartic, mass1, "corrected_kmk",
                                     4, (0.2, 0.1), 5.0)
     assert 3.5 < rep.measured_order < 4.5, rep
-
-
-def test_measured_order_energy_metric(quartic, mass1, x_unit):
-    rep = measure_convergence_order(x_unit, quartic, mass1, "corrected_kmk",
-                                    6, (0.2, 0.1), 5.0, metric="energy")
-    assert 5.4 < rep.measured_order < 6.6, rep
-    assert rep.metric == "energy"
 
 
 def test_measured_order_floor_guard(quartic, mass1, x_unit):
@@ -197,9 +194,6 @@ def test_measured_order_floor_guard(quartic, mass1, x_unit):
 
 
 def test_measured_order_rejects_bad_input(quartic, mass1, x_unit):
-    with pytest.raises(ValueError, match="metric"):
-        measure_convergence_order(x_unit, quartic, mass1, "baseline_kmk",
-                                  2, (0.2, 0.1), 5.0, metric="angle")
     with pytest.raises(ValueError, match="coarse"):
         measure_convergence_order(x_unit, quartic, mass1, "baseline_kmk",
                                   2, (0.1, 0.2), 5.0)
