@@ -122,12 +122,22 @@ def _parse_pair(text: str):
     return coarse, fine
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of ``path``; a missing or unreadable one is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
+
+
 def _load_matrix(path: str) -> np.ndarray:
     """Dense text format: first line N, then N rows of N entries."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"matrix file not found: {path}")
-    lines = p.read_text().split("\n")
+    if Path(path).exists() and not Path(path).is_file():
+        raise ConfigError(f"matrix file {path} is not a regular file, and the "
+                          "metadata digest must read it a second time")
+    lines = _read_text(path, "matrix").split("\n")
     try:
         n = int(lines[0].strip())
     except (ValueError, IndexError):
@@ -274,12 +284,10 @@ def config_hash(pairs) -> str:
 
 def read_config_file(path: str) -> dict:
     """key = value lines; '#' comments and blank lines ignored."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    text = _read_text(path, "config")
     known = {f.name for f in fields(ExperimentConfig)} | {"out"}
     values = {}
-    for lineno, raw in enumerate(p.read_text().split("\n"), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

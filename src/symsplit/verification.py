@@ -23,7 +23,7 @@ except ImportError:  # numpy < 1.25
 
 from . import fastpath
 from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
-from .integrators import SchemeConfig, step
+from .integrators import SchemeConfig
 
 __all__ = [
     "EnergyTrace",
@@ -220,8 +220,8 @@ def symplecticity_defect(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
                          mass: MassMatrix) -> float:
     """Max-norm of J^T Omega J - Omega for the one-step map Jacobian at x.
 
-    J comes from central finite differences of the full step map with a
-    step of 1e-6 in each phase-space coordinate, so the achievable floor
+    J comes from central finite differences of ``fastpath.simulate``'s step
+    map with a step of 1e-6 in each phase-space coordinate, so the floor
     is the solver tolerance divided by the stencil width; exact
     symplecticity shows up as a defect at that floor.
     """
@@ -230,8 +230,8 @@ def symplecticity_defect(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     dim = 2 * n
 
     def flow(z):
-        out, _ = step(PhasePoint(z[:n], z[n:]), cfg, potential, mass)
-        return out.as_array()
+        run = fastpath.simulate(PhasePoint(z[:n], z[n:]), cfg, potential, mass, 1)
+        return run.raise_if_failed().final.as_array()
 
     jac = np.empty((dim, dim))
     for k in range(dim):

@@ -3,9 +3,12 @@ import argparse
 import concurrent.futures
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -395,6 +398,66 @@ def test_each_config_error_names_itself_and_writes_nothing(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, argv
         assert not out.exists(), argv
+
+
+def _one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_config_from_a_pipe(tmp_path, capsys):
+    # the shell's --config <(...) hands over a pipe, not a regular file
+    fifo = tmp_path / "cfg"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "w") as pipe:
+                pipe.write("periods = 1\ntau = 0.1\n")
+        except OSError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    out = tmp_path / "trace.csv"
+    rc = main(["run", "--config", str(fifo), "--out", str(out)])
+    if writer.is_alive():
+        # nothing read the pipe: open and close it so the writer ends
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    writer.join(5)
+    assert not writer.is_alive()
+    assert rc == 0, capsys.readouterr().err
+    assert _meta(out)["periods"] == "1" and float(_meta(out)["tau"]) == 0.1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--config", "{d}"], "cannot read {d}: Is a directory"),
+    (["--potential", "quadratic", "--k-file", "{d}", "--q0", "1", "--p0", "0"],
+     "matrix file {d} is not a regular file"),
+], ids=["config", "k-file"])
+def test_a_directory_is_not_an_input_file(flags, message, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["run", *(f.format(d=tmp_path) for f in flags), "--out", str(out)]) == 1
+    assert message.format(d=tmp_path) in _one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--k-file"])
+def test_an_unreadable_input_file_is_refused(flag, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text("1\n4.0\n")
+    out = tmp_path / "trace.csv"
+    argv = ["run", flag, str(path), "--out", str(out)]
+    if flag == "--k-file":
+        argv += ["--potential", "quadratic", "--q0", "1", "--p0", "0"]
+    denied = PermissionError(13, "Permission denied", str(path))
+    with mock.patch.object(Path, "read_text", side_effect=denied):
+        assert main(argv) == 1
+    err = _one_error_line(capsys.readouterr().err)
+    assert f"error: cannot read {path}: Permission denied\n" == err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, m_file", [
@@ -829,6 +892,18 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_root_loads_no_module():
+    # every name is imported from its module; the root holds only __version__
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, symsplit; print(sorted(name for name in "
+         "sys.modules if name.startswith('symsplit.')), [name for name in "
+         "vars(symsplit) if not name.startswith('_')], '__version__' in vars(symsplit))"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] [] True\n"
 
 
 # ---------------------------------------------------------------------------

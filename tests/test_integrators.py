@@ -369,6 +369,20 @@ def test_exact_quadratic_unstable_mode():
     assert y.p[0] == pytest.approx(s * 0.3 + c * -0.2, rel=1e-13)
 
 
+def test_exact_quadratic_slow_unstable_mode_takes_the_series():
+    # alpha * tau = 1e-7 is below the 1e-6 switch of _sinhc and
+    # _tanh_half_ratio, so the unstable mode runs their short series
+    potential = Quadratic(np.diag([1.0, -1e-12]))
+    tau, alpha = 0.1, 1e-6
+    x = PhasePoint([0.3, 0.7], [0.2, -0.4])
+    y = exact_quadratic_step(x, tau, MassMatrix.identity(2), potential.stiffness)
+    c, s = math.cos(tau), math.sin(tau)
+    ch, sh = math.cosh(alpha * tau), math.sinh(alpha * tau)
+    want = [c * 0.3 + s * 0.2, ch * 0.7 + sh / alpha * -0.4,
+            -s * 0.3 + c * 0.2, alpha * sh * 0.7 + ch * -0.4]
+    assert np.abs(y.as_array() - want).max() <= 1e-15
+
+
 def test_exact_quadratic_is_a_one_parameter_group():
     mass = MassMatrix([[1.2, 0.1], [0.1, 0.9]])
     stiffness = np.array([[2.0, 1.0], [1.0, 2.0]])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quartic_exact
+from conftest import HenonHeiles, quartic_exact
 from symsplit import fastpath
 from symsplit.hamiltonian import (
     Harmonic,
@@ -252,6 +252,24 @@ def test_symplecticity_exact_quadratic():
     cfg = SchemeConfig("exact_quadratic", 0.2)
     x = PhasePoint([0.4, -0.2], [0.3, 0.8])
     assert symplecticity_defect(x, cfg, pot, mass) <= 1e-7
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_symplecticity_generic_engine_henon_heiles(order):
+    """The generic engine's kick-move-kick map, 2-D and coupled by the mass,
+    is symplectic to the finite-difference floor at every order."""
+    mass = MassMatrix([[1.5, 0.25], [0.25, 1.0]])
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=order)
+    x = PhasePoint([0.3, -0.2], [0.2, 0.1])
+    assert not fastpath.eligible(cfg, HenonHeiles(), mass, x.dim)
+    assert symplecticity_defect(x, cfg, HenonHeiles(), mass) <= 1e-9
+
+
+def test_symplecticity_generic_engine_opaque_quartic(opaque_quartic, mass1):
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=8)
+    x = PhasePoint([0.5], [0.5])
+    assert not fastpath.eligible(cfg, opaque_quartic, mass1, x.dim)
+    assert symplecticity_defect(x, cfg, opaque_quartic, mass1) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
