@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import sys
@@ -122,33 +123,36 @@ def _parse_pair(text: str):
     return coarse, fine
 
 
-def _read_text(path: str, what: str) -> str:
-    """The text of ``path``; a missing or unreadable one is a ConfigError."""
+def _read_input(path: str, what: str) -> tuple:
+    """(bytes, lines of the text ``read_text`` gives) of ``path``, else a ConfigError."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
+    return data, io.TextIOWrapper(io.BytesIO(data)).read().split("\n")
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    """Dense text format: first line N, then N rows of N entries."""
-    if Path(path).exists() and not Path(path).is_file():
-        raise ConfigError(f"matrix file {path} is not a regular file, and the "
-                          "metadata digest must read it a second time")
-    lines = _read_text(path, "matrix").split("\n")
+def _load_matrix(path: str) -> tuple:
+    """(matrix, 12-digit sha256 of the bytes) of line N, then N rows of N entries."""
+    data, lines = _read_input(path, "matrix")
     try:
         n = int(lines[0].strip())
     except (ValueError, IndexError):
         raise ConfigError(f"{path}: first line must be the matrix size N")
+    if n < 1:
+        raise ConfigError(f"{path}: the matrix size N must be at least 1, got {n}")
+    # np.loadtxt warns on a body with no entries
+    if not any(line.split("#", 1)[0].strip() for line in lines[1:]):
+        raise ConfigError(f"{path}: expected {n}x{n} entries, got none")
     try:
         mat = np.loadtxt(lines[1:], ndmin=2)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}")
     if mat.shape != (n, n):
         raise ConfigError(f"{path}: expected {n}x{n} entries, got {mat.shape}")
-    return mat
+    return mat, hashlib.sha256(data).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,8 @@ class ExperimentConfig:
 
     potential: str = "quartic"
     omega: float | None = None
-    k_file: str | None = None
-    m_file: str | None = None
+    k_file: tuple | None = None  # _load_matrix's (matrix, digest)
+    m_file: tuple | None = None
     scheme: str = "corrected_kmk:8"
     tau: float = 0.05
     q0: np.ndarray | None = None
@@ -181,8 +185,6 @@ class ExperimentConfig:
         name = self.potential
         if self.omega is not None and name != "harmonic":
             raise ConfigError("omega only applies to the harmonic potential")
-        if self.k_file is not None and name != "quadratic":
-            raise ConfigError("k_file only applies to the quadratic potential")
         if name == "quartic":
             return Quartic(), (np.array([0.0]), np.array([1.0])), None
         if name == "harmonic":
@@ -191,7 +193,7 @@ class ExperimentConfig:
         if name == "quadratic":
             if self.k_file is None:
                 raise ConfigError("quadratic potential needs --k-file")
-            k = _load_matrix(self.k_file)
+            k = self.k_file[0]
             return Quadratic(k), None, k.shape[0]
         raise ConfigError(
             f"unknown potential {name!r}; choose from quartic, harmonic, quadratic"
@@ -216,7 +218,7 @@ class ExperimentConfig:
     def _mass(self, dim):
         if self.m_file is None:
             return MassMatrix.identity(dim)
-        m = _load_matrix(self.m_file)
+        m = self.m_file[0]
         if m.shape[0] != dim:
             raise ConfigError(f"mass is {m.shape[0]}x{m.shape[1]}, state dimension {dim}")
         return MassMatrix(m)
@@ -235,10 +237,13 @@ class ExperimentConfig:
             raise ConfigError("a quadratic potential has no single period; use --t-final")
         # the period at unit mass, scaled by m^(-1/2) for a mass m I
         lam = mass.mat[0, 0]
+        if self.potential == "harmonic" and not np.array_equal(mass.mat, lam * np.eye(mass.dim)):
+            raise ConfigError("a harmonic potential under a mass with unequal "
+                              "eigenvalues has no single period; use --t-final")
+        # before the energy, which a zero mass makes 0 from any start
+        if lam == 0.0:
+            raise ConfigError("a zero mass has no period; use --t-final")
         if self.potential == "harmonic":
-            if not np.array_equal(mass.mat, lam * np.eye(mass.dim)):
-                raise ConfigError("a harmonic potential under a mass with unequal "
-                                  "eigenvalues has no single period; use --t-final")
             base = 2.0 * math.pi / potential.omega
         else:
             # V = q^4/4 scales its period as (2H)^(-1/4)
@@ -246,8 +251,6 @@ class ExperimentConfig:
             if energy == 0.0:
                 raise ConfigError("a quartic start at rest has no period; use --t-final")
             base = quartic_period() * (2.0 * energy) ** -0.25
-        if lam == 0.0:
-            raise ConfigError("a zero mass has no period; use --t-final")
         return self.periods * base / math.sqrt(lam)
 
     def describe(self):
@@ -259,10 +262,9 @@ class ExperimentConfig:
         ]
         if self.omega is not None:
             pairs.append(("omega", _fmt(self.omega)))
-        for key, path in (("k_matrix", self.k_file), ("m_matrix", self.m_file)):
-            if path is not None:
-                digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
-                pairs.append((key, digest))
+        for key, matrix in (("k_matrix", self.k_file), ("m_matrix", self.m_file)):
+            if matrix is not None:
+                pairs.append((key, matrix[1]))
         if self.q0 is not None:
             pairs.append(("q0", ",".join(_fmt(v) for v in self.q0)))
             pairs.append(("p0", ",".join(_fmt(v) for v in self.p0)))
@@ -284,10 +286,10 @@ def config_hash(pairs) -> str:
 
 def read_config_file(path: str) -> dict:
     """key = value lines; '#' comments and blank lines ignored."""
-    text = _read_text(path, "config")
+    _, lines = _read_input(path, "config")
     known = {f.name for f in fields(ExperimentConfig)} | {"out"}
     values = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -323,6 +325,7 @@ _PARSERS = {
     "q0": _parse_vector,
     "p0": _parse_vector,
     "window": _parse_window,
+    **dict.fromkeys(("k_file", "m_file"), _load_matrix),
 }
 
 
@@ -341,6 +344,9 @@ def merge_config(args, file_values: dict) -> tuple:
         return flag if flag is not None else file_values.get(key)
 
     raw = {f.name: pick(f.name) for f in fields(ExperimentConfig)}
+    # each matrix file is read once, below, and only where the potential reads it
+    if raw["k_file"] is not None and raw["potential"] != "quadratic":
+        raise ConfigError("k_file only applies to the quadratic potential")
     for key, parse in _PARSERS.items():
         if raw[key] is not None:
             raw[key] = parse(raw[key])

@@ -435,7 +435,7 @@ def test_config_from_a_pipe(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--config", "{d}"], "cannot read {d}: Is a directory"),
     (["--potential", "quadratic", "--k-file", "{d}", "--q0", "1", "--p0", "0"],
-     "matrix file {d} is not a regular file"),
+     "cannot read {d}: Is a directory"),
 ], ids=["config", "k-file"])
 def test_a_directory_is_not_an_input_file(flags, message, tmp_path, capsys):
     out = tmp_path / "trace.csv"
@@ -453,11 +453,108 @@ def test_an_unreadable_input_file_is_refused(flag, tmp_path, capsys):
     if flag == "--k-file":
         argv += ["--potential", "quadratic", "--q0", "1", "--p0", "0"]
     denied = PermissionError(13, "Permission denied", str(path))
-    with mock.patch.object(Path, "read_text", side_effect=denied):
+    with mock.patch.object(Path, "read_bytes", side_effect=denied):
         assert main(argv) == 1
     err = _one_error_line(capsys.readouterr().err)
     assert f"error: cannot read {path}: Permission denied\n" == err
     assert not out.exists()
+
+
+# a warning (numpy's on an empty body) fails the test, so none goes to stderr
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [
+    ["--potential", "quadratic", "--k-file", "{mat}", "--q0", "1,0", "--p0", "0,0"],
+    ["--m-file", "{mat}"],
+], ids=["k-file", "m-file"])
+def test_a_matrix_without_entries_is_refused(flags, tmp_path, capsys):
+    mat, out = tmp_path / "empty.mat", tmp_path / "trace.csv"
+    for text, message in (("2\n", f"{mat}: expected 2x2 entries, got none"),
+                          ("0\n", f"{mat}: the matrix size N must be at least 1, got 0")):
+        mat.write_text(text)
+        argv = ["run", *(f.format(mat=mat) for f in flags), "--t-final", "1"]
+        assert main([*argv, "--out", str(out)]) == 1, text
+        assert _one_error_line(capsys.readouterr().err) == f"error: {message}\n"
+        assert not out.exists()
+
+
+_K_TEXT, _M_TEXT = "2\n2.0 0.5\n0.5 1.0\n", "2\n1.0 0.2\n0.2 0.8\n"
+_QUADRATIC = ["--potential", "quadratic", "--k-file", "{src}/K.mat", "--m-file",
+              "{src}/M.mat", "--q0", "0.3,-0.1", "--p0", "0.2,0.4", "--t-final", "2"]
+_SWEEP_FOUR = ["sweep", "--schemes", "baseline_kmk,corrected_kmk:4", "--tau-list",
+               "0.2,0.1", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "{out}/trace.csv"],
+    [*_SWEEP_FOUR, "--jobs", "1"],
+], ids=["run", "sweep"])
+def test_each_matrix_file_is_read_once(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "K.mat").write_text(_K_TEXT)
+    (tmp_path / "M.mat").write_text(_M_TEXT)
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    out = tmp_path / "out"
+    assert main([arg.format(src=tmp_path, out=out) for arg in [*argv, *_QUADRATIC]]) == 0
+    capsys.readouterr()
+    # the sweep's four entries share the one read
+    assert (opened.count("K.mat"), opened.count("M.mat")) == (1, 1)
+
+
+def _feed(fifo, text):
+    """A thread that writes text into the named pipe fifo once a reader opens it."""
+    def feed():
+        try:
+            with open(fifo, "w") as pipe:
+                pipe.write(text)
+        except OSError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "{out}/trace.csv"],
+    [*_SWEEP_FOUR, "--jobs", "1"],
+    [*_SWEEP_FOUR, "--jobs", "2"],
+], ids=["run", "sweep-jobs-1", "sweep-jobs-2"])
+def test_matrices_from_pipes_write_the_files_bytes(argv, tmp_path, capsys):
+    # the shell's --k-file <(...) hands over a pipe, which can be read once
+    written = {}
+    for kind in ("file", "pipe"):
+        src, out = tmp_path / f"{kind}-in", tmp_path / f"{kind}-out"
+        src.mkdir()
+        writers = []
+        for name, text in (("K.mat", _K_TEXT), ("M.mat", _M_TEXT)):
+            if kind == "file":
+                (src / name).write_text(text)
+            else:
+                os.mkfifo(src / name)
+                writers.append((src / name, _feed(src / name, text)))
+        rc = main([arg.format(src=src, out=out) for arg in [*argv, *_QUADRATIC]])
+        for fifo, writer in writers:
+            if writer.is_alive():
+                # nothing read the pipe: open and close it so the writer ends
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+            assert not writer.is_alive()
+        assert rc == 0, capsys.readouterr().err
+        written[kind] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert written["pipe"] == written["file"]
+    assert len(written["file"]) == (1 if argv[0] == "run" else 4)
+    for name in written["file"]:
+        meta = _meta(tmp_path / "pipe-out" / name)
+        assert (meta["k_matrix"], meta["m_matrix"]) == tuple(
+            hashlib.sha256(text.encode()).hexdigest()[:12] for text in (_K_TEXT, _M_TEXT))
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, m_file", [
@@ -494,6 +591,8 @@ def test_orbits_without_one_period_are_refused(tmp_path, capsys):
          "a zero mass has no period; use --t-final"),
         (["--potential", "harmonic", "--m-file", str(tmp_path / "m0.mat")],
          "a zero mass has no period; use --t-final"),
+        # the quartic's default start (0, 1) moves, though its energy is 0
+        (["--m-file", str(tmp_path / "m0.mat")], "a zero mass has no period; use --t-final"),
     ]
     for argv, message in cases:
         assert main(["run", *argv, "--periods", "1", "--out", str(out)]) == 1
@@ -828,6 +927,9 @@ _SWEEP_ONE = ["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.1", "--peri
      "omega only applies to the harmonic potential"),
     (["run", "--k-file", "{out}/K.mat"], None,
      "k_file only applies to the quadratic potential"),
+    # the file it names is never read
+    (["run", "--k-file", "{out}/missing.mat"], None,
+     "k_file only applies to the quadratic potential"),
     (["sweep", "--schemes", "corrected_kmk,corrected_kmk:8", "--tau-list", "0.1",
       "--periods", "1", "--jobs", "2"], None,
      "schemes 'corrected_kmk' and 'corrected_kmk:8' at tau 0.1 would both write "
@@ -841,8 +943,9 @@ _SWEEP_ONE = ["sweep", "--schemes", "baseline_kmk", "--tau-list", "0.1", "--peri
     (["run", "--periods", "1"], "periods = 1\nt_final = 5\n",
      "set exactly one of --periods / --t-final"),
 ], ids=["order-and-scheme", "sweep-order", "sweep-tau-key", "sweep-scheme-key",
-        "omega-on-quadratic", "k-file-on-quartic", "sweep-same-scheme-twice",
-        "sweep-same-tau-text", "figure-same-tau", "file-sets-both-durations"])
+        "omega-on-quadratic", "k-file-on-quartic", "missing-k-file-on-quartic",
+        "sweep-same-scheme-twice", "sweep-same-tau-text", "figure-same-tau",
+        "file-sets-both-durations"])
 def test_unread_inputs_are_refused(argv, config, message, tmp_path, capsys):
     (tmp_path / "K.mat").write_text("1\n4.0\n")
     if config is not None:

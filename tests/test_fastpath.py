@@ -18,6 +18,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -604,6 +605,59 @@ def test_folded_tables_are_pinned():
             digest.update(repr(arr.shape).encode())
             digest.update(arr.astype("<f8").tobytes())
     assert digest.hexdigest() == _FOLDED_TABLES_SHA256
+
+
+def _hamilton_jacobi(ctx, order):
+    """G(q, P) of the time-tau flow of K = T_eff (tau frozen inside K), keyed
+    (q, P, tau) and cut above tau^order: the type-2 generating function
+    S = q P + sum_k s^k S_k solves dS/ds = K(dS/dP, P), so
+    k S_k = [s^(k-1)] K(q + sum_(j<k) s^j dS_j/dP, P), and G is S at s = tau."""
+    def cut(poly):
+        return {key: c for key, c in poly.items() if key[2] + key[3] <= order}
+
+    kinetic = ctx.series({(0, 2, 0): ctx.mval / 2}, operators.KINETIC_GENERATORS,
+                         operators.correction_orders(order))
+    # d^r K/dq^r / r!, keyed (q, P, tau, s)
+    taylor = [{key + (0,): c for key, c in kinetic.items()}]
+    for r in range(1, order):
+        taylor.append({key: c / r for key, c in fastpath._poly_d(taylor[-1], 0).items()})
+    terms = []  # s^k S_k
+    for k in range(1, order + 1):
+        shift = {}
+        for term in terms:
+            shift = fastpath._poly_add(shift, fastpath._poly_d(term, 1), 1)
+        # K(q + shift, P) = sum_r d^r K/dq^r / r! shift^r; shift^r starts at s^r
+        composed, power = {}, {(0, 0, 0, 0): Fraction(1)}
+        for deriv in taylor[:k]:
+            composed = fastpath._poly_add(composed, cut(fastpath._poly_mul(deriv, power)), 1)
+            power = cut(fastpath._poly_mul(power, shift))
+        terms.append(cut({(iq, ip, it, k): c / k
+                          for (iq, ip, it, sk), c in composed.items() if sk == k - 1}))
+    gen = {(1, 1, 0): Fraction(1)}
+    for term in terms:
+        gen = fastpath._poly_add(gen, {(iq, ip, it + sk): c
+                                       for (iq, ip, it, sk), c in term.items()}, 1)
+    return gen
+
+
+# 1/10 - 3q/10 + 7q^2/10 + q^3/5 + q^4/4 + q^5/20 - q^6/30 + q^7/70: its
+# derivatives up to the seventh survive, so no word of GENERATING_TERMS
+# vanishes on it, as words of six or more momentum letters do on q^4/4
+_SEPTIC = [Fraction(1, 10), Fraction(-3, 10), Fraction(7, 10), Fraction(1, 5),
+           Fraction(1, 4), Fraction(1, 20), Fraction(-1, 30), Fraction(1, 70)]
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+@pytest.mark.parametrize("vcoeffs, mval", [
+    ([0, 0, 0, 0, Fraction(1, 4)], Fraction(1)),
+    (_SEPTIC, Fraction(7, 10)),
+], ids=["quartic", "septic"])
+def test_generating_terms_follow_from_the_kinetic_table(vcoeffs, mval, order):
+    # exact: the move table is the Hamilton-Jacobi solution for T_eff
+    ctx = fastpath._SymbolicContext(vcoeffs, mval)
+    table = ctx.series({(1, 1, 0): Fraction(1), (0, 2, 1): mval / 2},
+                       operators.GENERATING_TERMS, operators.generating_orders(order))
+    assert _hamilton_jacobi(ctx, order) == {key: c for key, c in table.items() if c}
 
 
 @pytest.mark.parametrize("potential", [Harmonic(1e100), Quadratic([[1e200]])])
