@@ -25,6 +25,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache
@@ -79,6 +80,12 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 shapes for values; -1e-3, -0.5,0.1
+        # and -5:-1 are values too, and no option of ours looks like one
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with code 2 on bad flags; 2 is taken, so reroute
     def error(self, message):
         raise ConfigError(f"{self.format_usage()}error: {message}")
@@ -454,11 +461,8 @@ def cmd_run(args) -> int:
 def cmd_figure(args) -> int:
     n = args.number
     if n == 5 and not args.long:
-        sys.stderr.write(
-            "figure 5 spans 262718 periods (about 3e7 steps at tau=0.05); "
-            "pass --long to confirm the run\n"
-        )
-        return 1
+        raise ConfigError("figure 5 spans 262718 periods (about 3e7 steps at tau=0.05); "
+                          "pass --long to confirm the run")
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(args.out) if args.out else default_out_dir()
     lo, hi = FIGURE_WINDOWS[n]

@@ -83,14 +83,6 @@ class PhasePoint:
         """Concatenated (q, p) vector, length 2N."""
         return np.concatenate([self.q, self.p])
 
-    @classmethod
-    def from_array(cls, z: np.ndarray) -> "PhasePoint":
-        z = _as_vector(z, "z")
-        if z.size % 2:
-            raise ValueError("phase vector length must be even")
-        n = z.size // 2
-        return cls(z[:n], z[n:])
-
 
 class MassMatrix:
     """Constant symmetric positive semi-definite index-raising matrix."""
@@ -115,20 +107,9 @@ class MassMatrix:
         one instance per size, whose matrix is read-only."""
         return cls(_basis(dim))
 
-    @classmethod
-    def diagonal(cls, values) -> "MassMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def raise_index(self, covector: np.ndarray) -> np.ndarray:
-        """Map a momentum-like covector to a velocity-like vector, M @ v."""
-        v = _as_vector(covector, "covector")
-        if v.size != self.dim:
-            raise ValueError(f"covector length {v.size} does not match mass dim {self.dim}")
-        return self.mat @ v
 
     def __repr__(self):
         return f"MassMatrix(dim={self.dim})"

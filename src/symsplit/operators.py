@@ -9,8 +9,11 @@ potential:
 * the force-directed derivative, letter ``g``: contract it with the raised
   potential gradient ``M dV(q)``.
 
-A word such as ``"mgm"`` means: apply the rightmost letter to V first, then
-work leftward.  Because the force direction depends on q, expanding a word
+A word is the plain string of its letters: ``"mgm"`` means apply the
+rightmost letter to V first, then work leftward, and ``""`` is V itself.
+One reserved string, ``"T"`` (``TRIPLE_GRADIENT``), stands for the
+sixth-order potential correction's D3V[M dV, M dV, M dV], which no word in
+m and g spells.  Because the force direction depends on q, expanding a word
 by the product rule yields a sum of fully contracted derivative tensors of
 V whose direction vectors are either ``M p`` or nested contractions like
 ``M d2V (M dV)``.  Each table entry (one order of a correction table, or
@@ -37,7 +40,6 @@ precision.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -46,7 +48,7 @@ import numpy as np
 from .hamiltonian import MassMatrix, Potential
 
 __all__ = [
-    "OperatorWord",
+    "TRIPLE_GRADIENT",
     "KINETIC_GENERATORS",
     "POTENTIAL_GENERATORS",
     "GENERATING_TERMS",
@@ -70,54 +72,7 @@ __all__ = [
 
 MAX_WORD_LENGTH = 7
 
-_ATOMS = ("mom", "grad")
-
-
-@dataclass(frozen=True)
-class OperatorWord:
-    """A word over the two derivative atoms, applied rightmost-first.
-
-    ``triple_gradient`` selects the special third-order generator that
-    contracts the third derivative tensor of V with three copies of the
-    raised gradient; it is not expressible as a two-letter word and only
-    enters the sixth-order potential correction.
-    """
-
-    atoms: tuple = ()
-    triple_gradient: bool = False
-
-    def __post_init__(self):
-        atoms = tuple(self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if any(a not in _ATOMS for a in atoms):
-            raise ValueError(f"atoms must be from {_ATOMS}, got {atoms}")
-        if len(atoms) > MAX_WORD_LENGTH:
-            raise ValueError(f"word length {len(atoms)} exceeds {MAX_WORD_LENGTH}")
-        if self.triple_gradient and atoms:
-            raise ValueError("triple_gradient word carries no atoms")
-
-    @classmethod
-    def from_letters(cls, letters: str) -> "OperatorWord":
-        """Build a word from a compact string, 'm' = momentum, 'g' = gradient."""
-        table = {"m": "mom", "g": "grad"}
-        try:
-            return cls(tuple(table[ch] for ch in letters))
-        except KeyError as err:
-            raise ValueError(f"unknown atom letter {err.args[0]!r}") from None
-
-    @classmethod
-    def triple_grad(cls) -> "OperatorWord":
-        return cls((), True)
-
-    def __len__(self):
-        return 3 if self.triple_gradient else len(self.atoms)
-
-    def mom_count(self) -> int:
-        return sum(1 for a in self.atoms if a == "mom")
-
-
-def _w(letters: str) -> OperatorWord:
-    return OperatorWord.from_letters(letters)
+TRIPLE_GRADIENT = "T"
 
 
 def _scaled(denominator: int, entries) -> tuple:
@@ -128,64 +83,64 @@ def _scaled(denominator: int, entries) -> tuple:
 # combination times tau^n.  Only even n appear and the table stops at the
 # order needed for an eighth-order scheme.
 KINETIC_GENERATORS = {
-    2: _scaled(12, [(-1, _w("mm"))]),
-    4: _scaled(720, [(1, _w("mmmm")), (-9, _w("gmm")), (3, _w("mgm"))]),
+    2: _scaled(12, [(-1, "mm")]),
+    4: _scaled(720, [(1, "mmmm"), (-9, "gmm"), (3, "mgm")]),
     6: _scaled(
         60480,
         [
-            (-2, _w("mmmmmm")),
-            (40, _w("gmmmm")),
-            (-46, _w("mgmmm")),
-            (15, _w("mmgmm")),
-            (-54, _w("ggmm")),
-            (9, _w("gmgm")),
-            (42, _w("mggm")),
-            (-12, _w("mmgg")),
+            (-2, "mmmmmm"),
+            (40, "gmmmm"),
+            (-46, "mgmmm"),
+            (15, "mmgmm"),
+            (-54, "ggmm"),
+            (9, "gmgm"),
+            (42, "mggm"),
+            (-12, "mmgg"),
         ],
     ),
 }
 
 # Potential correction generators V_n times tau^n.
 POTENTIAL_GENERATORS = {
-    2: _scaled(24, [(1, _w("g"))]),
-    4: _scaled(480, [(1, _w("gg"))]),
-    6: _scaled(161280, [(17, _w("ggg")), (-10, OperatorWord.triple_grad())]),
+    2: _scaled(24, [(1, "g")]),
+    4: _scaled(480, [(1, "gg")]),
+    6: _scaled(161280, [(17, "ggg"), (-10, TRIPLE_GRADIENT)]),
 }
 
 # Generating-function terms G_n times tau^n for n >= 3; the n = 0, 1 pieces
-# (q.P and the kinetic quadratic) are handled in closed form.  Momentum
-# atoms here contract with the raised new momentum M P.
+# (q.P and the kinetic quadratic) are handled in closed form.  The letter m
+# here contracts with the raised new momentum M P.
 GENERATING_TERMS = {
-    3: _scaled(12, [(-1, _w("mm"))]),
-    4: _scaled(24, [(-1, _w("mmm"))]),
-    5: _scaled(240, [(-3, _w("mmmm")), (-3, _w("gmm")), (1, _w("mgm"))]),
-    6: _scaled(720, [(-2, _w("mmmmm")), (-8, _w("gmmm")), (5, _w("mgmm"))]),
+    3: _scaled(12, [(-1, "mm")]),
+    4: _scaled(24, [(-1, "mmm")]),
+    5: _scaled(240, [(-3, "mmmm"), (-3, "gmm"), (1, "mgm")]),
+    6: _scaled(720, [(-2, "mmmmm"), (-8, "gmmm"), (5, "mgmm")]),
     7: _scaled(
         20160,
         [
-            (-10, _w("mmmmmm")),
-            (-10, _w("gmmmm")),
-            (-90, _w("mgmmm")),
-            (75, _w("mmgmm")),
-            (-18, _w("ggmm")),
-            (3, _w("gmgm")),
-            (14, _w("mggm")),
-            (-4, _w("mmgg")),
+            (-10, "mmmmmm"),
+            (-10, "gmmmm"),
+            (-90, "mgmmm"),
+            (75, "mmgmm"),
+            (-18, "ggmm"),
+            (3, "gmgm"),
+            (14, "mggm"),
+            (-4, "mmgg"),
         ],
     ),
     8: _scaled(
         40320,
         [
-            (-3, _w("mmmmmmm")),
-            (87, _w("gmmmmm")),
-            (-231, _w("mgmmmm")),
-            (133, _w("mmgmmm")),
-            (-63, _w("ggmmm")),
-            (3, _w("mggmm")),
-            (21, _w("mmggm")),
-            (-4, _w("mmmgg")),
-            (63, _w("gmgmm")),
-            (-25, _w("mgmgm")),
+            (-3, "mmmmmmm"),
+            (87, "gmmmmm"),
+            (-231, "mgmmmm"),
+            (133, "mmgmmm"),
+            (-63, "ggmmm"),
+            (3, "mggmm"),
+            (21, "mmggm"),
+            (-4, "mmmgg"),
+            (63, "gmgmm"),
+            (-25, "mgmgm"),
         ],
     ),
 }
@@ -272,12 +227,16 @@ def _rewrite(terms: dict, walk, *args) -> dict:
     return out
 
 
-def _expand_word(word: OperatorWord) -> dict:
-    if word.triple_gradient:
+def _expand_word(word: str) -> dict:
+    """The exact expansion of one word; the one place a word is read."""
+    if word == TRIPLE_GRADIENT:
         return {(_W, _W, _W): Fraction(1)}
+    if len(word) > MAX_WORD_LENGTH or not set(word) <= {"m", "g"}:
+        raise ValueError(f"a word is at most {MAX_WORD_LENGTH} letters m and g, "
+                         f"or {TRIPLE_GRADIENT!r} alone; got {word!r}")
     terms = {(): Fraction(1)}
-    for atom in reversed(word.atoms):
-        terms = _rewrite(terms, _insert, _P if atom == "mom" else _W)
+    for letter in reversed(word):
+        terms = _rewrite(terms, _insert, _P if letter == "m" else _W)
     return terms
 
 
@@ -437,7 +396,7 @@ def _plan(walk, table: dict, orders):
 
 
 @cache
-def _word_table(word: OperatorWord) -> dict:
+def _word_table(word: str) -> dict:
     """The table of one word with coefficient 1 at order 0, one per word."""
     return {0: ((1, word),)}
 

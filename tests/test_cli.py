@@ -116,6 +116,20 @@ def test_run_window_restricts_rows(tmp_path):
     assert len(times) == 6
 
 
+# argparse on its own takes each of these values for an unknown flag
+@pytest.mark.parametrize("flags, rc, message", [
+    (["--q0", "-1e-3", "--p0", "1", "--periods", "0.5"], 0, ""),
+    (["--potential", "harmonic", "--q0", "-0.5,0.1", "--p0", "0.2,0.3", "--periods", "1"],
+     0, ""),
+    (["--window", "-5:-1"], 1, "error: window -5:-1 holds no step of the run"),
+], ids=["exponent", "vector", "window"])
+def test_a_value_may_start_with_a_minus(flags, rc, message, tmp_path, capsys):
+    assert main(["run", *flags, "--out", str(tmp_path / "trace.csv")]) == rc
+    err = capsys.readouterr().err
+    assert (_one_error_line(err) if rc else err).startswith(message), err
+    assert (tmp_path / "trace.csv").exists() == (rc == 0)
+
+
 def test_run_harmonic_with_explicit_state(tmp_path):
     out = tmp_path / "h.csv"
     rc = main(["run", "--potential", "harmonic", "--scheme", "exact_quadratic",
@@ -723,7 +737,7 @@ def test_figure_one_emits_eleven_series(tmp_path):
 def test_figure_five_requires_confirmation(tmp_path, capsys):
     rc = main(["figure", "5", "--out", str(tmp_path)])
     assert rc == 1
-    assert "--long" in capsys.readouterr().err
+    assert "--long" in _one_error_line(capsys.readouterr().err)
     assert list(tmp_path.glob("*.csv")) == []
 
 

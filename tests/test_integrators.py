@@ -119,7 +119,7 @@ def test_move_explicit():
     assert move_explicit(x, 0.0, mass).q[0] == 0.1
     assert move_explicit(x, 0.1, mass).q[0] == pytest.approx(0.2)
 
-    mass2 = MassMatrix.diagonal([2.0, 1.0])
+    mass2 = MassMatrix(np.diag([2.0, 1.0]))
     y = move_explicit(PhasePoint(np.zeros(2), np.ones(2)), 0.5, mass2)
     assert y.q.tolist() == [1.0, 0.5]
     assert y.p.tolist() == [1.0, 1.0]

@@ -31,7 +31,7 @@ from symsplit.operators import (
     GENERATING_TERMS,
     KINETIC_GENERATORS,
     POTENTIAL_GENERATORS,
-    OperatorWord,
+    TRIPLE_GRADIENT,
     Workspace,
     apply_word,
     correction_orders,
@@ -50,92 +50,87 @@ from symsplit.operators import (
     v_eff_grad,
 )
 
-W = OperatorWord.from_letters
-
 
 # ---------------------------------------------------------------------------
 # word machinery
 
 
-def test_word_construction():
-    w = W("gmm")
-    assert w.atoms == ("grad", "mom", "mom")
-    assert len(w) == 3 and w.mom_count() == 2
-    assert len(OperatorWord.triple_grad()) == 3
-    with pytest.raises(ValueError):
-        W("gxm")
-    with pytest.raises(ValueError):
-        W("m" * 8)
-    with pytest.raises(ValueError):
-        OperatorWord(("mom",), triple_gradient=True)
+@pytest.mark.parametrize("word", ["gxm", "m" * 8, TRIPLE_GRADIENT * 2, "m" + TRIPLE_GRADIENT])
+def test_apply_word_refuses_a_bad_word(quartic, mass1, word):
+    with pytest.raises(ValueError, match="word"):
+        apply_word(word, quartic, mass1, np.array([1.0]), np.array([2.0]))
+
+
+def test_empty_word_is_the_potential(quartic, mass1):
+    q = np.array([1.3])
+    assert apply_word("", quartic, mass1, q) == quartic.value(q)
 
 
 def test_apply_word_momentum_square(quartic, mass1):
     # two momentum atoms on V = q^4/4 give 3 p^2 q^2
     q, p = np.array([1.0]), np.array([2.0])
-    assert apply_word(W("mm"), quartic, mass1, q, p) == pytest.approx(12.0)
+    assert apply_word("mm", quartic, mass1, q, p) == pytest.approx(12.0)
 
 
 def test_apply_word_gradient_square(quartic, mass1):
     # one gradient atom gives |grad V|^2 = q^6
     q = np.array([1.0])
-    assert apply_word(W("g"), quartic, mass1, q) == pytest.approx(1.0)
+    assert apply_word("g", quartic, mass1, q) == pytest.approx(1.0)
 
 
 def test_apply_word_triple_gradient_vanishes_for_harmonic():
     harm = Harmonic()
     mass = MassMatrix.identity(2)
     q = np.array([0.3, -1.1])
-    assert apply_word(OperatorWord.triple_grad(), harm, mass, q) == 0.0
+    assert apply_word(TRIPLE_GRADIENT, harm, mass, q) == 0.0
 
 
 def test_apply_word_iterated_gradient(quartic, mass1):
     # ggg on the quartic is 48 q^10
     q = np.array([1.0])
-    assert apply_word(W("ggg"), quartic, mass1, q) == pytest.approx(48.0)
+    assert apply_word("ggg", quartic, mass1, q) == pytest.approx(48.0)
 
 
 def test_grad_word_q(quartic, mass1):
     # d/dq of |grad V|^2 = q^6 is 6 q^5
     q = np.array([1.0])
-    g = grad_word_q(W("g"), quartic, mass1, q)
+    g = grad_word_q("g", quartic, mass1, q)
     assert g.shape == (1,) and g[0] == pytest.approx(6.0)
 
 
 def test_grad_word_mom(quartic, mass1):
     # d/dp of 3 p^2 q^2 at (q, p) = (1, 2) is 12
     q, p = np.array([1.0]), np.array([2.0])
-    g = grad_word_mom(W("mm"), quartic, mass1, q, p)
+    g = grad_word_mom("mm", quartic, mass1, q, p)
     assert g[0] == pytest.approx(12.0)
 
 
 def test_grad_word_mom_zero_without_momentum_atoms(quartic, mass1):
     q, p = np.array([0.7]), np.array([2.0])
-    g = grad_word_mom(W("gg"), quartic, mass1, q, p)
+    g = grad_word_mom("gg", quartic, mass1, q, p)
     assert g.tolist() == [0.0]
 
 
 def test_momentum_word_requires_momentum(quartic, mass1):
     with pytest.raises(ValueError):
-        apply_word(W("mm"), quartic, mass1, np.array([1.0]))
+        apply_word("mm", quartic, mass1, np.array([1.0]))
 
 
 def test_apply_word_momentum_homogeneity(quartic, mass1):
     rng = np.random.default_rng(8)
-    for letters in ["m", "mm", "gmm", "mgm", "mmgg", "gmgm"]:
-        word = W(letters)
+    for word in ["m", "mm", "gmm", "mgm", "mmgg", "gmgm"]:
         q = rng.uniform(0.5, 1.5, size=1)
         p = rng.uniform(0.5, 1.5, size=1)
         lam = 1.7
         scaled = apply_word(word, quartic, mass1, q, lam * p)
         base = apply_word(word, quartic, mass1, q, p)
-        assert scaled == pytest.approx(lam ** word.mom_count() * base, rel=1e-13)
+        assert scaled == pytest.approx(lam ** word.count("m") * base, rel=1e-13)
 
 
 def test_workspace_reuse_matches_fresh_calls(quartic, mass1):
     q, p = np.array([0.8]), np.array([1.3])
     ws = Workspace(quartic, mass1, q)
-    words = [W("gmm"), W("mgm"), W("mmgg")]
+    words = ["gmm", "mgm", "mmgg"]
     fresh = [apply_word(w, quartic, mass1, q, p) for w in words]
     shared = [apply_word(w, quartic, mass1, q, p, workspace=ws) for w in words]
     assert fresh == shared
@@ -562,7 +557,7 @@ def _fd_word_grads(word, pot, mass, q, mom, h=1e-5):
             - apply_word(word, pot, mass, q - e, mom)
         ) / (2 * h)
     dp = np.zeros_like(q)
-    if word.mom_count():
+    if "m" in word:
         for a in range(q.size):
             e = np.zeros_like(q)
             e[a] = h
@@ -574,12 +569,11 @@ def _fd_word_grads(word, pot, mass, q, mom, h=1e-5):
 
 
 def _all_table_words():
-    seen = {}
-    for table in (KINETIC_GENERATORS, POTENTIAL_GENERATORS, GENERATING_TERMS):
-        for entries in table.values():
-            for _, word in entries:
-                seen[(word.atoms, word.triple_gradient)] = word
-    return list(seen.values())
+    return list(dict.fromkeys(
+        word
+        for table in (KINETIC_GENERATORS, POTENTIAL_GENERATORS, GENERATING_TERMS)
+        for entries in table.values()
+        for _, word in entries))
 
 
 def test_word_gradients_match_finite_differences():
@@ -643,15 +637,15 @@ def _sym_grad_deriv(f):
 
 
 def _sym_word(word):
-    if word.triple_gradient:
+    if word == TRIPLE_GRADIENT:
         u = _MASS * _GRADV
         total = sp.S(0)
         for a, b, c in itertools.product(range(2), repeat=3):
             total += sp.diff(_V, _QS[a], _QS[b], _QS[c]) * u[a] * u[b] * u[c]
         return sp.expand(total)
     f = _V
-    for atom in reversed(word.atoms):
-        f = _sym_mom_deriv(f) if atom == "mom" else _sym_grad_deriv(f)
+    for letter in reversed(word):
+        f = _sym_mom_deriv(f) if letter == "m" else _sym_grad_deriv(f)
     return f
 
 
