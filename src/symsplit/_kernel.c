@@ -8,11 +8,19 @@
  * before passing pointers.
  *
  * Each step is half kick, implicit move, half kick: Newton solves
- * p = dG/dq(q, P) for P, then Q = dG/dP(q, P).  At order 2 the folded
- * tables make the residual exactly P - p, so the solve stops at 0
- * iterations and Q = (tau m) P + q is the drift.  H0 is the entry state's
- * energy by the formula of every step, and max_a and max_b are the largest
- * |H - H0| over their step windows.
+ * p = dG/dq(q, P) for P, then Q = dG/dP(q, P).  Newton starts at
+ * P = p + (2 d1 - d2), d1 and d2 the last two steps' increments P - p
+ * (both 0 at the start of a run), and from such a predicted start takes
+ * one update at least.  That start saves most steps an iteration and, on
+ * the quartic, the energy drift that a start at P = p leaves.  At order 2
+ * the folded tables make the residual exactly P - p, so the increments
+ * are 0, the solve stops at 0 iterations and Q = (tau m) P + q is the
+ * drift.  H0 is the entry state's energy by the formula of every step, and
+ * max_a and max_b are the largest |H - H0| over their step windows.
+ *
+ * Every table row is evaluated without its high zero coefficients, trimmed
+ * once at entry: Horner's 0 x + c is exactly c, so the bits are those of
+ * the whole row.
  *
  * rec holds one row (q, p, H, Newton iterations, residual) per recorded
  * step rec_start <= i < rec_stop, rec_start >= 0; step 0 is the entry
@@ -46,6 +54,14 @@ static double polyval(const double *c, int64_t n, double x)
     return acc;
 }
 
+/* the length of c[0..n) without its high zero coefficients */
+static int64_t trimmed(const double *c, int64_t n)
+{
+    while (n > 0 && c[n - 1] == 0.0)
+        n--;
+    return n;
+}
+
 /* the derivative of polyval(c, n, .) at x */
 static double dpolyval(const double *c, int64_t n, double x)
 {
@@ -63,6 +79,12 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
                     int64_t rec_start, int64_t rec_stop, double *rec,
                     int64_t a0, int64_t a1, int64_t b0, int64_t b1)
 {
+    int64_t lcq[nj], lcp[ncpj]; /* the trimmed row lengths */
+    for (int64_t j = 0; j < nj; j++)
+        lcq[j] = trimmed(cq + j * ncq, ncq);
+    for (int64_t j = 0; j < ncpj; j++)
+        lcp[j] = trimmed(cp + j * ncp, ncp);
+    nvg = trimmed(vg, nvg), nvpot = trimmed(vpot, nvpot);
     double q = state[0], p = state[1];
     double h0 = 0.5 * mval * p * p + polyval(vpot, nvpot, q);
     double max_a = 0.0, max_b = 0.0, fail_res = 0.0;
@@ -74,6 +96,7 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
     double half = 0.5 * tau;
     /* the force at q, shared by the closing and the next opening half kick */
     double force = polyval(vg, nvg, q);
+    double d1 = 0.0, d2 = 0.0; /* the last two increments P - p */
     for (int64_t i = 1; i <= n_steps; i++) {
         p -= half * force;
         if (!isfinite(p)) {
@@ -82,24 +105,28 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
         }
         /* solve p = dG/dq(q, P) for P: Newton on a polynomial in P */
         for (int64_t j = 0; j < nj; j++)
-            local[j] = polyval(cq + j * ncq, ncq, q);
+            local[j] = polyval(cq + j * ncq, lcq[j], q);
         int64_t iters = 0;
-        double mom = p, f, fp, res;
+        /* P = p + (2 d1 - d2), written so that p = -0 stays -0 when both
+         * are 0 */
+        double pred = d2 - 2.0 * d1, mom = p - pred, f, fp, res;
         int ok = 0;
         for (;;) {
             f = polyval(local, nj, mom) - p;
             res = fabs(f);
             if (!isfinite(res))
                 break;
-            if (res <= tol) {
+            /* a predicted start takes one update at least: an error below
+             * tol left in P would pass on to the next prediction */
+            if (res <= tol && (iters > 0 || pred == 0.0)) {
                 ok = 1;
                 break;
             }
-            if (iters >= max_iter)
-                break;
             fp = dpolyval(local, nj, mom);
-            if (fp == 0.0)
+            if (iters >= max_iter || fp == 0.0) {
+                ok = res <= tol;
                 break;
+            }
             mom -= f / fp;
             iters++;
         }
@@ -119,10 +146,11 @@ int symsplit_kernel(double *state, double mval, double tau, int64_t n_steps,
                 }
             }
         }
+        d2 = d1, d1 = mom - p;
         /* Q = dG/dP(q, P) */
         double qn = 0.0;
         for (int64_t j = ncpj - 1; j >= 0; j--)
-            qn = qn * mom + polyval(cp + j * ncp, ncp, q);
+            qn = qn * mom + polyval(cp + j * ncp, lcp[j], q);
         q = qn;
         p = mom;
         force = polyval(vg, nvg, q);

@@ -85,10 +85,21 @@ class _Parser(argparse.ArgumentParser):
         # argparse takes only -1 and -1.5 shapes for values; -1e-3, -0.5,0.1
         # and -5:-1 are values too, and no option of ours looks like one
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # the parser of each command, by name; only the top-level one has any
+        self.commands = {}
 
-    # argparse exits with code 2 on bad flags; 2 is taken, so reroute
+    def parse_args(self, args=None, namespace=None):
+        # argparse's own, but an unknown flag is refused by its command's parser
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            command = self.commands.get(getattr(args, "command", None), self)
+            command.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+
+    # argparse prints its usage and exits with code 2 on bad flags; 2 is
+    # taken, and main reports one error: line, so reroute
     def error(self, message):
-        raise ConfigError(f"{self.format_usage()}error: {message}")
+        raise ConfigError(f"{message}; see {self.prog} --help")
 
 
 def _fmt(value: float) -> str:
@@ -617,6 +628,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"symsplit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_physics(p):
         # values stay text here; merge_config converts flags and file values alike

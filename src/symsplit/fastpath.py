@@ -209,19 +209,27 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
 # The stepping loop.
 
 
-def _polyval(c, n, x):
+def _polyval(c, x):
     acc = 0.0
-    for k in range(n - 1, -1, -1):
-        acc = acc * x + c[k]
+    for ck in reversed(c):
+        acc = acc * x + ck
     return acc
 
 
-def _dpolyval(c, n, x):
-    """The derivative of ``_polyval(c, n, .)`` at x."""
+def _dpolyval(c, x):
+    """The derivative of ``_polyval(c, .)`` at x."""
     acc = 0.0
-    for k in range(n - 1, 0, -1):
+    for k in range(len(c) - 1, 0, -1):
         acc = acc * x + k * c[k]
     return acc
+
+
+def _trimmed(c, n):
+    """The first n coefficients of c as a float list, without the high zeros."""
+    row = c[:n].tolist()
+    while row and row[-1] == 0.0:
+        row.pop()
+    return row
 
 
 def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, ncp,
@@ -230,20 +238,29 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
     """``symsplit_kernel`` of ``_kernel.c`` in Python, argument for argument.
 
     Each step is half kick, implicit move, half kick.  The move solves
-    p = dG/dq(q, P) for P by Newton and reads Q = dG/dP(q, P); at order 2
-    the folded tables make the residual exactly P - p, so the solve stops
-    at 0 iterations and Q = (tau m) P + q is the drift.  ``state`` holds
-    q, p on entry and q, p, fail_res, max_a, max_b, H0, fail_step,
-    fail_iters on return, with H0 the entry state's energy by the formula
-    of every step.  max_a and max_b are the largest |H - H0| over steps
-    a0 <= i < a1 and b0 <= i < b1.  Row i - rec_start of ``rec`` is step
-    rec_start <= i < rec_stop as (q, p, H, Newton iterations, residual);
-    step 0 is the entry state, H0, 0, 0.0.  Returns the status: 0, 1 (the
-    Newton solve failed) or 2 (the state became non-finite).  The C loop is
-    this loop transliterated and must stay bit-identical.
+    p = dG/dq(q, P) for P by Newton and reads Q = dG/dP(q, P).  Newton
+    starts at P = p + (2 d1 - d2), d1 and d2 the last two steps'
+    increments P - p (both 0 at the start of a run), and from such a
+    predicted start takes one update at least.  At order 2 the folded
+    tables make the residual exactly P - p, so the increments are 0, the
+    solve stops at 0 iterations and Q = (tau m) P + q is the drift.  Every
+    table row is evaluated without its high zero coefficients, trimmed
+    once at entry: Horner's 0 x + c is exactly c, so the bits are those of
+    the whole row.  ``state`` holds q, p on entry and q, p, fail_res,
+    max_a, max_b, H0, fail_step, fail_iters on return, with H0 the entry
+    state's energy by the formula of every step.  max_a and max_b are the
+    largest |H - H0| over steps a0 <= i < a1 and b0 <= i < b1.  Row
+    i - rec_start of ``rec`` is step rec_start <= i < rec_stop as (q, p,
+    H, Newton iterations, residual); step 0 is the entry state, H0, 0,
+    0.0.  Returns the status: 0, 1 (the Newton solve failed) or 2 (the
+    state became non-finite).  The C loop is this loop transliterated and
+    must stay bit-identical.
     """
+    vg, vpot = _trimmed(vg, nvg), _trimmed(vpot, nvpot)
+    cq = [_trimmed(row, ncq) for row in cq[:nj]]
+    cp = [_trimmed(row, ncp) for row in cp[:ncpj]]
     q, p = float(state[0]), float(state[1])
-    h0 = 0.5 * mval * p * p + _polyval(vpot, nvpot, q)
+    h0 = 0.5 * mval * p * p + _polyval(vpot, q)
     max_a = max_b = fail_res = 0.0
     status = fail_step = fail_iters = 0
     local = [0.0] * nj  # the Newton polynomial in P at this q
@@ -251,29 +268,33 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
         rec[0] = q, p, h0, 0, 0.0
     half = 0.5 * tau
     # the force at q, shared by the closing and the next opening half kick
-    force = _polyval(vg, nvg, q)
+    force = _polyval(vg, q)
+    d1 = d2 = 0.0  # the last two increments P - p
     for i in range(1, n_steps + 1):
         p -= half * force
         if not math.isfinite(p):
             status, fail_step = 2, i
             break
         for j in range(nj):
-            local[j] = _polyval(cq[j], ncq, q)
+            local[j] = _polyval(cq[j], q)
         iters = 0
-        mom = p
+        # P = p + (2 d1 - d2), written so that p = -0 stays -0 when both are 0
+        pred = d2 - 2.0 * d1
+        mom = p - pred
         ok = False
         while True:
-            f = _polyval(local, nj, mom) - p
+            f = _polyval(local, mom) - p
             res = abs(f)
             if not math.isfinite(res):
                 break
-            if res <= tol:
+            # a predicted start takes one update at least: an error below
+            # tol left in P would pass on to the next prediction
+            if res <= tol and (iters > 0 or pred == 0.0):
                 ok = True
                 break
-            if iters >= max_iter:
-                break
-            fp = _dpolyval(local, nj, mom)
-            if fp == 0.0:
+            fp = _dpolyval(local, mom)
+            if iters >= max_iter or fp == 0.0:
+                ok = res <= tol
                 break
             mom -= f / fp
             iters += 1
@@ -284,20 +305,21 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
         # the slow path's refinement rule (f still holds the signed residual
         # at mom)
         if res > polish_floor * max(abs(p), 1.0):
-            fp = _dpolyval(local, nj, mom)
+            fp = _dpolyval(local, mom)
             if fp != 0.0:
                 trial = mom - f / fp
-                f2 = _polyval(local, nj, trial) - p
+                f2 = _polyval(local, trial) - p
                 if math.isfinite(f2) and abs(f2) < res:
                     mom = trial
                     res = abs(f2)
                     iters += 1
+        d2, d1 = d1, mom - p
         qn = 0.0
         for j in range(ncpj - 1, -1, -1):
-            qn = qn * mom + _polyval(cp[j], ncp, q)
+            qn = qn * mom + _polyval(cp[j], q)
         q = qn
         p = mom
-        force = _polyval(vg, nvg, q)
+        force = _polyval(vg, q)
         p -= half * force
         if not (math.isfinite(q) and math.isfinite(p)):
             status, fail_step = 2, i
@@ -306,7 +328,7 @@ def _python_kernel(state, mval, tau, n_steps, vg, nvg, cq, nj, ncq, cp, ncpj, nc
         in_b = b0 <= i < b1
         in_rec = rec_start <= i < rec_stop
         if in_a or in_b or in_rec:
-            h = 0.5 * mval * p * p + _polyval(vpot, nvpot, q)
+            h = 0.5 * mval * p * p + _polyval(vpot, q)
             dev = abs(h - h0)
             if in_a and dev > max_a:
                 max_a = dev

@@ -195,26 +195,22 @@ class Polynomial1D(Potential):
             raise ValueError("coefficients must be a non-empty 1-D sequence")
         _check_finite(c, "coefficient vector")
         self.coefficients = c
-        # derivative coefficient rows, cached up to the supported order; an
-        # overflow to inf is refused below, not warned about
-        self._deriv = [c]
-        with np.errstate(over="ignore"):
-            for _ in range(MAX_DERIVATIVE_ORDER):
-                prev = self._deriv[-1]
-                self._deriv.append(prev[1:] * np.arange(1, prev.size) if prev.size > 1
-                                   else np.zeros(0))
-        if not np.isfinite(np.concatenate(self._deriv)).all():
+        # derivative coefficient rows as float lists, cached up to the
+        # supported order; a float product overflows to inf without a
+        # warning, and is refused below
+        self._deriv = [c.tolist()]
+        for _ in range(MAX_DERIVATIVE_ORDER):
+            prev = self._deriv[-1]
+            self._deriv.append([k * prev[k] for k in range(1, len(prev))])
+        if not all(math.isfinite(x) for row in self._deriv for x in row):
             raise ValueError("coefficient vector overflows in its derivatives")
 
     def _poly(self, q, order):
         if q.size != 1:
             raise ValueError(f"1-D polynomial potential got q of length {q.size}")
-        c = self._deriv[order]
-        if c.size == 0:
-            return 0.0
         x = float(q[0])
         acc = 0.0
-        for coeff in c[::-1]:
+        for coeff in reversed(self._deriv[order]):
             acc = acc * x + coeff
         return acc
 

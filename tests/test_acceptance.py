@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import quartic_exact
+from symsplit import fastpath
 from symsplit.hamiltonian import Harmonic, MassMatrix, PhasePoint, Quartic
 from symsplit.integrators import SchemeConfig, integrate, move_generating
 from symsplit.operators import (
@@ -42,6 +43,9 @@ from symsplit.verification import (
 SCHEMES = [("baseline_kmk", 2), ("corrected_kmk", 4),
            ("corrected_kmk", 6), ("corrected_kmk", 8)]
 TAUS = (0.2, 0.1, 0.05)
+# millions of steps: seconds on the C loop, far longer on the Python loop
+needs_c = pytest.mark.skipif(fastpath._c_kernel is None,
+                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
 
 
 def _label(variant, order):
@@ -179,13 +183,20 @@ def test_criterion_06_symplecticity(quartic, mass1):
           f"{len(SCHEMES) * len(states)} Jacobians")
 
 
+def _windows(periods, tau):
+    """The steps of a run of ``periods`` quartic periods at tau, and its
+    early and late windows: its first 10 periods and its last 7."""
+    t_ref = quartic_period()
+    n_steps = math.ceil(periods * t_ref / tau)
+    first = (1, math.ceil(10.0 * t_ref / tau) + 1)
+    last = (n_steps - math.ceil(7.0 * t_ref / tau), n_steps + 1)
+    return n_steps, first, last
+
+
 def test_criterion_07_long_run_stability(quartic, mass1, x_unit):
     """257 periods at tau=0.1: late energy error stays at the early level."""
     tau = 0.1
-    t_ref = quartic_period()
-    n_steps = math.ceil(257.0 * t_ref / tau)
-    first = (1, math.ceil(10.0 * t_ref / tau) + 1)
-    last = (n_steps - math.ceil(7.0 * t_ref / tau), n_steps + 1)
+    n_steps, first, last = _windows(257.0, tau)
     start = time.perf_counter()
     for variant, order in SCHEMES + [("baseline_mkm", 2)]:
         cfg = SchemeConfig(variant, tau, order=order)
@@ -210,11 +221,7 @@ def test_criterion_07_full_length_run(quartic, mass1, x_unit):
     of that allowance).
     """
     tau = 0.05
-    t_ref = quartic_period()
-    periods = 262718.0
-    n_steps = math.ceil(periods * t_ref / tau)
-    first = (1, math.ceil(10.0 * t_ref / tau) + 1)
-    last = (n_steps - math.ceil(7.0 * t_ref / tau), n_steps + 1)
+    n_steps, first, last = _windows(262718.0, tau)
     cfg = SchemeConfig("corrected_kmk", tau, order=8)
     start = time.perf_counter()
     early, late = energy_deviation_maxima(x_unit, cfg, quartic, mass1,
@@ -225,6 +232,55 @@ def test_criterion_07_full_length_run(quartic, mass1, x_unit):
           f"{early:.3e} late {late:.3e} allowance {allowance:.3e}")
     assert late <= allowance
     assert elapsed < 900.0
+
+
+def _late_over_early(periods, quartic, mass1, x_unit):
+    """Order 8 at tau = 0.05: the late window's largest |H - H0| over the
+    early one's."""
+    n_steps, first, last = _windows(periods, 0.05)
+    early, late = energy_deviation_maxima(x_unit, SchemeConfig("corrected_kmk", 0.05, order=8),
+                                          quartic, mass1, n_steps, first, last)
+    print(f"{periods:g} periods: early {early:.4e} late {late:.4e} ratio {late / early:.3f}")
+    return late / early
+
+
+@needs_c
+def test_no_energy_drift_over_16000_periods(quartic, mass1, x_unit):
+    """Figure 5's run cut to 16,000 periods has no roundoff drift in H.
+
+    A Newton solve started at P = p read 8.67 here; the solve started from
+    the last two increments reads about 0.92.
+    """
+    assert _late_over_early(16000.0, quartic, mass1, x_unit) <= 1.5
+
+
+@pytest.mark.skipif(os.environ.get("SYMSPLIT_LONG") != "1",
+                    reason="262718-period endurance run; set SYMSPLIT_LONG=1")
+def test_figure_5_has_no_energy_drift(quartic, mass1, x_unit):
+    """The full figure-5 run: the late energy error stays at the early
+    level, with no roundoff allowance (a start at P = p read 125).
+
+    What is left is a random walk of roundoff: at six step sizes within
+    0.4 % of 0.05 the ratio read 0.98 to 2.22.
+    """
+    assert _late_over_early(262718.0, quartic, mass1, x_unit) <= 3.0
+
+
+@needs_c
+def test_global_error_grows_linearly(quartic, mass1, x_unit):
+    """Order 8 at tau = 0.05 against the exact cn solution: 100 times the
+    periods give at most 150 times the error, as a symplectic method on an
+    integrable system should (HLW X.3); roundoff drift made it 730 times."""
+    cfg = SchemeConfig("corrected_kmk", 0.05, order=8)
+    errors = []
+    for periods in (1000.0, 100000.0):
+        n_steps = _windows(periods, cfg.tau)[0]
+        x = fastpath.simulate(x_unit, cfg, quartic, mass1, n_steps).raise_if_failed().final
+        exact = quartic_exact(x_unit, mass1, n_steps * cfg.tau)
+        errors.append(np.abs(x.as_array() - exact.as_array()).max())
+    print(f"global error: {errors[0]:.4e} at 1,000 periods, {errors[1]:.4e} at "
+          f"100,000 ({errors[1] / errors[0]:.1f} times)")
+    assert errors[1] <= 150.0 * errors[0]
 
 
 def test_criterion_08_implicit_step_consistency(quartic, mass1):

@@ -316,8 +316,9 @@ def test_trace_rows_paths_agree(order, tau, n_steps, first, last, failed_step,
     steps = [fail.step_index if fail else None for fail in (fast_fail, slow_fail)]
     assert steps == [failed_step, failed_step]
     assert fast.shape == slow.shape and len(fast) > 0
-    # step, t and iters exactly; q, p, H to roundoff
-    np.testing.assert_array_equal(fast[:, [0, 1, 6]], slow[:, [0, 1, 6]])
+    # step and t exactly; q, p, H to roundoff.  The iterations differ: the
+    # kernel starts Newton from the last two increments, the generic engine at p
+    np.testing.assert_array_equal(fast[:, [0, 1]], slow[:, [0, 1]])
     np.testing.assert_allclose(fast[:, 2:5], slow[:, 2:5], rtol=1e-12, atol=1e-13)
 
 
@@ -418,6 +419,21 @@ def _one_error_line(err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--no-such-flag"],
+     "error: unrecognized arguments: --no-such-flag; see symsplit run --help\n"),
+    (["run", "--q0"], "error: argument --q0: expected one argument; see symsplit run --help\n"),
+    (["figure", "6"], "error: argument number: invalid choice: 6 (choose from 1, 2, 3, 4, 5); "
+                      "see symsplit figure --help\n"),
+], ids=["unknown-flag", "missing-value", "bad-choice"])
+def test_an_argparse_refusal_is_one_error_line(argv, message, capsys):
+    # argparse would print its usage block first; the refusal names the
+    # command's help instead
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, _one_error_line(err)) == ("", message)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -1051,13 +1067,13 @@ _PINNED_RUNS = {
 }
 _PINNED_SHA256 = {
     "figure-3":
-        "584c047dc38a103183851b488e9b07eed2bf96476cc0d9c40e7003e7ebce358f",
+        "3e568449fc5e6c636ef3f6cc7149d207ec99c548be812241341393e112c1744f",
     "order":
-        "4a24a86b3addea1a59989a5c465895561565b0772cc97718c9f0dfdfac28bc06",
+        "b39203beaff9eb1e6336c3a895c3b69aef9783902703c52839070cbe054d4904",
     "run-defaults":
-        "3a5635ffd5c72a3353cc3ee5b3747e5c9e29e96348ab7092c29575d59ec94308",
+        "fbd9d230392ebf7a73296cea67a1d857af70387e952172de6c50588c50cd1d51",
     "run-diverged":
-        "995ed5d464eeadd77a6a93887a97aea81563321f0004ef634140a4f557141c53",
+        "c1501f766520c9076badf9dfe69d2dd3cc4b73c610693cd12a54302da5ab7f8f",
     "run-mkm":
         "4eb0a8d0440de31542b607953a51c6c2baa17c0bc5705f03d4fa5f3771785e2e",
     "run-non-finite":
@@ -1065,7 +1081,7 @@ _PINNED_SHA256 = {
     "run-quadratic-2d":
         "bcc0d01ed27e27db8f96317c9f76516a83f3f0115551d00a58f63fc41fa36f6f",
     "run-window":
-        "b54950b7501d8f8ea76c893ddffed341be5ed76f964c026e747f5020f1abc807",
+        "5186556de60607d47c11c132d3c21df104933b10d4a74ca1a909658329b674ee",
 }
 
 
@@ -1082,7 +1098,7 @@ _FIGURE_RUNS = {
     }),
     4: (["figure", "4", "--tau-list", "0.2"], {
         "fig4_corrected_kmk6_tau0.2.csv":
-            "3370d03345c59dc288b7d73ba9422ef0628819d2680d963ca7961a0d773592c7",
+            "1700676f58e6fa7d2f9040199389fc041c93adac1957290a83c2b2878d382628",
     }),
 }
 
@@ -1160,23 +1176,23 @@ _FIGURE_ONE_SHA256 = {
     "fig1_baseline_kmk_tau0.1.csv":
         "16b9c29aeeb351f1ff97f42dd23fd315423850221c108fb334d8d6c6f1313e94",
     "fig1_corrected_kmk4_tau0.05.csv":
-        "658b827b16c19107f1837309b317b95600f46770a31085638b4a6063af36e064",
+        "d30a60384ece6ae73e5400730e54932f438f0d6e484dec777040715a7976def4",
     "fig1_corrected_kmk4_tau0.1.csv":
-        "248b1bbc05b54424fec8979b5bc2b2b558b0cd9f49ff1473d7a42facc1a589d8",
+        "41d635cd61a59195edc2af448953aa50c7e201efbca5f410fe42048dc663688a",
     "fig1_corrected_kmk4_tau0.2.csv":
-        "2f75f1a8248e302e1deb67505a84f2f772f71dd1d5746a308bf0137cb1c430e9",
+        "452766e6d84a53494153ffeeb07df3a3d11a6012214e320fe51ea7c0ccdaefe1",
     "fig1_corrected_kmk6_tau0.05.csv":
-        "7099db93fd9c834192129115a671d707ec1169aa44d65b7b73dd5ba78f949d34",
+        "34c4151fc0b87975f86afe007d1ec189d7d25d4af66c56ee903e96945033d2b7",
     "fig1_corrected_kmk6_tau0.1.csv":
-        "cd8d8169c158192a8c372ccec6bd34e3f826e18538b2579094b37b3c68cb3814",
+        "f00e251ef8a6d637bed607b48111e5a6f8f1b4919f4dd77688b1e577e0924d21",
     "fig1_corrected_kmk6_tau0.2.csv":
-        "c139051e48379182e1685083c045b663bef1340234832d7894b50ead10648eb3",
+        "6727ebd41d1ea392f5f6c6a8fa88f5077017118da0fefafd7fd4a106ba03ff13",
     "fig1_corrected_kmk8_tau0.05.csv":
-        "b06ab88d265474092cf2d66b858830209f258f766fbd31f3bbec6826d906b8b2",
+        "167a608ba4d242e149314092d5aef51777e65f4070ef210e89aa00b8e3540e2d",
     "fig1_corrected_kmk8_tau0.1.csv":
-        "031101c27e87c57ded85e495346cb9007925a22d519edf2a76146102d9179d32",
+        "dfa2d34cc112ed9fce317630c54fe3fe14797518e05430c23d510244164f2dd0",
     "fig1_corrected_kmk8_tau0.2.csv":
-        "bc90aa003691935a4afe91a13426beb91cd9376325da69def2b864889dcc480f",
+        "d2be56cea038f040109cb4238f0081d71d76c6656faf5a11b219a8fa368e60e3",
 }
 
 

@@ -106,6 +106,9 @@ _KERNEL_CASES = {
                      {"rec_range": (1, 101), "range_a": (1, 51), "range_b": (51, 101)}),
     "long_windows": (_cfg("corrected_kmk", 0.05, 8), Quartic(), _MASS1, _X_UNIT, 3000,
                      {"rec_range": (0, 3001), "range_a": (1, 200), "range_b": (2500, 3001)}),
+    # the predicted Newton start meets newton_tol before any update
+    "small_step": (_cfg("corrected_kmk", 0.001, 8), Quartic(), _MASS1, _X_UNIT, 300,
+                   {"rec_range": (0, 301)}),
     "past_the_run": (_cfg("corrected_kmk", 0.1, 8), Quartic(), _MASS1, _X_UNIT, 5,
                      {"rec_range": (1, 9)}),
     "newton_stall": (_cfg("corrected_kmk", 3.0, 8), Quartic(), _MASS1, _X_UNIT, 10,
@@ -345,6 +348,34 @@ def test_strided_coefficients_reach_the_kernel(mass1):
     slow = integrate(x0, cfg, pot, mass1, 100)
     assert abs(run.final.q[0] - slow.q[0]) < 1e-13
     assert abs(run.final.p[0] - slow.p[0]) < 1e-13
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.2])
+@pytest.mark.parametrize("order", [4, 6, 8])
+@pytest.mark.parametrize("coeffs, mval, x0", [
+    ([0.1, -0.3, 0.7, 0.2, 0.25, 0.05, -1 / 30, 1 / 70], 0.7, PhasePoint([0.3], [0.9])),
+    ([0.0, 0.0, 0.5, 0.0, 0.1], 2.2, PhasePoint([0.5], [0.2])),
+], ids=["septic", "quartic_well"])
+def test_predicted_newton_start_agrees_with_the_generic_start(coeffs, mval, x0, order,
+                                                              tau):
+    # the kernel starts each step's Newton solve from its last two
+    # increments, the generic engine at P = p; both solve to roundoff
+    pot, mass, cfg = Polynomial1D(coeffs), MassMatrix(mval), _cfg("corrected_kmk", tau, order)
+    run = fastpath.fast_run(x0, cfg, pot, mass, 100, rec_range=(1, 101))
+    states = []
+    integrate(x0, cfg, pot, mass, 100, observer=lambda i, t, x, rep: states.append(x))
+    assert run.ok and len(states) == 100
+    gap = max(max(abs(q - x.q[0]), abs(p - x.p[0]))
+              for q, p, x in zip(run.rec_q[:, 0], run.rec_p[:, 0], states))
+    assert gap <= 1e-13
+
+
+def test_a_predicted_newton_start_takes_one_update(quartic, mass1, x_unit):
+    # at tau = 0.001 the predicted start already meets newton_tol; kept as it
+    # is, its error would pass on to the next prediction and build up
+    for run in _every_kernel(x_unit, _cfg("corrected_kmk", 0.001, 8), quartic, mass1, 300,
+                             rec_range=(1, 301)):
+        assert run.ok and run.rec_iters.min() == 1
 
 
 def test_recorded_window_matches_observer(quartic, mass1, x_unit):

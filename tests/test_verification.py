@@ -89,6 +89,14 @@ def test_reference_matches_the_exact_quartic_solution(quartic, q0, p0, lam, t):
     assert np.abs(x.as_array() - quartic_exact(x0, mass, t).as_array()).max() < 1e-14
 
 
+@pytest.mark.parametrize("t", [30.0, 60.0])
+def test_reference_converges_on_longer_horizons(quartic, mass1, x_unit, t):
+    # the refinements reach steps of 1e-3 and below, where a Newton solve
+    # that keeps any bias below its tolerance moves them by more than 1e-13
+    x = reference_solution(x_unit, quartic, mass1, t)
+    assert np.abs(x.as_array() - quartic_exact(x_unit, mass1, t).as_array()).max() < 3e-13
+
+
 # ---------------------------------------------------------------------------
 # energy traces
 
