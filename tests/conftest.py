@@ -3,7 +3,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from symsplit import fastpath
 from symsplit.hamiltonian import MassMatrix, PhasePoint, Potential, Quartic
+
+# for tests of the C library itself, and for runs of millions of steps,
+# which take seconds on the C loop and far longer on the Python loop
+needs_c = pytest.mark.skipif(fastpath._c_lib is None,
+                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
 
 
 class HenonHeiles(Potential):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import quartic_exact
+from conftest import needs_c, quartic_exact
 from symsplit import fastpath
 from symsplit.hamiltonian import Harmonic, MassMatrix, PhasePoint, Quartic
 from symsplit.integrators import SchemeConfig, integrate, move_generating
@@ -43,9 +43,6 @@ from symsplit.verification import (
 SCHEMES = [("baseline_kmk", 2), ("corrected_kmk", 4),
            ("corrected_kmk", 6), ("corrected_kmk", 8)]
 TAUS = (0.2, 0.1, 0.05)
-# millions of steps: seconds on the C loop, far longer on the Python loop
-needs_c = pytest.mark.skipif(fastpath._c_kernel is None,
-                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
 
 
 def _label(variant, order):
@@ -257,13 +254,14 @@ def test_no_energy_drift_over_16000_periods(quartic, mass1, x_unit):
 @pytest.mark.skipif(os.environ.get("SYMSPLIT_LONG") != "1",
                     reason="262718-period endurance run; set SYMSPLIT_LONG=1")
 def test_figure_5_has_no_energy_drift(quartic, mass1, x_unit):
-    """The full figure-5 run: the late energy error stays at the early
-    level, with no roundoff allowance (a start at P = p read 125).
+    """The full figure-5 run: the late energy error stays within 1.5 times
+    the early one, with no roundoff allowance (a start at P = p read 125).
 
-    What is left is a random walk of roundoff: at six step sizes within
-    0.4 % of 0.05 the ratio read 0.98 to 2.22.
+    The kernel reads 2.22 here and fails.  The ratio is a random walk of
+    roundoff: at 31 step sizes within 0.5 % of 0.05 it read 0.56 to 2.22,
+    median 1.13, and above 1.5 at 6 of them.
     """
-    assert _late_over_early(262718.0, quartic, mass1, x_unit) <= 3.0
+    assert _late_over_early(262718.0, quartic, mass1, x_unit) <= 1.5
 
 
 @needs_c

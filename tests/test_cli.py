@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import needs_c
 from symsplit import fastpath
 from symsplit.cli import (
     ConfigError,
@@ -303,7 +304,9 @@ def test_run_blowup_keeps_partial_trace(scheme, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order, tau, n_steps, first, last, failed_step", [
+    (2, 0.1, 30, 5, 20, None),
     (4, 0.1, 30, 5, 20, None),
+    (6, 0.1, 30, 0, 20, None),
     (8, 3.0, 10, 0, 10, 3),
 ])
 def test_trace_rows_paths_agree(order, tau, n_steps, first, last, failed_step,
@@ -315,11 +318,19 @@ def test_trace_rows_paths_agree(order, tau, n_steps, first, last, failed_step,
                                   first, last)
     steps = [fail.step_index if fail else None for fail in (fast_fail, slow_fail)]
     assert steps == [failed_step, failed_step]
+    if failed_step:
+        # both spend the whole iteration budget on the failing step
+        assert fast_fail.iterations == slow_fail.iterations
     assert fast.shape == slow.shape and len(fast) > 0
-    # step and t exactly; q, p, H to roundoff.  The iterations differ: the
-    # kernel starts Newton from the last two increments, the generic engine at p
+    # step and t exactly; q, p, H to roundoff
     np.testing.assert_array_equal(fast[:, [0, 1]], slow[:, [0, 1]])
     np.testing.assert_allclose(fast[:, 2:5], slow[:, 2:5], rtol=1e-12, atol=1e-13)
+    # the iterations exactly where both engines start Newton at P = p: every
+    # step at order 2, whose increments are 0, and steps 0 and 1 of any run
+    # (at order 6, tau = 0.1 step 1's two include the polish update).
+    # Elsewhere the kernel starts from the last two increments
+    same = (fast[:, 0] <= 1) | (order == 2)
+    np.testing.assert_array_equal(fast[same, 6], slow[same, 6])
 
 
 def test_run_config_file_flags_win(tmp_path):
@@ -1214,8 +1225,6 @@ def test_figure_csv_bytes_are_pinned(number, tmp_path, capsys):
 
 # the C row formatter against its reference, the %-template, in one process
 _FORMATTERS = {"c": fastpath._c_rows, "template": fastpath._template_rows}
-needs_c = pytest.mark.skipif(fastpath._c_lib is None,
-                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
 
 
 @needs_c

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_c
 from symsplit import cli, fastpath, operators, verification
 from symsplit.hamiltonian import (
     Harmonic,
@@ -38,9 +39,6 @@ from symsplit.hamiltonian import (
     hamiltonian,
 )
 from symsplit.integrators import NewtonDiverged, NonFiniteState, SchemeConfig, integrate
-
-needs_c = pytest.mark.skipif(fastpath._c_kernel is None,
-                             reason=f"no C kernel: {fastpath.BACKEND_REASON}")
 
 
 def _cfg(variant, tau, order=2):
