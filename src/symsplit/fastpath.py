@@ -3,13 +3,14 @@
 For a 1-D polynomial V every quantity the kick-move-kick schemes need
 (effective-potential gradient, the implicit move residual dG/dq - p, the
 new-position map dG/dP) is a polynomial in (q, P, tau) whose coefficients
-are exact rationals.  This module evaluates the word expansions from
-:mod:`symsplit.operators` over that polynomial ring once per (potential,
-mass, order), folds a step size into each table, and hands the resulting
-coefficient matrices to a C loop (``_kernel.c``).  Long runs
-(hundreds of thousands of periods) then cost nanoseconds per step instead
-of milliseconds, while agreeing with the generic engine to roundoff because
-both paths evaluate the same expansions.
+are exact rationals.  This module builds those tables once per (potential,
+mass, order) by applying each word of the :mod:`symsplit.operators` tables
+to V one letter at a time in that polynomial ring, folds a step size into
+each table, and hands the resulting coefficient matrices to a C loop
+(``_kernel.c``).  Long runs (hundreds of thousands of periods) then cost
+nanoseconds per step instead of milliseconds, while agreeing with the
+generic engine, which expands the same words into derivative tensors, to
+roundoff.
 
 The C source is compiled on first import with ``$CC`` (default ``cc``) into
 ``__pycache__`` and loaded with ctypes; later imports load the cached
@@ -42,25 +43,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonian import MAX_DERIVATIVE_ORDER, MassMatrix, PhasePoint, Potential, hamiltonian
+from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
 from .integrators import (KMK_VARIANTS, POLISH_FLOOR, NewtonDiverged,
                           NonFiniteState, SchemeConfig, integrate)
-from .operators import (
-    GENERATING_TERMS,
-    POTENTIAL_GENERATORS,
-    _P,
-    _table_expansion,
-    correction_orders,
-    generating_orders,
-)
+from .operators import (GENERATING_TERMS, POTENTIAL_GENERATORS, TRIPLE_GRADIENT,
+                        correction_orders, generating_orders)
 
 __all__ = ["eligible", "FastRun", "fast_run", "simulate", "FastTables", "tables_for",
            "format_rows", "cubic_roots"]
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomials: {exponent tuple: Fraction}.  The symbolic context works
-# in (q power, P power); the kernel tables add the tau power as a third.
+# Exact polynomials: {exponent tuple: Fraction}.  Words act on V in (q power,
+# P power); the kernel tables add the tau power as a third.
 
 
 def _poly_add(a, b, scale):
@@ -95,42 +90,31 @@ def _dense(poly) -> np.ndarray:
     return arr
 
 
-class _SymbolicContext:
-    """Evaluates expansion trees over the exact (q, P) polynomial ring, and
-    sums them into series in tau."""
+def _word_poly(word, v, mval):
+    """The word applied to the (q, P) polynomial V, one letter at a time from
+    the right: ``m`` multiplies d/dq by M P and ``g`` by M V'.
+    ``TRIPLE_GRADIENT`` is V''' (M V')^3."""
+    dv = _poly_d(v, 0)
+    force = {k: mval * c for k, c in dv.items()}
+    if word == TRIPLE_GRADIENT:
+        return _poly_mul(_poly_d(_poly_d(dv, 0), 0), _poly_mul(force, _poly_mul(force, force)))
+    letters, poly = {"m": {(0, 1): mval}, "g": force}, v
+    for letter in reversed(word):
+        poly = _poly_mul(_poly_d(poly, 0), letters[letter])
+    return poly
 
-    def __init__(self, vcoeffs, mval: Fraction):
-        self.vderiv = [{(i, 0): c for i, c in enumerate(vcoeffs) if c}]
-        for _ in range(MAX_DERIVATIVE_ORDER):
-            self.vderiv.append(_poly_d(self.vderiv[-1], 0))
-        self.mval = mval
-        self._memo = {}
 
-    def node_poly(self, node):
-        if node == _P:
-            return {(0, 1): self.mval}
-        cached = self._memo.get(node)
-        if cached is None:
-            poly = self.term_poly(node[1], open_slots=1)
-            cached = self._memo[node] = {k: self.mval * c for k, c in poly.items()}
-        return cached
-
-    def term_poly(self, children, open_slots=0):
-        poly = self.vderiv[len(children) + open_slots]
-        for sub in children:
-            poly = _poly_mul(poly, self.node_poly(sub))
-        return poly
-
-    def series(self, start, table, orders):
-        """The (q, P, tau) polynomial start + sum over n in orders of tau^n
-        times table[n]'s expansion; start's tau powers are below orders'."""
-        out = dict(start)
-        for n in orders:
-            total = {}
-            for children, coeff in _table_expansion(table[n]).items():
-                total = _poly_add(total, self.term_poly(children), coeff)
-            out.update({(iq, ip, n): c for (iq, ip), c in total.items()})
-        return out
+def _series(v, mval, start, table, orders):
+    """The (q, P, tau) polynomial start + sum over n in orders of tau^n times
+    table[n], each entry its coefficient times its word applied to V; start's
+    tau powers are below orders'."""
+    out = dict(start)
+    for n in orders:
+        total = {}
+        for coeff, word in table[n]:
+            total = _poly_add(total, _word_poly(word, v, mval), coeff)
+        out.update({(iq, ip, n): c for (iq, ip), c in total.items()})
+    return out
 
 
 @dataclass
@@ -184,13 +168,13 @@ def tables_for(potential: Potential, mass: MassMatrix, scheme_order: int) -> Fas
 
     vfrac = [Fraction(float(c)) for c in coeffs]
     mval = Fraction(float(mass.mat[0, 0]))
-    ctx = _SymbolicContext(vfrac, mval)
+    v = {(i, 0): c for i, c in enumerate(vfrac) if c}
     # V_eff = V + sum_n tau^n V_n and G = q.P + (tau/2) M P^2 + sum_n tau^n G_n;
     # V keeps its zero coefficients, so the kick table is as long as V'
-    v_eff = ctx.series({(i, 0, 0): c for i, c in enumerate(vfrac)},
-                       POTENTIAL_GENERATORS, correction_orders(scheme_order))
-    gen = ctx.series({(1, 1, 0): Fraction(1), (0, 2, 1): mval / 2},
-                     GENERATING_TERMS, generating_orders(scheme_order))
+    v_eff = _series(v, mval, {(i, 0, 0): c for i, c in enumerate(vfrac)},
+                    POTENTIAL_GENERATORS, correction_orders(scheme_order))
+    gen = _series(v, mval, {(1, 1, 0): Fraction(1), (0, 2, 1): mval / 2},
+                  GENERATING_TERMS, generating_orders(scheme_order))
     try:
         kick, gq, gp = _dense(_poly_d(v_eff, 0)), _dense(_poly_d(gen, 0)), _dense(_poly_d(gen, 1))
     except OverflowError:
@@ -586,6 +570,8 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         if not -2**63 <= value < 2**63:
             raise ValueError("step counts, window bounds and newton_max_iter must "
                              f"fit in int64, got {value}")
+    # the kernel records no step past n_steps
+    rec_stop = min(rec_stop, n_steps + 1)
     tables = tables_for(potential, mass, cfg.order)
     vg, cq, cp = tables.fold(cfg.tau)
     rec = np.empty((max(rec_stop - rec_start, 0), 5))

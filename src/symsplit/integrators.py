@@ -120,6 +120,12 @@ class SchemeConfig:
             if len(orders) == 1:
                 raise ValueError(f"variant {self.variant!r} does not take an order")
             raise ValueError(f"{self.variant.partition('_')[0]} order must be one of {orders}")
+        # the kernel's folded tables and every scaled energy error take tau**order
+        try:
+            math.pow(self.tau, self.order)
+        except OverflowError:
+            raise ValueError(f"tau = {self.tau:g} is too large for order {self.order}: "
+                             f"tau**{self.order} overflows a double") from None
         if self.newton_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("newton_tol must be positive, newton_max_iter >= 1")
 

@@ -418,6 +418,16 @@ def test_each_config_error_names_itself_and_writes_nothing(tmp_path, capsys):
         (["run", *quadratic, "--q0", "1", "--p0", "0", "--periods", "1"],
          "a quadratic potential has no single period; use --t-final"),
         (["figure", "3", "--tau-list", "0.1,x"], "cannot parse tau list '0.1,x'"),
+        # tau**order, which scales the energy error, overflows a double
+        (["run", "--tau", "1e50", "--periods", "1"],
+         "tau = 1e+50 is too large for order 8: tau**8 overflows a double"),
+        (["run", "--scheme", "baseline_kmk", "--tau", "1e200", "--periods", "1"],
+         "tau = 1e+200 is too large for order 2: tau**2 overflows a double"),
+        (["run", "--potential", "quadratic", "--k-file", str(tmp_path / "m2.mat"), "--q0",
+          "1,0", "--p0", "0,1", "--t-final", "1", "--tau", "1e50"],
+         "tau = 1e+50 is too large for order 8"),
+        (["sweep", "--tau-list", "1e50", "--schemes", "corrected_kmk:8"],
+         "tau = 1e+50 is too large for order 8"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(out / "trace.csv" if argv[0] == "run" else out)]) == 1

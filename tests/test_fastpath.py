@@ -488,6 +488,9 @@ def test_recording_past_the_run_returns_completed_steps(quartic, opaque_quartic,
         for rec in (run.rec_q, run.rec_p, run.rec_h, run.rec_iters, run.rec_res):
             assert len(rec) == 5
         assert run.rec_h == pytest.approx(0.5, abs=1e-6)
+        # rows are allocated for the run, not for the whole window
+        run = fastpath.simulate(x_unit, cfg, pot, mass1, 10, rec_range=(0, 10**12))
+        assert run.ok and run.rec_q.shape == (11, 1)
 
 
 def test_step_zero_is_row_zero(quartic, opaque_quartic, mass1, x_unit):
@@ -621,14 +624,17 @@ def test_tables_are_cached(quartic, mass1):
 
 # sha256 over the shape and bytes of every folded table of
 # test_folded_tables_are_pinned
-_FOLDED_TABLES_SHA256 = "ef46ac3d163d798c53f93f6645edf3f78c67297dbfe97d0fb75912184da0f613"
+_FOLDED_TABLES_SHA256 = "19a7461468c6cd6d480ade054054c3e5e3258f75fdc1414583afeb03a40151a1"
 
 
 def test_folded_tables_are_pinned():
-    # beyond the quartic at M = 1, the only tables the CSV pins reach
+    # beyond the quartic at M = 1, the only tables the CSV pins reach.  The
+    # septic keeps every word of the tables nonzero, where the quartics drop
+    # most order-7 and order-8 words
     digest = hashlib.sha256()
     for pot, m, order, tau in itertools.product(
-            (Quartic(), Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25]), Harmonic(1.3)),
+            (Quartic(), Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25]), Harmonic(1.3),
+             Polynomial1D([0.1, -0.3, 0.7, 0.2, 0.25, 0.05, -1 / 30, 1 / 70])),
             (1.0, 0.7, 2.5), (2, 4, 6, 8), (0.05, 0.1, 0.2)):
         for arr in fastpath.tables_for(pot, MassMatrix(m), order).fold(tau):
             digest.update(repr(arr.shape).encode())
@@ -636,16 +642,17 @@ def test_folded_tables_are_pinned():
     assert digest.hexdigest() == _FOLDED_TABLES_SHA256
 
 
-def _hamilton_jacobi(ctx, order):
-    """G(q, P) of the time-tau flow of K = T_eff (tau frozen inside K), keyed
-    (q, P, tau) and cut above tau^order: the type-2 generating function
+def _hamilton_jacobi(v, mval, order):
+    """G(q, P) of the time-tau flow of K = T_eff (tau frozen inside K) for the
+    (q, P) polynomial V v and mass mval, keyed (q, P, tau) and cut above
+    tau^order: the type-2 generating function
     S = q P + sum_k s^k S_k solves dS/ds = K(dS/dP, P), so
     k S_k = [s^(k-1)] K(q + sum_(j<k) s^j dS_j/dP, P), and G is S at s = tau."""
     def cut(poly):
         return {key: c for key, c in poly.items() if key[2] + key[3] <= order}
 
-    kinetic = ctx.series({(0, 2, 0): ctx.mval / 2}, operators.KINETIC_GENERATORS,
-                         operators.correction_orders(order))
+    kinetic = fastpath._series(v, mval, {(0, 2, 0): mval / 2}, operators.KINETIC_GENERATORS,
+                               operators.correction_orders(order))
     # d^r K/dq^r / r!, keyed (q, P, tau, s)
     taylor = [{key + (0,): c for key, c in kinetic.items()}]
     for r in range(1, order):
@@ -683,10 +690,10 @@ _SEPTIC = [Fraction(1, 10), Fraction(-3, 10), Fraction(7, 10), Fraction(1, 5),
 ], ids=["quartic", "septic"])
 def test_generating_terms_follow_from_the_kinetic_table(vcoeffs, mval, order):
     # exact: the move table is the Hamilton-Jacobi solution for T_eff
-    ctx = fastpath._SymbolicContext(vcoeffs, mval)
-    table = ctx.series({(1, 1, 0): Fraction(1), (0, 2, 1): mval / 2},
-                       operators.GENERATING_TERMS, operators.generating_orders(order))
-    assert _hamilton_jacobi(ctx, order) == {key: c for key, c in table.items() if c}
+    v = {(i, 0): c for i, c in enumerate(vcoeffs) if c}
+    table = fastpath._series(v, mval, {(1, 1, 0): Fraction(1), (0, 2, 1): mval / 2},
+                             operators.GENERATING_TERMS, operators.generating_orders(order))
+    assert _hamilton_jacobi(v, mval, order) == {key: c for key, c in table.items() if c}
 
 
 @pytest.mark.parametrize("potential", [Harmonic(1e100), Quadratic([[1e200]])])

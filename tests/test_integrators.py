@@ -56,6 +56,10 @@ def test_scheme_config_validation():
         SchemeConfig("baseline_kmk", 0.0)
     with pytest.raises(ValueError, match="tau must be positive"):
         SchemeConfig("baseline_kmk", math.inf)
+    with pytest.raises(ValueError, match=r"tau = 1e\+50 is too large for order 8"):
+        SchemeConfig("corrected_kmk", 1e50, order=8)
+    # 1e50**2 is a double
+    assert SchemeConfig("corrected_kmk", 1e50, order=2).tau == 1e50
     with pytest.raises(ValueError, match="corrected order"):
         SchemeConfig("corrected_kmk", 0.1, order=3)
     with pytest.raises(ValueError, match="does not take an order"):
