@@ -75,10 +75,6 @@ FIGURE_SCHEMES = {
 DEFAULT_TAUS = (0.2, 0.1, 0.05)
 
 
-class ConfigError(ValueError):
-    """Bad configuration; reported on stderr with exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -99,7 +95,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse prints its usage and exits with code 2 on bad flags; 2 is
     # taken, and main reports one error: line, so reroute
     def error(self, message):
-        raise ConfigError(f"{message}; see {self.prog} --help")
+        raise ValueError(f"{message}; see {self.prog} --help")
 
 
 def _fmt(value: float) -> str:
@@ -110,45 +106,45 @@ def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",")])
     except ValueError:
-        raise ConfigError(f"cannot parse vector {text!r}; expected comma-separated floats")
+        raise ValueError(f"cannot parse vector {text!r}; expected comma-separated floats")
 
 
 def _parse_bounds(text: str, what: str, shape: str):
     """Two finite numbers from A:B; the messages name ``what`` and ``shape``."""
     parts = text.split(":")
     if len(parts) != 2:
-        raise ConfigError(f"{what} must look like {shape}, got {text!r}")
+        raise ValueError(f"{what} must look like {shape}, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{what} bounds must be finite numbers, got {text!r}")
+        raise ValueError(f"{what} bounds must be finite numbers, got {text!r}")
     return lo, hi
 
 
 def _parse_window(text: str):
     lo, hi = _parse_bounds(text, "window", "START:END")
     if hi < lo:
-        raise ConfigError("window end before start")
+        raise ValueError("window end before start")
     return lo, hi
 
 
 def _parse_pair(text: str):
     coarse, fine = _parse_bounds(text, "tau pair", "COARSE:FINE")
     if not coarse > fine > 0:
-        raise ConfigError("tau pair must be COARSE:FINE with coarse > fine > 0")
+        raise ValueError("tau pair must be COARSE:FINE with coarse > fine > 0")
     return coarse, fine
 
 
 def _read_input(path: str, what: str) -> tuple:
-    """(bytes, lines of the text ``read_text`` gives) of ``path``, else a ConfigError."""
+    """(bytes, lines of the text ``read_text`` gives) of ``path``, else a ValueError."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
+        raise ValueError(f"{what} file not found: {path}") from None
     except OSError as err:
-        raise ConfigError(f"cannot read {path}: {err.strerror or err}") from None
+        raise ValueError(f"cannot read {path}: {err.strerror or err}") from None
     return data, io.TextIOWrapper(io.BytesIO(data)).read().split("\n")
 
 
@@ -158,18 +154,18 @@ def _load_matrix(path: str) -> tuple:
     try:
         n = int(lines[0].strip())
     except (ValueError, IndexError):
-        raise ConfigError(f"{path}: first line must be the matrix size N")
+        raise ValueError(f"{path}: first line must be the matrix size N")
     if n < 1:
-        raise ConfigError(f"{path}: the matrix size N must be at least 1, got {n}")
+        raise ValueError(f"{path}: the matrix size N must be at least 1, got {n}")
     # np.loadtxt warns on a body with no entries
     if not any(line.split("#", 1)[0].strip() for line in lines[1:]):
-        raise ConfigError(f"{path}: expected {n}x{n} entries, got none")
+        raise ValueError(f"{path}: expected {n}x{n} entries, got none")
     try:
         mat = np.loadtxt(lines[1:], ndmin=2)
     except ValueError as err:
-        raise ConfigError(f"{path}: {err}")
+        raise ValueError(f"{path}: {err}")
     if mat.shape != (n, n):
-        raise ConfigError(f"{path}: expected {n}x{n} entries, got {mat.shape}")
+        raise ValueError(f"{path}: expected {n}x{n} entries, got {mat.shape}")
     return mat, hashlib.sha256(data).hexdigest()[:12]
 
 
@@ -188,8 +184,8 @@ class ExperimentConfig:
     periods: float | None = None
     t_final: float | None = None
     window: tuple | None = None
-    newton_tol: float = 1e-13
-    newton_max_iter: int = 25
+    newton_tol: float = SchemeConfig.newton_tol
+    newton_max_iter: int = SchemeConfig.newton_max_iter
 
     def build(self):
         cfg = SchemeConfig.parse(self.scheme, self.tau, newton_tol=self.newton_tol,
@@ -202,7 +198,7 @@ class ExperimentConfig:
     def _potential(self):
         name = self.potential
         if self.omega is not None and name != "harmonic":
-            raise ConfigError("omega only applies to the harmonic potential")
+            raise ValueError("omega only applies to the harmonic potential")
         if name == "quartic":
             return Quartic(), (np.array([0.0]), np.array([1.0])), None
         if name == "harmonic":
@@ -210,25 +206,25 @@ class ExperimentConfig:
             return pot, (np.array([1.0]), np.array([0.0])), None
         if name == "quadratic":
             if self.k_file is None:
-                raise ConfigError("quadratic potential needs --k-file")
+                raise ValueError("quadratic potential needs --k-file")
             k = self.k_file[0]
             return Quadratic(k), None, k.shape[0]
-        raise ConfigError(
+        raise ValueError(
             f"unknown potential {name!r}; choose from quartic, harmonic, quadratic"
         )
 
     def _initial_state(self, default_x0, kdim):
         if (self.q0 is None) != (self.p0 is None):
-            raise ConfigError("give both --q0 and --p0 or neither")
+            raise ValueError("give both --q0 and --p0 or neither")
         if self.q0 is None:
             if default_x0 is None:
-                raise ConfigError("quadratic potential needs explicit --q0 and --p0")
+                raise ValueError("quadratic potential needs explicit --q0 and --p0")
             q, p = default_x0
         else:
             q, p = self.q0, self.p0
         x0 = PhasePoint(q, p)
         if kdim is not None and x0.dim != kdim:
-            raise ConfigError(
+            raise ValueError(
                 f"initial state has dimension {x0.dim}, stiffness is {kdim}x{kdim}"
             )
         return x0
@@ -238,36 +234,36 @@ class ExperimentConfig:
             return MassMatrix.identity(dim)
         m = self.m_file[0]
         if m.shape[0] != dim:
-            raise ConfigError(f"mass is {m.shape[0]}x{m.shape[1]}, state dimension {dim}")
+            raise ValueError(f"mass is {m.shape[0]}x{m.shape[1]}, state dimension {dim}")
         return MassMatrix(m)
 
     def duration(self, x0, potential, mass) -> float:
         """The run's length; ``periods`` counts periods of x0's own orbit."""
         if (self.periods is None) == (self.t_final is None):
-            raise ConfigError("set exactly one of --periods / --t-final")
+            raise ValueError("set exactly one of --periods / --t-final")
         if self.t_final is not None:
             if self.t_final <= 0:
-                raise ConfigError("t-final must be positive")
+                raise ValueError("t-final must be positive")
             return self.t_final
         if self.periods <= 0:
-            raise ConfigError("periods must be positive")
+            raise ValueError("periods must be positive")
         if self.potential == "quadratic":
-            raise ConfigError("a quadratic potential has no single period; use --t-final")
+            raise ValueError("a quadratic potential has no single period; use --t-final")
         # the period at unit mass, scaled by m^(-1/2) for a mass m I
         lam = mass.mat[0, 0]
         if self.potential == "harmonic" and not np.array_equal(mass.mat, lam * np.eye(mass.dim)):
-            raise ConfigError("a harmonic potential under a mass with unequal "
-                              "eigenvalues has no single period; use --t-final")
+            raise ValueError("a harmonic potential under a mass with unequal "
+                             "eigenvalues has no single period; use --t-final")
         # before the energy, which a zero mass makes 0 from any start
         if lam == 0.0:
-            raise ConfigError("a zero mass has no period; use --t-final")
+            raise ValueError("a zero mass has no period; use --t-final")
         if self.potential == "harmonic":
             base = 2.0 * math.pi / potential.omega
         else:
             # V = q^4/4 scales its period as (2H)^(-1/4)
             energy = hamiltonian(x0, potential, mass)
             if energy == 0.0:
-                raise ConfigError("a quartic start at rest has no period; use --t-final")
+                raise ValueError("a quartic start at rest has no period; use --t-final")
             base = quartic_period() * (2.0 * energy) ** -0.25
         return self.periods * base / math.sqrt(lam)
 
@@ -314,9 +310,9 @@ def read_config_file(path: str) -> dict:
         key, sep, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}:{lineno}: expected key = value")
         if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -330,7 +326,7 @@ def _scalar(kind, key):
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise ConfigError(f"{key} must be {noun}, got {text!r}")
+            raise ValueError(f"{key} must be {noun}, got {text!r}")
         return value
 
     return parse
@@ -364,7 +360,7 @@ def merge_config(args, file_values: dict) -> tuple:
     raw = {f.name: pick(f.name) for f in fields(ExperimentConfig)}
     # each matrix file is read once, below, and only where the potential reads it
     if raw["k_file"] is not None and raw["potential"] != "quadratic":
-        raise ConfigError("k_file only applies to the quadratic potential")
+        raise ValueError("k_file only applies to the quadratic potential")
     for key, parse in _PARSERS.items():
         if raw[key] is not None:
             raw[key] = parse(raw[key])
@@ -400,7 +396,7 @@ def _trace_rows(x0, cfg, potential, mass, n_steps, first, last):
 def _write_csv(path: Path, meta, header: str, *chunks) -> None:
     """The ``#`` metadata block with its config hash and the header, then
     each bytes-like chunk as it is, whole newline-terminated lines.  A path
-    that cannot be written is a ``ConfigError``.
+    that cannot be written is a ``ValueError``.
 
     The file is opened in binary mode, so the bytes are the same on every
     platform, and no chunk is copied.
@@ -414,7 +410,7 @@ def _write_csv(path: Path, meta, header: str, *chunks) -> None:
             for chunk in chunks:
                 out.write(chunk)
     except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err}") from None
+        raise ValueError(f"cannot write {path}: {err}") from None
 
 
 def write_trace(path: Path, meta, dim: int, rows, truncated=None) -> None:
@@ -444,13 +440,13 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
         first, last = _window_steps(exp.window, cfg.tau, n_steps)
         if first > last:
             lo, hi = exp.window
-            raise ConfigError(f"window {_fmt(lo)}:{_fmt(hi)} holds no step of the "
-                              f"run, which spans t = 0 to {_fmt(n_steps * cfg.tau)}")
+            raise ValueError(f"window {_fmt(lo)}:{_fmt(hi)} holds no step of the "
+                             f"run, which spans t = 0 to {_fmt(n_steps * cfg.tau)}")
     try:
         rows, failure = _trace_rows(x0, cfg, potential, mass, n_steps, first, last)
     except MemoryError:
-        raise ConfigError(f"a trace of steps {first} to {last} does not fit in memory; "
-                          f"record fewer with --window") from None
+        raise ValueError(f"a trace of steps {first} to {last} does not fit in memory; "
+                         f"record fewer with --window") from None
     meta = list(extra_meta) + exp.describe() + [("steps", str(n_steps))]
     reason = None if failure is None else _failure_reason(failure)
     write_trace(out_path, meta, x0.dim, rows, truncated=reason)
@@ -472,12 +468,13 @@ def cmd_run(args) -> int:
 def cmd_figure(args) -> int:
     n = args.number
     if n == 5 and not args.long:
-        raise ConfigError("figure 5 spans 262718 periods (about 3e7 steps at tau=0.05); "
-                          "pass --long to confirm the run")
+        raise ValueError("figure 5 spans 262718 periods (about 3e7 steps at tau=0.05); "
+                         "pass --long to confirm the run")
     taus = args.tau_list if args.tau_list else list(DEFAULT_TAUS)
     out_dir = Path(args.out) if args.out else default_out_dir()
     lo, hi = FIGURE_WINDOWS[n]
-    x0, potential, mass = PhasePoint([0.0], [1.0]), Quartic(), MassMatrix.identity(1)
+    # the paper's oscillator, which each series' trace runs too
+    x0, _, potential, mass = ExperimentConfig().build()
     worst = 0
     for label in FIGURE_SCHEMES[n]:
         for tau in taus:
@@ -506,20 +503,19 @@ def cmd_order(args) -> int:
     tau_pair = _parse_pair(args.tau_pair) if args.tau_pair else (0.2, 0.1)
     t_final = 5.0 if args.t_final is None else _scalar(float, "t_final")(args.t_final)
     if not t_final > 0:
-        raise ConfigError(f"t_final must be positive, got {t_final:g}")
+        raise ValueError(f"t_final must be positive, got {t_final:g}")
     out_dir = Path(args.out) if args.out else default_out_dir()
     schemes = {}
     for label in labels:
         cfg = SchemeConfig.parse(label, tau_pair[0])
         if cfg.variant == "exact_quadratic":
-            raise ConfigError("exact_quadratic has no convergence order to measure")
+            raise ValueError("exact_quadratic has no convergence order to measure")
         if cfg.name in schemes:
-            raise ConfigError(f"schemes {schemes[cfg.name][0]!r} and {label!r} "
-                              f"both name {cfg.name}")
+            raise ValueError(f"schemes {schemes[cfg.name][0]!r} and {label!r} "
+                             f"both name {cfg.name}")
         schemes[cfg.name] = label, cfg
-    x0 = PhasePoint([0.0], [1.0])
-    potential = Quartic()
-    mass = MassMatrix.identity(1)
+    paper = ExperimentConfig()
+    x0, _, potential, mass = paper.build()
     rows = []
     all_good = True
     ref = None
@@ -541,7 +537,7 @@ def cmd_order(args) -> int:
     meta = [
         ("scheme", ",".join(label for label, _ in rows)),
         ("tau", f"{_fmt(tau_pair[0])}:{_fmt(tau_pair[1])}"),
-        ("potential", "quartic"),
+        ("potential", paper.potential),
         ("t_final", _fmt(t_final)),
     ]
     body = "".join(",".join((label, _fmt(report.tau_coarse), _fmt(report.tau_fine),
@@ -562,8 +558,8 @@ def cmd_sweep(args) -> int:
     for key in ("scheme", "tau"):
         # every grid entry sets its own scheme and tau
         if key in file_values:
-            raise ConfigError(f"{args.config}: sweep takes no {key!r} key; "
-                              f"use --schemes and --tau-list")
+            raise ValueError(f"{args.config}: sweep takes no {key!r} key; "
+                             f"use --schemes and --tau-list")
     base, out = merge_config(args, file_values)
     # what every grid entry shares is checked once, before any pool starts
     x0, _, potential, mass = base.build()
@@ -573,15 +569,15 @@ def cmd_sweep(args) -> int:
     out_dir = Path(out) if out else default_out_dir()
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     entries = {}
     for label in labels:
         for tau in taus:
             # validated before any pool starts
             path = str(out_dir / f"sweep_{SchemeConfig.parse(label, tau).name}_tau{tau:g}.csv")
             if path in entries:
-                raise ConfigError(f"schemes {entries[path][0].scheme!r} and {label!r} "
-                                  f"at tau {tau:g} would both write {path}")
+                raise ValueError(f"schemes {entries[path][0].scheme!r} and {label!r} "
+                                 f"at tau {tau:g} would both write {path}")
             entries[path] = (replace(base, scheme=label, tau=tau), path)
     entries = list(entries.values())
     # the pool starts all its workers at once; never more than there is work

@@ -120,7 +120,7 @@ class Potential:
 
     Subclasses implement :meth:`value`, :meth:`gradient` and
     :meth:`_contract`; the latter evaluates the fully contracted k-th
-    derivative tensor
+    derivative tensor, 1 <= k <= MAX_DERIVATIVE_ORDER,
 
         D^k V(q)[u_1, ..., u_k]
 
@@ -138,20 +138,6 @@ class Potential:
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def dir_deriv(self, q: np.ndarray, dirs) -> float:
-        """Contract the k-th derivative tensor at q with k direction vectors."""
-        q = _as_vector(q, "q")
-        dirs = [np.asarray(u, dtype=float) for u in dirs]
-        k = len(dirs)
-        if not 1 <= k <= MAX_DERIVATIVE_ORDER:
-            raise ValueError(
-                f"derivative order {k} unsupported (1..{MAX_DERIVATIVE_ORDER})"
-            )
-        for u in dirs:
-            if u.shape != q.shape:
-                raise ValueError("direction shape does not match q")
-        return float(self._contract(q, dirs))
 
     def _contract(self, q: np.ndarray, dirs: list) -> float:
         raise NotImplementedError

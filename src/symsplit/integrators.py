@@ -16,6 +16,7 @@ normal mode and is exact up to roundoff.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -50,7 +51,6 @@ __all__ = [
 # the scheme catalogue: each variant and the accuracy orders it takes
 ORDERS = {"baseline_kmk": (2,), "baseline_mkm": (2,), "corrected_kmk": SCHEME_ORDERS,
           "exact_quadratic": (2,)}
-VARIANTS = tuple(ORDERS)
 # the labels SchemeConfig.parse reads, for help and error text
 SCHEME_USAGE = "schemes are " + ", ".join(
     v if len(o) == 1 else f"{v}:{{{'|'.join(map(str, o))}}} (plain {v} means order {max(o)})"
@@ -110,7 +110,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.variant not in ORDERS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {tuple(ORDERS)}")
         orders = ORDERS[self.variant]
         if self.order is None:
             object.__setattr__(self, "order", max(orders))
@@ -120,12 +120,16 @@ class SchemeConfig:
             if len(orders) == 1:
                 raise ValueError(f"variant {self.variant!r} does not take an order")
             raise ValueError(f"{self.variant.partition('_')[0]} order must be one of {orders}")
-        # the kernel's folded tables and every scaled energy error take tau**order
+        # the kernel's folded tables and every scaled energy error take tau**order;
+        # a subnormal one turns any energy error above about 1e-12 into inf
         try:
-            math.pow(self.tau, self.order)
+            scale = math.pow(self.tau, self.order)
         except OverflowError:
             raise ValueError(f"tau = {self.tau:g} is too large for order {self.order}: "
                              f"tau**{self.order} overflows a double") from None
+        if scale < sys.float_info.min:
+            raise ValueError(f"tau = {self.tau:g} is too small for order {self.order}: "
+                             f"tau**{self.order} underflows a double")
         if self.newton_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("newton_tol must be positive, newton_max_iter >= 1")
 

@@ -45,7 +45,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .hamiltonian import MassMatrix, Potential
+from .hamiltonian import MAX_DERIVATIVE_ORDER, MassMatrix, Potential
 
 __all__ = [
     "TRIPLE_GRADIENT",
@@ -70,7 +70,8 @@ __all__ = [
     "Workspace",
 ]
 
-MAX_WORD_LENGTH = 7
+# a word of n letters, differentiated once, reads D^(n+1)V
+MAX_WORD_LENGTH = MAX_DERIVATIVE_ORDER - 1
 
 TRIPLE_GRADIENT = "T"
 

@@ -97,7 +97,8 @@ def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
 
     The run starts at the step count that makes tau at most 0.05, and the
     count doubles until two successive refinements agree to 1e-13 in
-    phase-space max-norm; the finer of the two is returned.
+    phase-space max-norm; the finer of the two is returned.  Fourteen
+    doublings that never agree are a ``ValueError``.
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
@@ -123,7 +124,7 @@ def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
         if diff <= tol:
             return cur
         prev = cur
-    raise RuntimeError(
+    raise ValueError(
         f"reference solution did not converge to {tol:g} "
         f"(last refinement moved by {diff:.3e})"
     )

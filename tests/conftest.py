@@ -1,4 +1,6 @@
 """Shared fixtures."""
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -57,6 +59,14 @@ def quartic_exact(x0, mass, t):
         cn, sn, dn = (mpmath.ellipfun(kind, u, m=half) for kind in ("cn", "sn", "dn"))
         q, p = a * cn, -a**2 * sn * dn / mpmath.sqrt(lam)
         return PhasePoint([float(q)], [float(p)])
+
+
+def never_agreeing(x0, cfg, potential, mass, n_steps, **_):
+    """A stand-in for ``fastpath.simulate`` whose final state moves by
+    1e-6 per step, so no two refinements of a reference solution agree."""
+    run = mock.Mock(final=PhasePoint([1e-6 * n_steps], [0.0]))
+    run.raise_if_failed.return_value = run
+    return run
 
 
 @pytest.fixture

@@ -14,10 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import needs_c
+from conftest import needs_c, never_agreeing
 from symsplit import fastpath
 from symsplit.cli import (
-    ConfigError,
     ExperimentConfig,
     _trace_rows,
     build_parser,
@@ -352,12 +351,12 @@ def test_run_config_file_flags_win(tmp_path):
 def test_config_file_validation(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("tau: 0.1\n")
-    with pytest.raises(ConfigError, match="key = value"):
+    with pytest.raises(ValueError, match="key = value"):
         read_config_file(str(bad))
     bad.write_text("steps = 10\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ValueError, match="unknown config key"):
         read_config_file(str(bad))
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ValueError, match="not found"):
         read_config_file(str(tmp_path / "missing.cfg"))
 
 
@@ -428,6 +427,10 @@ def test_each_config_error_names_itself_and_writes_nothing(tmp_path, capsys):
          "tau = 1e+50 is too large for order 8"),
         (["sweep", "--tau-list", "1e50", "--schemes", "corrected_kmk:8"],
          "tau = 1e+50 is too large for order 8"),
+        # and below a normal double it would make every scaledH nan or inf
+        (["run", "--tau", "1e-50", "--t-final", "1e-49"],
+         "tau = 1e-50 is too small for order 8: tau**8 underflows a double"),
+        (["order", "--t-final", "0"], "t_final must be positive, got 0"),
     ]
     for argv, message in cases:
         assert main([*argv, "--out", str(out / "trace.csv" if argv[0] == "run" else out)]) == 1
@@ -664,8 +667,10 @@ def test_a_trace_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["figure", "1", "--tau-list", "1e-100"],
+     "t = 49.8907 at tau = 1e-100 is 4.98907e+101 steps; at most 2**63 - 1 can run"),
     (["figure", "1", "--tau-list", "1e-300"],
-     "t = 49.8907 at tau = 1e-300 is 4.98907e+301 steps; at most 2**63 - 1 can run"),
+     "tau = 1e-300 is too small for order 2: tau**2 underflows a double"),
     # 8 periods at 1e-15 would record 1.7 EiB, more than any address space
     (["figure", "1", "--tau-list", "1e-15"], "the run does not fit in memory: "),
     (["run", "--t-final", "1e308", "--tau", "1e-10"],
@@ -674,7 +679,7 @@ def test_a_trace_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
     # only t_final
     (["order", "--t-final", "1e308"],
      "a reference solution to t = 1e+308 would take more than 2**63 - 1 steps"),
-], ids=["figure-steps", "figure-memory", "run", "order"])
+], ids=["figure-steps", "figure-underflow", "figure-memory", "run", "order"])
 def test_a_run_too_long_to_take_is_one_error_line(argv, message, tmp_path):
     # in a child process, so a traceback would show on its stderr
     proc = subprocess.run([sys.executable, "-m", "symsplit.cli", *argv, "--out",
@@ -796,11 +801,20 @@ def test_order_single_scheme(tmp_path, capsys):
     assert abs(float(row[4]) - 2.0) < 0.4
 
 
+def test_order_refuses_a_reference_that_never_converges(tmp_path, capsys):
+    with mock.patch.object(fastpath, "simulate", never_agreeing):
+        assert main(["order", "--t-final", "1", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err).startswith("error: reference solution did not converge to 1e-13")
+    assert not list(tmp_path.iterdir())
+
+
 def test_order_rejects_exact_scheme(tmp_path, capsys):
     rc = main(["order", "--schemes", "exact_quadratic", "--out", str(tmp_path)])
     assert rc == 1
     assert "no convergence order" in capsys.readouterr().err
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         from symsplit.cli import _parse_pair
         _parse_pair("0.1:0.2")
 
@@ -1145,7 +1159,7 @@ def _fresh_parser_outcome(argv, capsys):
     for this call alone."""
     try:
         build_parser.__wrapped__().parse_args(argv)
-    except ConfigError as err:
+    except ValueError as err:
         return 1, "", f"error: {err}\n"
     except SystemExit as done:
         return done.code, capsys.readouterr().out, ""

@@ -300,6 +300,8 @@ def test_eligibility(quartic, mass1, opaque_quartic):
         fastpath.fast_run(PhasePoint([0.0, 0.0], [1.0, 0.0]),
                           _cfg("baseline_kmk", 0.1), harm2,
                           MassMatrix.identity(2), 3)
+    with pytest.raises(ValueError, match="not eligible for the fast kernel: it needs a 1-D "):
+        fastpath.tables_for(quartic, MassMatrix.identity(2), 8)
 
 
 def test_order2_agrees_with_general_path(quartic, x_unit):

@@ -111,6 +111,14 @@ def test_hamiltonian_values(quartic, mass1):
     assert hamiltonian(rest, quartic, mass1) == pytest.approx(0.5184, rel=1e-14)
 
 
+def test_shape_mismatches_are_refused_by_name():
+    with pytest.raises(ValueError, match=re.escape("stiffness must be square, got shape (2,)")):
+        Quadratic([1.0, 2.0])
+    x = PhasePoint(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="state dim 2 does not match mass dim 1"):
+        hamiltonian(x, Harmonic(), MassMatrix.identity(1))
+
+
 def test_hamiltonian_even_in_momentum(quartic):
     rng = np.random.default_rng(3)
     mass = MassMatrix([[1.5, 0.0], [0.0, 0.5]])
@@ -126,13 +134,13 @@ def test_hamiltonian_even_in_momentum(quartic):
 def test_dir_deriv_quartic_first_order(quartic):
     q = np.array([1.0])
     # V'(1) = 1 for V = q^4/4
-    assert quartic.dir_deriv(q, [np.array([1.0])]) == pytest.approx(1.0)
+    assert quartic._contract(q, [np.array([1.0])]) == pytest.approx(1.0)
 
 
 def test_dir_deriv_quartic_vanishes_past_degree(quartic):
     q = np.array([0.7])
     dirs = [np.array([1.0])] * 5
-    assert quartic.dir_deriv(q, dirs) == 0.0
+    assert quartic._contract(q, dirs) == 0.0
 
 
 def test_dir_deriv_harmonic(quartic):
@@ -140,18 +148,8 @@ def test_dir_deriv_harmonic(quartic):
     q = np.array([5.0, -3.0])
     u = np.array([1.0, 1.0])
     # Hessian is the identity, so the second derivative along (u, u) is |u|^2
-    assert harm.dir_deriv(q, [u, u]) == pytest.approx(2.0)
-    assert harm.dir_deriv(q, [u, u, u]) == 0.0
-
-
-def test_dir_deriv_order_bounds(quartic):
-    q = np.array([1.0])
-    with pytest.raises(ValueError):
-        quartic.dir_deriv(q, [])
-    with pytest.raises(ValueError):
-        quartic.dir_deriv(q, [np.array([1.0])] * 9)
-    with pytest.raises(ValueError):
-        quartic.dir_deriv(q, [np.array([1.0, 2.0])])
+    assert harm._contract(q, [u, u]) == pytest.approx(2.0)
+    assert harm._contract(q, [u, u, u]) == 0.0
 
 
 def test_dir_deriv_permutation_symmetry():
@@ -160,8 +158,8 @@ def test_dir_deriv_permutation_symmetry():
     for _ in range(10):
         q = rng.uniform(-2, 2, size=2)
         u, v = rng.uniform(-1, 1, size=(2, 2))
-        assert pot.dir_deriv(q, [u, v]) == pytest.approx(
-            pot.dir_deriv(q, [v, u]), rel=1e-13, abs=1e-15
+        assert pot._contract(q, [u, v]) == pytest.approx(
+            pot._contract(q, [v, u]), rel=1e-13, abs=1e-15
         )
 
 
@@ -171,7 +169,7 @@ def test_dir_deriv_first_order_matches_gradient():
         for _ in range(10):
             q = rng.uniform(-2, 2, size=dim)
             u = rng.uniform(-1, 1, size=dim)
-            assert pot.dir_deriv(q, [u]) == pytest.approx(
+            assert pot._contract(q, [u]) == pytest.approx(
                 float(pot.gradient(q) @ u), rel=1e-13, abs=1e-15
             )
 
@@ -183,8 +181,8 @@ def test_dir_deriv_linearity_in_each_slot(quartic):
     v = np.array([rng.uniform(-1, 1)])
     w = np.array([rng.uniform(-1, 1)])
     lam = 2.7
-    lhs = quartic.dir_deriv(q, [lam * u + v, w])
-    rhs = lam * quartic.dir_deriv(q, [u, w]) + quartic.dir_deriv(q, [v, w])
+    lhs = quartic._contract(q, [lam * u + v, w])
+    rhs = lam * quartic._contract(q, [u, w]) + quartic._contract(q, [v, w])
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -218,7 +216,7 @@ def test_dir_deriv_matches_finite_differences(k):
         for _ in range(8):
             q = rng.uniform(-2, 2, size=dim)
             dirs = [rng.uniform(-1, 1, size=dim) for _ in range(k)]
-            exact = pot.dir_deriv(q, dirs)
+            exact = pot._contract(q, dirs)
             approx = _fd_contract(pot, q, dirs)
             assert exact == pytest.approx(approx, rel=1e-6, abs=1e-6), (
                 f"{pot!r} k={k} q={q}"

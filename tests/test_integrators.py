@@ -60,6 +60,11 @@ def test_scheme_config_validation():
         SchemeConfig("corrected_kmk", 1e50, order=8)
     # 1e50**2 is a double
     assert SchemeConfig("corrected_kmk", 1e50, order=2).tau == 1e50
+    # 1e-320 is subnormal, 1e-300 a normal double
+    with pytest.raises(ValueError, match=r"tau = 1e-160 is too small for order 2: "
+                                         r"tau\*\*2 underflows a double"):
+        SchemeConfig("baseline_kmk", 1e-160)
+    assert SchemeConfig("baseline_kmk", 1e-150).tau == 1e-150
     with pytest.raises(ValueError, match="corrected order"):
         SchemeConfig("corrected_kmk", 0.1, order=3)
     with pytest.raises(ValueError, match="does not take an order"):
@@ -403,6 +408,13 @@ def test_exact_quadratic_rejects_singular_mass():
     x = PhasePoint(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(DegenerateMass):
         exact_quadratic_step(x, 0.1, mass, np.eye(2))
+
+
+def test_exact_quadratic_refuses_a_stiffness_of_another_size():
+    x = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError,
+                       match=r"stiffness shape \(3, 3\) does not match mass \(2, 2\)"):
+        exact_quadratic_step(x, 0.1, MassMatrix.identity(2), np.eye(3))
 
 
 def test_exact_quadratic_scheme_requires_quadratic_potential(quartic, mass1):

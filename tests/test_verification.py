@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HenonHeiles, quartic_exact
+from conftest import HenonHeiles, never_agreeing, quartic_exact
 from symsplit import fastpath
 from symsplit.hamiltonian import (
     Harmonic,
@@ -97,17 +97,27 @@ def test_reference_converges_on_longer_horizons(quartic, mass1, x_unit, t):
     assert np.abs(x.as_array() - quartic_exact(x_unit, mass1, t).as_array()).max() < 3e-13
 
 
+def test_a_reference_that_never_converges_is_refused(quartic, mass1, x_unit):
+    # a ValueError, which the CLI reports as one error: line
+    with mock.patch.object(fastpath, "simulate", never_agreeing):
+        with pytest.raises(ValueError, match="reference solution did not converge to 1e-13"):
+            reference_solution(x_unit, quartic, mass1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # energy traces
 
 
-def test_energy_trace_validation():
+def test_energy_trace_validation(quartic, mass1, x_unit):
     t = np.array([0.0, 1.0])
     e = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
         EnergyTrace(t, e, np.zeros(3), 0.5, 0.1, 2)
     with pytest.raises(ValueError):
         EnergyTrace(np.array([1.0, 0.5]), e, np.zeros(2), 0.5, 0.1, 2)
+    with pytest.raises(ValueError, match="window end before start"):
+        energy_error_trace(x_unit, SchemeConfig("baseline_kmk", 0.2), quartic, mass1,
+                           (2.0, 1.0))
 
 
 def test_energy_trace_window_from_zero(quartic, mass1, x_unit):
@@ -205,6 +215,9 @@ def test_measured_order_rejects_bad_input(quartic, mass1, x_unit):
     with pytest.raises(ValueError, match="coarse"):
         measure_convergence_order(x_unit, quartic, mass1, "baseline_kmk",
                                   2, (0.1, 0.2), 5.0)
+    with pytest.raises(ValueError, match="t_final must be positive, got 0"):
+        measure_convergence_order(x_unit, quartic, mass1, "baseline_kmk",
+                                  2, (0.2, 0.1), 0.0)
 
 
 def test_measured_order_refuses_an_order_the_variant_lacks(quartic, mass1, x_unit):
@@ -294,6 +307,8 @@ def test_period_estimate_needs_two_crossings():
     t = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError):
         period_estimate(t, np.sin(t))
+    with pytest.raises(ValueError, match="need matching arrays with at least four samples"):
+        period_estimate(t[:3], np.sin(t[:3]))
 
 
 def test_period_estimate_refuses_before_it_fits():
