@@ -44,6 +44,7 @@ from .hamiltonian import (
 )
 from .integrators import SCHEME_USAGE, NewtonDiverged, NonFiniteState, SchemeConfig
 from .verification import (
+    _check_start_energy,
     _window_steps,
     measure_convergence_order,
     measure_period,
@@ -193,6 +194,7 @@ class ExperimentConfig:
         potential, default_x0, kdim = self._potential()
         x0 = self._initial_state(default_x0, kdim)
         mass = self._mass(x0.dim)
+        _check_start_energy(x0, potential, mass)
         return x0, cfg, potential, mass
 
     def _potential(self):

@@ -185,32 +185,22 @@ def move_explicit(x: PhasePoint, h: float, mass: MassMatrix) -> PhasePoint:
     return _state(x.q + (h * mass.mat) @ x.p, x.p)
 
 
-def _fd_jacobian(ws, potential, mass, q, mom, tau, order):
-    n = mom.size
-    jac = np.empty((n, n))
-    for b in range(n):
-        h = 1e-6 * max(1.0, abs(mom[b]))
-        up = mom.copy()
-        up[b] += h
-        down = mom.copy()
-        down[b] -= h
-        gp = generating_function_grad_q(potential, mass, q, up, tau, order, workspace=ws)
-        gm = generating_function_grad_q(potential, mass, q, down, tau, order, workspace=ws)
-        jac[:, b] = (gp - gm) / (2.0 * h)
-    return jac
-
-
 def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-                    mass: MassMatrix, workspace=None):
+                    mass: MassMatrix, workspace=None, increments=(0.0, 0.0)):
     """Implicit move: solve p = dG/dq(q, P) for P, then read Q = dG/dP.
 
     At order 2, G = q.P + (tau/2) P^T M P has no correction terms and the
     move is the drift ``move_explicit``, reported as a 0-iteration solve
     with residual 0; this is the one place that knows it.  Otherwise Newton
-    iteration starts from P = p (the identity-map limit) and stops on the
-    max-norm residual.  The Jacobian is a finite-difference approximation
-    of d2G/dqdP; an approximate Jacobian only affects the convergence path,
-    not the solved map, so symplecticity is untouched.  ``workspace``, an
+    iteration starts as the 1-D kernel's does: from P = p + (2 d1 - d2),
+    with ``increments`` = (d1, d2) the last two moves' P - p, newest first.
+    Both are 0 by default and at a run's first move, which starts at P = p
+    (the identity-map limit).  It stops on the max-norm residual, and from
+    a predicted start (any non-zero component) it takes one update at
+    least.  Each Jacobian column is a one-sided difference of dG/dq
+    against the residual already in hand, d extra evaluations per update;
+    an approximate Jacobian only affects the convergence path, not the
+    solved map, so symplecticity is untouched.  ``workspace``, an
     ``operators.Workspace`` at x.q, shares the q-only work with the kick
     there; by default the move makes its own.
     """
@@ -219,32 +209,49 @@ def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         return move_explicit(x, tau, mass), StepReport()
     ws = workspace if workspace is not None else Workspace(potential, mass, x.q)
 
+    def grad_q(mom):
+        return generating_function_grad_q(potential, mass, x.q, mom, tau, order,
+                                          workspace=ws)
+
     def residual_at(mom):
-        r = generating_function_grad_q(potential, mass, x.q, mom, tau, order,
-                                       workspace=ws) - x.p
+        r = grad_q(mom) - x.p
         return r, float(np.abs(r).max())
 
     def newton_update(mom, r):
-        """mom's Newton update, None when the Jacobian is singular."""
-        jac = _fd_jacobian(ws, potential, mass, x.q, mom, tau, order)
+        """mom's Newton update from its residual r, None when the Jacobian
+        is singular."""
+        jac = np.empty((mom.size, mom.size))
+        for b in range(mom.size):
+            h = 1e-6 * max(1.0, abs(mom[b]))
+            up = mom.copy()
+            up[b] += h
+            jac[:, b] = (grad_q(up) - x.p - r) / h
         try:
             return mom + np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             return None
 
-    mom = x.p.copy()
+    d1, d2 = increments
+    # P = p + (2 d1 - d2), written so that p = -0 stays -0 when both are 0
+    pred = d2 - 2.0 * d1
+    mom, predicted = x.p - pred, bool(np.any(pred))
     iterations = 0
     while True:
         r, residual = residual_at(mom)
         if not math.isfinite(residual):
             raise NewtonDiverged(residual, iterations)
-        if residual <= cfg.newton_tol:
+        # a predicted start takes one update at least: an error below
+        # newton_tol left in P would pass on to the next prediction
+        if residual <= cfg.newton_tol and (iterations > 0 or not predicted):
             break
-        if iterations >= cfg.newton_max_iter:
+        trial = newton_update(mom, r) if iterations < cfg.newton_max_iter else None
+        if trial is None:
+            # out of iterations or a singular Jacobian: a start that
+            # already meets the tolerance stands, as in the kernel
+            if residual <= cfg.newton_tol:
+                break
             raise NewtonDiverged(residual, iterations)
-        mom = newton_update(mom, r)
-        if mom is None:
-            raise NewtonDiverged(residual, iterations)
+        mom = trial
         iterations += 1
     # One refinement past the acceptance tolerance when the residual is
     # still above roundoff.  The tolerance bounds each step's momentum
@@ -371,30 +378,35 @@ def _stiffness_for(potential: Potential, dim: int) -> np.ndarray:
 
 
 def _step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
-          mass: MassMatrix, ws):
-    """``step`` given ``ws``, an ``operators.Workspace`` at x.q or None;
-    returns (new state, StepReport, Workspace at the new position or None)."""
+          mass: MassMatrix, ws, inc):
+    """``step`` given ``ws``, an ``operators.Workspace`` at x.q or None, and
+    ``inc``, ``move_generating``'s increments; returns (new state,
+    StepReport, Workspace at the new position or None, increments for the
+    next step).  Only an implicit move updates the increments."""
     tau = cfg.tau
     order = cfg.order
     if cfg.variant == "exact_quadratic":
         x = exact_quadratic_step(x, tau, mass, _stiffness_for(potential, x.dim))
-        return x, StepReport(), None
+        return x, StepReport(), None, inc
     if cfg.variant == "baseline_mkm":
         x = move_explicit(x, 0.5 * tau, mass)
         x = kick(x, tau, potential, mass, tau, 2)
-        return move_explicit(x, 0.5 * tau, mass), StepReport(), None
+        return move_explicit(x, 0.5 * tau, mass), StepReport(), None, inc
     if ws is None:
         ws = Workspace(potential, mass, x.q)
     x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
-    x, report = move_generating(x, cfg, potential, mass, ws)
-    ws = Workspace(potential, mass, x.q)
-    return kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws), report, ws
+    moved, report = move_generating(x, cfg, potential, mass, ws, inc)
+    if generating_orders(order):
+        inc = (moved.p - x.p, inc[0])
+    ws = Workspace(potential, mass, moved.q)
+    x = kick(moved, 0.5 * tau, potential, mass, tau, order, workspace=ws)
+    return x, report, ws, inc
 
 
 def step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
          mass: MassMatrix):
-    """Advance one step; returns (new state, StepReport)."""
-    x, report, _ = _step(x, cfg, potential, mass, None)
+    """Advance one step from P = p; returns (new state, StepReport)."""
+    x, report, _, _ = _step(x, cfg, potential, mass, None, (0.0, 0.0))
     return x, report
 
 
@@ -417,17 +429,20 @@ def integrate(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
 
     ``observer(i, t, x, report)`` is called after each completed step with
     the 1-based step index and t = i * tau.  Each step is ``step``'s own
-    ``_step``, so a run gives the bits of repeated ``step`` calls whether or
-    not it is observed.  One ``operators.Workspace`` per position is shared
-    by both kicks there and the implicit move from it, so each position's
-    force and q-only derivative work is evaluated once.
+    ``_step``, so a run gives the same bits whether or not it is observed,
+    and its first step is ``step``'s.  Every later implicit move starts
+    Newton from the last two moves' increments, as the 1-D kernel does, so
+    later steps are not repeated ``step`` calls, which start at P = p.  One
+    ``operators.Workspace`` per position is shared by both kicks there and
+    the implicit move from it, so each position's force and q-only
+    derivative work is evaluated once.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    x, ws = x0, None
+    x, ws, inc = x0, None, (0.0, 0.0)
     for i in range(1, n_steps + 1):
         with _failing_at(i):
-            x, report, ws = _step(x, cfg, potential, mass, ws)
+            x, report, ws, inc = _step(x, cfg, potential, mass, ws, inc)
         if observer is not None:
             observer(i, i * cfg.tau, x, report)
     return x

@@ -142,14 +142,25 @@ def _window_steps(window, tau, n_max=None):
     return math.ceil(_runnable(first, t0, tau)), math.floor(_runnable(last, t1, tau))
 
 
+def _check_start_energy(x0: PhasePoint, potential: Potential, mass: MassMatrix):
+    """A ``ValueError`` when H(x0) is not a finite double, which would make
+    every energy deviation of the run inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = hamiltonian(x0, potential, mass)
+    if not math.isfinite(h0):
+        raise ValueError(f"the start state's energy overflows a double (H0 = {h0:g})")
+
+
 def energy_error_trace(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
                        mass: MassMatrix, window) -> EnergyTrace:
     """Energy at every step time inside [window[0], window[1]].
 
     The scaled column divides the deviation from the initial energy by
     tau^m, where m is the scheme's accuracy order ``cfg.order``; matching
-    windows from runs at different tau should then land on one curve.
+    windows from runs at different tau should then land on one curve.  A
+    start whose energy is not finite is a ``ValueError``.
     """
+    _check_start_energy(x0, potential, mass)
     tau, m = cfg.tau, cfg.order
     i0, i1 = _window_steps(window, tau)
     run = fastpath.simulate(x0, cfg, potential, mass, i1,

@@ -358,8 +358,9 @@ def test_strided_coefficients_reach_the_kernel(mass1):
 ], ids=["septic", "quartic_well"])
 def test_predicted_newton_start_agrees_with_the_generic_start(coeffs, mval, x0, order,
                                                               tau):
-    # the kernel starts each step's Newton solve from its last two
-    # increments, the generic engine at P = p; both solve to roundoff
+    # both engines start each step's Newton solve from the last two
+    # increments; the kernel differentiates its polynomial exactly, the
+    # generic engine by one-sided differences, and both solve to roundoff
     pot, mass, cfg = Polynomial1D(coeffs), MassMatrix(mval), _cfg("corrected_kmk", tau, order)
     run = fastpath.fast_run(x0, cfg, pot, mass, 100, rec_range=(1, 101))
     states = []
@@ -376,6 +377,14 @@ def test_a_predicted_newton_start_takes_one_update(quartic, mass1, x_unit):
     for run in _every_kernel(x_unit, _cfg("corrected_kmk", 0.001, 8), quartic, mass1, 300,
                              rec_range=(1, 301)):
         assert run.ok and run.rec_iters.min() == 1
+
+
+def test_a_predicted_generic_start_takes_one_update(opaque_quartic, mass1, x_unit):
+    # the generic engine's twin of the kernel's rule above
+    iters = []
+    integrate(x_unit, _cfg("corrected_kmk", 0.001, 8), opaque_quartic, mass1, 300,
+              observer=lambda i, t, x, rep: iters.append(rep.newton_iterations))
+    assert len(iters) == 300 and min(iters) == 1
 
 
 def test_recorded_window_matches_observer(quartic, mass1, x_unit):

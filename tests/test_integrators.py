@@ -28,6 +28,7 @@ from symsplit.integrators import (
     ResonantStep,
     SchemeConfig,
     StepReport,
+    _step,
     exact_quadratic_step,
     harmonic_modified_coeffs,
     integrate,
@@ -185,6 +186,53 @@ def test_move_generating_report_residual_below_tolerance(quartic, mass1):
         x = _x(rng.uniform(-1, 1), rng.uniform(-1, 1))
         _, report = move_generating(x, cfg, quartic, mass1)
         assert report.newton_residual <= cfg.newton_tol
+
+
+def test_a_singular_jacobian_keeps_a_start_that_meets_the_tolerance(opaque_quartic,
+                                                                   mass1, x_unit):
+    # as the kernel's fp == 0 exit: with no Newton update to take, a
+    # predicted start within newton_tol stands after 0 updates, and a start
+    # at P = p, which is not within it, fails
+    cfg = SchemeConfig("corrected_kmk", 0.001, order=8)
+    x, inc = x_unit, (0.0, 0.0)
+    for _ in range(5):
+        x, _, _, inc = _step(x, cfg, opaque_quartic, mass1, None, inc)
+    mid = kick(x, 0.5 * cfg.tau, opaque_quartic, mass1, cfg.tau, cfg.order)
+    with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.LinAlgError):
+        y, report = move_generating(mid, cfg, opaque_quartic, mass1, increments=inc)
+        with pytest.raises(NewtonDiverged) as info:
+            move_generating(mid, cfg, opaque_quartic, mass1)
+    assert report.newton_iterations == 0 and report.newton_residual <= cfg.newton_tol
+    assert y.p.tobytes() == (mid.p - (inc[1] - 2.0 * inc[0])).tobytes()
+    assert info.value.iterations == 0 and info.value.residual > cfg.newton_tol
+
+
+def test_quadratic_moves_start_and_stay_at_p():
+    # P = p solves a quadratic potential's move exactly, so every increment
+    # is 0 and every step starts at P = p and takes 0 updates
+    potential = Quadratic([[2.0, 0.3], [0.3, 1.0]])
+    mass = MassMatrix([[1.5, 0.2], [0.2, 0.8]])
+    reports = []
+    integrate(_x([0.4, -0.3], [0.2, 0.5]), SchemeConfig("corrected_kmk", 0.2, order=8),
+              potential, mass, 30, observer=lambda i, t, y, report: reports.append(report))
+    assert [report.newton_iterations for report in reports] == [0] * 30
+
+
+def test_generic_steps_cost_few_move_residuals(opaque_quartic, mass1, x_unit, monkeypatch):
+    # a Newton update takes one dG/dq per dimension beside the residual in
+    # hand, and the predicted start saves most updates: 3.0 calls per step
+    # here, 6.4 with central differences from P = p
+    calls = []
+    inner = integrators.generating_function_grad_q
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "generating_function_grad_q", counted)
+    integrate(x_unit, SchemeConfig("corrected_kmk", 0.05, order=8), opaque_quartic,
+              mass1, 20)
+    assert 0 < len(calls) <= 3.5 * 20
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +546,12 @@ def test_unobserved_integrate_is_bit_identical_to_observed(variant, order, quart
                                            ("corrected_kmk", 8)])
 @pytest.mark.parametrize("problem", ["quartic", "henon"])
 def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, problem):
-    # integrate shares one workspace per position across steps; step makes
-    # one for its start and one for its end.  Observed or not, integrate
-    # runs the same half kick, move, half kick.
+    # integrate shares one workspace per position across steps and hands
+    # each implicit move the last two increments P - p.  Threading only the
+    # increments through _step, with a fresh workspace every step, gives
+    # the same bits, so sharing a workspace is bit-neutral; observed or not,
+    # integrate runs the same half kick, move, half kick.  A run's first
+    # step starts at P = p and is step's own.
     if problem == "quartic":
         potential, mass, x = Quartic(), MassMatrix.identity(1), _x(0.0, 1.0)
     else:
@@ -512,8 +563,12 @@ def test_observed_integrate_is_bit_identical_to_repeated_steps(variant, order, p
               observer=lambda i, t, y, report: seen.append((y, report)))
     unobserved = integrate(x, cfg, potential, mass, 12)
     assert len(seen) == 12
+    first, first_report = step(x, cfg, potential, mass)
+    assert seen[0][0].as_array().tobytes() == first.as_array().tobytes()
+    assert seen[0][1] == first_report
+    inc = (0.0, 0.0)
     for y, report in seen:
-        x, want = step(x, cfg, potential, mass)
+        x, want, _, inc = _step(x, cfg, potential, mass, None, inc)
         assert y.q.tobytes() == x.q.tobytes() and y.p.tobytes() == x.p.tobytes()
         assert report == want
     assert unobserved.as_array().tobytes() == x.as_array().tobytes()
@@ -663,15 +718,16 @@ def _observed_digest(x0, potential, mass, n_steps=20):
     return digest.hexdigest()
 
 
-# computed before the generic engine's node tape replaced its tuple-keyed
-# caches; a change to operators or the Newton solve must leave them alone
+# computed when the generic move took the kernel's predicted Newton start
+# and a one-sided Jacobian; a change to operators or the Newton solve must
+# leave them alone
 def test_henon_heiles_steps_are_pinned():
     mass = MassMatrix([[1.5, 0.2], [0.2, 0.8]])
     x0 = _x([0.1, -0.2], [0.3, 0.15])
     assert _observed_digest(x0, HenonHeiles(), mass) == (
-        "320bb0ee7ae8ffeff917d08b7a5cb907024d06521456ff9166e55b6389affe46")
+        "cc7464e6eba3a5ece65de41ccae23e2a92534008de2fe369a21032953b1dddfc")
 
 
 def test_opaque_quartic_steps_are_pinned(opaque_quartic, mass1, x_unit):
     assert _observed_digest(x_unit, opaque_quartic, mass1) == (
-        "c67a18208f5c6e23b5ffc4c44d77bdc131715241d0e7684a349561109789ab2f")
+        "e8e9be9087673531608efc27e3952b8630c249cd370af9ebff16a9f908a1a59f")

@@ -120,6 +120,15 @@ def test_energy_trace_validation(quartic, mass1, x_unit):
                            (2.0, 1.0))
 
 
+@pytest.mark.parametrize("x0", [PhasePoint([1e100], [1.0]), PhasePoint([0.0], [1e200])],
+                         ids=["potential", "kinetic"])
+def test_energy_trace_refuses_a_start_whose_energy_overflows(x0, quartic, mass1):
+    # H0 = inf would make every scaled deviation nan
+    cfg = SchemeConfig("corrected_kmk", 0.05, order=8)
+    with pytest.raises(ValueError, match=r"energy overflows a double \(H0 = inf\)"):
+        energy_error_trace(x0, cfg, quartic, mass1, (0.0, 0.0))
+
+
 def test_energy_trace_window_from_zero(quartic, mass1, x_unit):
     cfg = SchemeConfig("baseline_kmk", 0.2)
     trace = energy_error_trace(x_unit, cfg, quartic, mass1, (0.0, 1.0))
