@@ -28,7 +28,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +42,12 @@ from .hamiltonian import (
     Quartic,
     hamiltonian,
 )
-from .integrators import SCHEME_USAGE, NewtonDiverged, NonFiniteState, SchemeConfig
+from .integrators import (NEWTON_MAX_ITER, NEWTON_TOL, SCHEME_USAGE, NewtonDiverged,
+                          NonFiniteState, SchemeConfig)
 from .verification import (
     _check_start_energy,
+    _pair_steps,
+    _reference_start,
     _window_steps,
     measure_convergence_order,
     measure_period,
@@ -185,12 +188,9 @@ class ExperimentConfig:
     periods: float | None = None
     t_final: float | None = None
     window: tuple | None = None
-    newton_tol: float = SchemeConfig.newton_tol
-    newton_max_iter: int = SchemeConfig.newton_max_iter
 
     def build(self):
-        cfg = SchemeConfig.parse(self.scheme, self.tau, newton_tol=self.newton_tol,
-                                 newton_max_iter=self.newton_max_iter)
+        cfg = SchemeConfig.parse(self.scheme, self.tau)
         potential, default_x0, kdim = self._potential()
         x0 = self._initial_state(default_x0, kdim)
         mass = self._mass(x0.dim)
@@ -290,8 +290,8 @@ class ExperimentConfig:
             pairs.append(("t_final", _fmt(self.t_final)))
         if self.window is not None:
             pairs.append(("window", f"{_fmt(self.window[0])}:{_fmt(self.window[1])}"))
-        pairs.append(("newton_tol", _fmt(self.newton_tol)))
-        pairs.append(("newton_max_iter", str(self.newton_max_iter)))
+        # the Newton schedule decides every number a run writes
+        pairs += [("newton_tol", _fmt(NEWTON_TOL)), ("newton_max_iter", str(NEWTON_MAX_ITER))]
         return pairs
 
 
@@ -319,25 +319,18 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _scalar(kind, key):
-    noun = "an integer" if kind is int else "a finite number"
-
-    def parse(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be {noun}, got {text!r}")
-        return value
-
-    return parse
+def _scalar(key, text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {text!r}")
+    return value
 
 
 _PARSERS = {
-    **{key: _scalar(float, key)
-       for key in ("omega", "tau", "periods", "t_final", "newton_tol")},
-    "newton_max_iter": _scalar(int, "newton_max_iter"),
+    **{key: partial(_scalar, key) for key in ("omega", "tau", "periods", "t_final")},
     "q0": _parse_vector,
     "p0": _parse_vector,
     "window": _parse_window,
@@ -436,14 +429,9 @@ def execute_run(exp: ExperimentConfig, out_path: Path, extra_meta=()) -> int:
     x0, cfg, potential, mass = exp.build()
     t_final = exp.duration(x0, potential, mass)
     n_steps = step_count(t_final, cfg.tau)
-    if exp.window is None:
-        first, last = 0, n_steps
-    else:
+    first, last = 0, n_steps
+    if exp.window is not None:
         first, last = _window_steps(exp.window, cfg.tau, n_steps)
-        if first > last:
-            lo, hi = exp.window
-            raise ValueError(f"window {_fmt(lo)}:{_fmt(hi)} holds no step of the "
-                             f"run, which spans t = 0 to {_fmt(n_steps * cfg.tau)}")
     try:
         rows, failure = _trace_rows(x0, cfg, potential, mass, n_steps, first, last)
     except MemoryError:
@@ -503,9 +491,12 @@ def cmd_figure(args) -> int:
 def cmd_order(args) -> int:
     labels = args.schemes.split(",") if args.schemes else DEFAULT_SCHEMES
     tau_pair = _parse_pair(args.tau_pair) if args.tau_pair else (0.2, 0.1)
-    t_final = 5.0 if args.t_final is None else _scalar(float, "t_final")(args.t_final)
+    t_final = 5.0 if args.t_final is None else _scalar("t_final", args.t_final)
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final:g}")
+    # checked before the reference runs, whose own steps are no input
+    _reference_start(t_final)
+    _pair_steps(tau_pair, t_final)
     out_dir = Path(args.out) if args.out else default_out_dir()
     schemes = {}
     for label in labels:
@@ -518,9 +509,7 @@ def cmd_order(args) -> int:
         schemes[cfg.name] = label, cfg
     paper = ExperimentConfig()
     x0, _, potential, mass = paper.build()
-    rows = []
-    all_good = True
-    ref = None
+    rows, all_good, ref = [], True, None
     for name, (_, cfg) in schemes.items():
         try:
             # one reference serves every scheme
@@ -639,8 +628,6 @@ def build_parser() -> _Parser:
         p.add_argument("--periods", help="duration in periods")
         p.add_argument("--t-final", help="duration in time units")
         p.add_argument("--window", help="record only times in START:END")
-        p.add_argument("--newton-tol")
-        p.add_argument("--newton-max-iter")
         p.add_argument("--config", help="key = value file; flags win")
         p.add_argument("--out", help="output file (run) or directory")
 

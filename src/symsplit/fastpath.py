@@ -44,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .hamiltonian import MassMatrix, PhasePoint, Potential, hamiltonian
-from .integrators import (KMK_VARIANTS, POLISH_FLOOR, NewtonDiverged,
-                          NonFiniteState, SchemeConfig, integrate)
+from .integrators import (KMK_VARIANTS, NEWTON_MAX_ITER, NEWTON_TOL, POLISH_FLOOR,
+                          NewtonDiverged, NonFiniteState, SchemeConfig, integrate)
 from .operators import (GENERATING_TERMS, POTENTIAL_GENERATORS, TRIPLE_GRADIENT,
                         correction_orders, generating_orders)
 
@@ -557,8 +557,8 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     ``range_b`` accumulate max |H - H0| over step ranges without storing
     anything, which is how multi-million-step stability windows stay cheap.
     The kernel writes every row and H0 (``FastRun.h0``) by one formula.
-    A step count, window bound or ``newton_max_iter`` outside int64 is a
-    ``ValueError`` on both loops.
+    A step count or window bound outside int64 is a ``ValueError`` on both
+    loops.
     """
     if not eligible(cfg, potential, mass, x0.dim):
         raise ValueError("configuration not eligible for the fast kernel")
@@ -566,10 +566,9 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
         raise ValueError("n_steps must be non-negative")
     (rec_start, rec_stop), (a0, a1), (b0, b1) = _windows(rec_range, range_a, range_b)
     # ctypes wraps a larger integer silently; both loops refuse it alike
-    for value in (n_steps, cfg.newton_max_iter, rec_start, rec_stop, a0, a1, b0, b1):
+    for value in (n_steps, rec_start, rec_stop, a0, a1, b0, b1):
         if not -2**63 <= value < 2**63:
-            raise ValueError("step counts, window bounds and newton_max_iter must "
-                             f"fit in int64, got {value}")
+            raise ValueError(f"step counts and window bounds must fit in int64, got {value}")
     # the kernel records no step past n_steps
     rec_stop = min(rec_stop, n_steps + 1)
     tables = tables_for(potential, mass, cfg.order)
@@ -579,7 +578,7 @@ def fast_run(x0: PhasePoint, cfg: SchemeConfig, potential: Potential,
     status = _kernel(
         state, tables.mval, cfg.tau, int(n_steps), vg, vg.size, cq, *cq.shape,
         cp, *cp.shape, tables.vpot, tables.vpot.size,
-        cfg.newton_tol, int(cfg.newton_max_iter), POLISH_FLOOR,
+        NEWTON_TOL, NEWTON_MAX_ITER, POLISH_FLOOR,
         int(rec_start), int(rec_stop), rec, int(a0), int(a1), int(b0), int(b1),
     )
     q, p, fail_res, max_a, max_b, h0 = state[:6].tolist()

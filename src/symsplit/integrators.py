@@ -58,8 +58,10 @@ SCHEME_USAGE = "schemes are " + ", ".join(
 # the variants whose step is half kick, move, half kick
 KMK_VARIANTS = ("baseline_kmk", "corrected_kmk")
 
-# residual-to-momentum-scale ratio below which further Newton refinement
-# is roundoff; shared with the compiled kernel so both paths solve alike
+# the implicit move's Newton schedule, part of the method and shared with the
+# kernel: tolerance, update cap, and the roundoff floor below which polishing stops
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 25
 POLISH_FLOOR = 16.0 * 2.220446049250313e-16
 
 
@@ -96,7 +98,7 @@ class DegenerateMass(ValueError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Integrator selection plus step size and implicit-solve knobs.
+    """Integrator selection plus step size.
 
     ``order`` is the global accuracy order, one of the variant's
     ``ORDERS`` (for exact_quadratic a label only); left out, it is the
@@ -105,8 +107,6 @@ class SchemeConfig:
     variant: str
     tau: float
     order: int | None = None
-    newton_tol: float = 1e-13
-    newton_max_iter: int = 25
 
     def __post_init__(self):
         if self.variant not in ORDERS:
@@ -130,18 +130,16 @@ class SchemeConfig:
         if scale < sys.float_info.min:
             raise ValueError(f"tau = {self.tau:g} is too small for order {self.order}: "
                              f"tau**{self.order} underflows a double")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("newton_tol must be positive, newton_max_iter >= 1")
 
     @classmethod
-    def parse(cls, label: str, tau: float, **solver) -> "SchemeConfig":
+    def parse(cls, label: str, tau: float) -> "SchemeConfig":
         """The config of a label ``variant`` or ``variant:order`` (``corrected_kmk:6``)."""
         variant, sep, suffix = label.partition(":")
         try:
             order = int(suffix) if sep else None
         except ValueError:
             raise ValueError(f"bad order {suffix!r} in {label!r}; {SCHEME_USAGE}") from None
-        return cls(variant, tau, order, **solver)
+        return cls(variant, tau, order)
 
     @property
     def name(self) -> str:
@@ -241,14 +239,14 @@ def move_generating(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         if not math.isfinite(residual):
             raise NewtonDiverged(residual, iterations)
         # a predicted start takes one update at least: an error below
-        # newton_tol left in P would pass on to the next prediction
-        if residual <= cfg.newton_tol and (iterations > 0 or not predicted):
+        # NEWTON_TOL left in P would pass on to the next prediction
+        if residual <= NEWTON_TOL and (iterations > 0 or not predicted):
             break
-        trial = newton_update(mom, r) if iterations < cfg.newton_max_iter else None
+        trial = newton_update(mom, r) if iterations < NEWTON_MAX_ITER else None
         if trial is None:
             # out of iterations or a singular Jacobian: a start that
             # already meets the tolerance stands, as in the kernel
-            if residual <= cfg.newton_tol:
+            if residual <= NEWTON_TOL:
                 break
             raise NewtonDiverged(residual, iterations)
         mom = trial
@@ -382,9 +380,8 @@ def _step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
     """``step`` given ``ws``, an ``operators.Workspace`` at x.q or None, and
     ``inc``, ``move_generating``'s increments; returns (new state,
     StepReport, Workspace at the new position or None, increments for the
-    next step).  Only an implicit move updates the increments."""
-    tau = cfg.tau
-    order = cfg.order
+    next step).  Only a kick-move-kick step updates the increments."""
+    tau, order = cfg.tau, cfg.order
     if cfg.variant == "exact_quadratic":
         x = exact_quadratic_step(x, tau, mass, _stiffness_for(potential, x.dim))
         return x, StepReport(), None, inc
@@ -396,8 +393,7 @@ def _step(x: PhasePoint, cfg: SchemeConfig, potential: Potential,
         ws = Workspace(potential, mass, x.q)
     x = kick(x, 0.5 * tau, potential, mass, tau, order, workspace=ws)
     moved, report = move_generating(x, cfg, potential, mass, ws, inc)
-    if generating_orders(order):
-        inc = (moved.p - x.p, inc[0])
+    inc = (moved.p - x.p, inc[0])
     ws = Workspace(potential, mass, moved.q)
     x = kick(moved, 0.5 * tau, potential, mass, tau, order, workspace=ws)
     return x, report, ws, inc

@@ -91,6 +91,17 @@ def step_count(duration: float, tau: float) -> int:
     return math.ceil(_runnable(duration / tau - 1e-9, duration, tau))
 
 
+def _reference_start(t_final: float) -> int:
+    """``reference_solution``'s first step count; refusals name t alone."""
+    if t_final < 0:
+        raise ValueError("t_final must be non-negative")
+    try:
+        return max(1, step_count(t_final, 0.05))
+    except ValueError:
+        raise ValueError(f"a reference solution to t = {t_final:g} would take "
+                         "more than 2**63 - 1 steps") from None
+
+
 def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
                        t_final: float) -> PhasePoint:
     """High-accuracy final state at t_final via the order-8 scheme.
@@ -100,22 +111,20 @@ def reference_solution(x0: PhasePoint, potential: Potential, mass: MassMatrix,
     phase-space max-norm; the finer of the two is returned.  Fourteen
     doublings that never agree are a ``ValueError``.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
+    n = _reference_start(t_final)
     if t_final == 0:
         return x0
 
+    # the steps are this function's own, so each refusal names t alone
     def run(n):
-        cfg = SchemeConfig("corrected_kmk", t_final / n, order=8)
+        try:
+            cfg = SchemeConfig("corrected_kmk", t_final / n, order=8)
+        except ValueError:
+            raise ValueError(f"a reference solution to t = {t_final:g} would take "
+                             "steps whose tau**8 underflows a double") from None
         return fastpath.simulate(x0, cfg, potential, mass, n).raise_if_failed().final
 
     tol = 1e-13
-    try:
-        n = max(1, step_count(t_final, 0.05))
-    except ValueError:
-        # the starting step is this function's own, so the refusal names t alone
-        raise ValueError(f"a reference solution to t = {t_final:g} would take "
-                         "more than 2**63 - 1 steps") from None
     prev = run(n)
     for _ in range(14):
         n *= 2
@@ -139,7 +148,11 @@ def _window_steps(window, tau, n_max=None):
     first, last = max(0.0, (t0 - eps) / tau), max(-1.0, (t1 + eps) / tau)
     if n_max is not None:
         first, last = min(first, n_max + 1), min(last, n_max)
-    return math.ceil(_runnable(first, t0, tau)), math.floor(_runnable(last, t1, tau))
+    first, last = math.ceil(_runnable(first, t0, tau)), math.floor(_runnable(last, t1, tau))
+    if first > last:
+        span = "" if n_max is None else f", which spans t = 0 to {n_max * tau:.17g}"
+        raise ValueError(f"window {t0:.17g}:{t1:.17g} holds no step of the run{span}")
+    return first, last
 
 
 def _check_start_energy(x0: PhasePoint, potential: Potential, mass: MassMatrix):
@@ -182,6 +195,20 @@ def energy_deviation_maxima(x0: PhasePoint, cfg: SchemeConfig,
 _MEASUREMENT_FLOOR = 100 * np.finfo(float).eps
 
 
+def _pair_steps(tau_pair, t_final: float) -> list:
+    """The step counts of a (coarse, fine) pair over t_final, which must differ."""
+    tau_c, tau_f = tau_pair
+    if not tau_c > tau_f > 0:
+        raise ValueError("tau_pair must be (coarse, fine) with coarse > fine > 0")
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got {t_final:g}")
+    counts = [max(1, round(_runnable(t_final / tau, t_final, tau))) for tau in tau_pair]
+    if counts[0] == counts[1]:
+        raise ValueError(f"tau pair {tau_c:g}:{tau_f:g} rounds to one step size "
+                         f"over t_final = {t_final:g}; use a wider pair")
+    return counts
+
+
 def measure_convergence_order(x0: PhasePoint, potential: Potential,
                               mass: MassMatrix, variant: str, order: int,
                               tau_pair, t_final: float,
@@ -190,25 +217,15 @@ def measure_convergence_order(x0: PhasePoint, potential: Potential,
     at two step sizes, against a reference.
 
     Step counts are rounded so both taus divide t_final exactly; the
-    reported ratio uses the adjusted values.  ``reference`` is
-    ``reference_solution(x0, potential, mass, t_final)``, computed here
-    when not given; callers measuring several schemes pass it once.
+    reported ratio uses the adjusted values, and a pair of one count is
+    refused before any run.  ``reference`` is ``reference_solution(x0,
+    potential, mass, t_final)``, computed here when not given; callers
+    measuring several schemes pass it once.
     """
-    tau_c, tau_f = tau_pair
-    if not tau_c > tau_f > 0:
-        raise ValueError("tau_pair must be (coarse, fine) with coarse > fine > 0")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final:g}")
-    ref = (reference_solution(x0, potential, mass, t_final)
-           if reference is None else reference)
+    counts = _pair_steps(tau_pair, t_final)
+    ref = reference_solution(x0, potential, mass, t_final) if reference is None else reference
     h0 = hamiltonian(x0, potential, mass)
-
-    taus = []
-    errors = []
-    counts = [max(1, round(_runnable(t_final / tau, t_final, tau))) for tau in (tau_c, tau_f)]
-    if counts[0] == counts[1]:
-        raise ValueError(f"tau pair {tau_c:g}:{tau_f:g} rounds to one step size "
-                         f"over t_final = {t_final:g}; use a wider pair")
+    taus, errors = [], []
     for n in counts:
         tau = t_final / n
         cfg = SchemeConfig(variant, tau, order=order)

@@ -3,6 +3,7 @@ quadratic stepping and the integrate driver."""
 import hashlib
 import math
 import struct
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -70,8 +71,14 @@ def test_scheme_config_validation():
         SchemeConfig("corrected_kmk", 0.1, order=3)
     with pytest.raises(ValueError, match="does not take an order"):
         SchemeConfig("baseline_kmk", 0.1, order=4)
-    with pytest.raises(ValueError, match="newton"):
-        SchemeConfig("corrected_kmk", 0.1, order=4, newton_tol=0.0)
+
+
+def test_the_newton_schedule_is_no_config_field():
+    # the tolerance and the iteration cap are part of the method, the
+    # constants integrators.NEWTON_TOL and NEWTON_MAX_ITER
+    assert [f.name for f in fields(SchemeConfig)] == ["variant", "tau", "order"]
+    with pytest.raises(TypeError):
+        SchemeConfig("corrected_kmk", 0.1, newton_tol=1e-10)
 
 
 def test_a_left_out_order_is_the_variants_highest():
@@ -83,8 +90,8 @@ def test_a_left_out_order_is_the_variants_highest():
 def test_every_catalogued_label_parses_to_its_config():
     for variant, orders in ORDERS.items():
         for order in orders:
-            cfg = SchemeConfig.parse(f"{variant}:{order}", 0.1, newton_max_iter=7)
-            assert cfg == SchemeConfig(variant, 0.1, order=order, newton_max_iter=7)
+            cfg = SchemeConfig.parse(f"{variant}:{order}", 0.1)
+            assert cfg == SchemeConfig(variant, 0.1, order=order)
             assert cfg.name == (variant if len(orders) == 1 else f"{variant}{order}")
 
 
@@ -185,13 +192,13 @@ def test_move_generating_report_residual_below_tolerance(quartic, mass1):
     for _ in range(10):
         x = _x(rng.uniform(-1, 1), rng.uniform(-1, 1))
         _, report = move_generating(x, cfg, quartic, mass1)
-        assert report.newton_residual <= cfg.newton_tol
+        assert report.newton_residual <= integrators.NEWTON_TOL
 
 
 def test_a_singular_jacobian_keeps_a_start_that_meets_the_tolerance(opaque_quartic,
                                                                    mass1, x_unit):
     # as the kernel's fp == 0 exit: with no Newton update to take, a
-    # predicted start within newton_tol stands after 0 updates, and a start
+    # predicted start within NEWTON_TOL stands after 0 updates, and a start
     # at P = p, which is not within it, fails
     cfg = SchemeConfig("corrected_kmk", 0.001, order=8)
     x, inc = x_unit, (0.0, 0.0)
@@ -202,9 +209,9 @@ def test_a_singular_jacobian_keeps_a_start_that_meets_the_tolerance(opaque_quart
         y, report = move_generating(mid, cfg, opaque_quartic, mass1, increments=inc)
         with pytest.raises(NewtonDiverged) as info:
             move_generating(mid, cfg, opaque_quartic, mass1)
-    assert report.newton_iterations == 0 and report.newton_residual <= cfg.newton_tol
+    assert report.newton_iterations == 0 and report.newton_residual <= integrators.NEWTON_TOL
     assert y.p.tobytes() == (mid.p - (inc[1] - 2.0 * inc[0])).tobytes()
-    assert info.value.iterations == 0 and info.value.residual > cfg.newton_tol
+    assert info.value.iterations == 0 and info.value.residual > integrators.NEWTON_TOL
 
 
 def test_quadratic_moves_start_and_stay_at_p():
@@ -649,10 +656,12 @@ def test_a_singular_jacobian_is_a_failed_solve(opaque_quartic, mass1, x_unit):
     # tolerance keeps its momentum unpolished, and the first step whose
     # residual is not fails at iteration 0; the first residual grows with q
     pot = opaque_quartic
-    cfg = SchemeConfig("corrected_kmk", 0.1, order=4, newton_tol=1e-4)
+    cfg = SchemeConfig("corrected_kmk", 0.1, order=4)
+    tol = 1e-4
     seen = []
     singular = np.linalg.LinAlgError("Singular matrix")
-    with mock.patch.object(integrators.np.linalg, "solve", side_effect=singular):
+    with mock.patch.object(integrators, "NEWTON_TOL", tol), \
+            mock.patch.object(integrators.np.linalg, "solve", side_effect=singular):
         with pytest.raises(NewtonDiverged) as info:
             integrate(x_unit, cfg, pot, mass1, 10,
                       observer=lambda i, t, y, report: seen.append((y, report)))
@@ -666,10 +675,10 @@ def test_a_singular_jacobian_is_a_failed_solve(opaque_quartic, mass1, x_unit):
     starts = [x_unit] + [y for y, _ in seen]
     for x, (_, report) in zip(starts, seen):
         assert report == StepReport(0, first_residual(x))
-        assert 0.0 < report.newton_residual <= cfg.newton_tol
+        assert 0.0 < report.newton_residual <= tol
     for failed in (info.value, run.failure):
         assert isinstance(failed, NewtonDiverged)
-        assert failed.residual == first_residual(starts[-1]) > cfg.newton_tol
+        assert failed.residual == first_residual(starts[-1]) > tol
         assert failed.iterations == 0 and failed.step_index == 3
     assert run.completed_steps == 2 and run.final is None
     assert run.rec_iters.tolist() == [0, 0, 0]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HenonHeiles, never_agreeing, quartic_exact
-from symsplit import fastpath
+from symsplit import fastpath, verification
 from symsplit.hamiltonian import (
     Harmonic,
     MassMatrix,
@@ -120,6 +120,16 @@ def test_energy_trace_validation(quartic, mass1, x_unit):
                            (2.0, 1.0))
 
 
+@pytest.mark.parametrize("window", [(-5.0, -1.0), (0.01, 0.02)], ids=["before", "between"])
+def test_an_energy_trace_window_that_holds_no_step_is_refused(window, quartic, mass1,
+                                                              x_unit):
+    # the window is named, not the step count it would have run
+    cfg = SchemeConfig("corrected_kmk", 0.05)
+    with pytest.raises(ValueError) as info:
+        energy_error_trace(x_unit, cfg, quartic, mass1, window)
+    assert str(info.value) == f"window {window[0]:g}:{window[1]:g} holds no step of the run"
+
+
 @pytest.mark.parametrize("x0", [PhasePoint([1e100], [1.0]), PhasePoint([0.0], [1e200])],
                          ids=["potential", "kinetic"])
 def test_energy_trace_refuses_a_start_whose_energy_overflows(x0, quartic, mass1):
@@ -214,6 +224,26 @@ def test_measured_order_corrected4(quartic, mass1, x_unit):
     assert 3.5 < rep.measured_order < 4.5, rep
 
 
+@pytest.mark.parametrize("t", [1e-39, 1e-300, 3.6e-39], ids=["first", "tiny", "refined"])
+def test_a_reference_whose_own_step_underflows_names_t_alone(t, quartic, mass1, x_unit):
+    # its steps are no input; at 3.6e-39 the first step's tau**8 is still a
+    # normal double, and only the first refinement's underflows
+    with pytest.raises(ValueError) as info:
+        reference_solution(x_unit, quartic, mass1, t)
+    assert str(info.value) == (f"a reference solution to t = {t:g} would take steps "
+                               "whose tau**8 underflows a double")
+
+
+def test_measured_order_refuses_a_pair_of_one_step_count_before_the_reference(
+        quartic, mass1, x_unit):
+    with mock.patch.object(verification, "reference_solution") as reference:
+        with pytest.raises(ValueError, match=r"tau pair 0.2:0.1 rounds to one step size "
+                                             r"over t_final = 1e-39; use a wider pair"):
+            measure_convergence_order(x_unit, quartic, mass1, "corrected_kmk", 8,
+                                      (0.2, 0.1), 1e-39)
+    reference.assert_not_called()
+
+
 def test_measured_order_floor_guard(quartic, mass1, x_unit):
     with pytest.raises(ValueError, match="measurement floor"):
         measure_convergence_order(x_unit, quartic, mass1, "corrected_kmk",
@@ -268,10 +298,11 @@ def test_symplecticity_degrades_with_loose_newton(quartic, mass1):
     path and visibly damages the symplectic structure; the tight default
     does not.  At tau = 0.5 the damage is three orders of magnitude."""
     x = PhasePoint([0.5], [0.5])
-    tight = SchemeConfig("corrected_kmk", 0.5, order=6)
-    loose = SchemeConfig("corrected_kmk", 0.5, order=6, newton_tol=1e-1)
-    d_tight = symplecticity_defect(x, tight, quartic, mass1)
-    d_loose = symplecticity_defect(x, loose, quartic, mass1)
+    cfg = SchemeConfig("corrected_kmk", 0.5, order=6)
+    d_tight = symplecticity_defect(x, cfg, quartic, mass1)
+    # the 1-D kernel runs this config and takes the tolerance from fastpath
+    with mock.patch.object(fastpath, "NEWTON_TOL", 1e-1):
+        d_loose = symplecticity_defect(x, cfg, quartic, mass1)
     assert d_loose > 1e-8
     assert d_loose > 1000 * d_tight
 
